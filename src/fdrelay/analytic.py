@@ -8,7 +8,7 @@ power/location optimizers.
 
 Conventions: stats holds mean link SNRs (see model.LinkStats), cfg holds
 (alpha_mod, beta_mod) of the Q-function SER model. SER outputs are clamped
-to [0, 1/2]; clamping is logged at debug level because the asymptotic series
+to [0, alpha/2]; clamping is logged at debug level because the asymptotic series
 is only meaningful where it stays in range.
 """
 
@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
-
-from scipy.integrate import quad
 
 from .errors import DomainError, NonConvergenceError, QuadratureError
 from .model import Allocation, LinkStats, SystemConfig
@@ -224,7 +222,7 @@ def outage(threshold: float, stats: LinkStats, mode: str = "asymptotic") -> floa
 
 def ser_series_terms(stats: LinkStats, cfg: SystemConfig,
                      n_terms: int = DEFAULT_N_TERMS) -> list[float]:
-    """The individual series contributions I_i whose sum approximates 1/2 - SER.
+    """The individual series contributions I_i whose sum approximates alpha/2 - SER.
 
     I_i = C_i * (2 alpha sqrt(2 beta) / (l_sr l_rd))
               * A_i eta^(2i) / X_i^(2i + 5/2)
@@ -256,15 +254,16 @@ def ser_series_terms(stats: LinkStats, cfg: SystemConfig,
 
 def ser_series(stats: LinkStats, cfg: SystemConfig,
                n_terms: int = DEFAULT_N_TERMS) -> float:
-    """Asymptotic average SER: 1/2 minus the truncated contribution series.
+    """Asymptotic average SER: alpha/2 minus the truncated contribution series.
 
-    Clamped to [0, 1/2]; the series can dip out of range at very low SNR
+    Clamped to [0, alpha/2]; the series can dip out of range at very low SNR
     where the high-power expansion is invalid.
     """
-    raw = 0.5 - math.fsum(ser_series_terms(stats, cfg, n_terms))
-    if raw < 0.0 or raw > 0.5:
+    half = 0.5 * cfg.alpha_mod
+    raw = half - math.fsum(ser_series_terms(stats, cfg, n_terms))
+    if raw < 0.0 or raw > half:
         logger.debug("ser_series clamped: raw=%.3e stats=%s", raw, stats)
-        return min(max(raw, 0.0), 0.5)
+        return min(max(raw, 0.0), half)
     return raw
 
 
@@ -291,10 +290,10 @@ def ser_quadrature(stats: LinkStats, cfg: SystemConfig) -> float:
 
 
 def ser_high_power(stats: LinkStats, cfg: SystemConfig) -> float:
-    """Leading-term SER: 1/2 - kappa (beta/2 + 1/l_sr + 1/l_rd + B0 eta)^(-1/2),
+    """Leading-term SER: alpha/2 - kappa (beta/2 + 1/l_sr + 1/l_rd + B0 eta)^(-1/2),
     B0 = 1."""
     f = cfg.beta_mod / 2.0 + 1.0 / stats.lambda_sr + 1.0 / stats.lambda_rd + stats.eta
-    return 0.5 - kappa(cfg) * f**-0.5
+    return 0.5 * cfg.alpha_mod - kappa(cfg) * f**-0.5
 
 
 def f_objective(alloc: Allocation, cfg: SystemConfig) -> float:
@@ -334,13 +333,13 @@ def f_gradient(alloc: Allocation, cfg: SystemConfig) -> tuple[float, float]:
 def ser_floor(alloc: Allocation, cfg: SystemConfig) -> float:
     """Interference-limited SER floor as total power grows without bound.
 
-    1/2 - kappa (beta/2 + eps (P_R / P_S) D_SR^v)^(-1/2); zero for BPSK when
+    alpha/2 - kappa (beta/2 + eps (P_R / P_S) D_SR^v)^(-1/2); zero when
     eps = 0.
     """
     p_s, p_r = alloc.powers(cfg)
     d_sr, _ = alloc.distances(cfg)
     arg = cfg.beta_mod / 2.0 + cfg.rsi_level * (p_r / p_s) * d_sr**cfg.pathloss_exp
-    return 0.5 - kappa(cfg) * arg**-0.5
+    return 0.5 * cfg.alpha_mod - kappa(cfg) * arg**-0.5
 
 
 def ser_location_optimized(cfg: SystemConfig, rho_lambda: float) -> float:
@@ -355,7 +354,7 @@ def ser_location_optimized(cfg: SystemConfig, rho_lambda: float) -> float:
     dv = cfg.sum_distance**v
     num = (1.0 / (rho_lambda * p) + rbar / rho_lambda * eps) * dv
     den = (1.0 + ((rbar / rho_lambda) * (1.0 + eps * rbar * p)) ** (1.0 / (v - 1.0))) ** (v - 1.0)
-    return 0.5 - kappa(cfg) * (cfg.beta_mod / 2.0 + num / den) ** -0.5
+    return 0.5 * cfg.alpha_mod - kappa(cfg) * (cfg.beta_mod / 2.0 + num / den) ** -0.5
 
 
 def ser_power_optimized(cfg: SystemConfig, rho_d: float) -> float:
@@ -372,7 +371,7 @@ def ser_power_optimized(cfg: SystemConfig, rho_d: float) -> float:
         + (1.0 - rho_d) ** v
         + 2.0 * rho_d ** (v / 2.0) * (1.0 - rho_d) ** (v / 2.0) * math.sqrt(p * eps + 1.0)
     )
-    return 0.5 - kappa(cfg) * (cfg.beta_mod / 2.0 + dv / p * inner) ** -0.5
+    return 0.5 * cfg.alpha_mod - kappa(cfg) * (cfg.beta_mod / 2.0 + dv / p * inner) ** -0.5
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +380,11 @@ def ser_power_optimized(cfg: SystemConfig, rho_d: float) -> float:
 
 def _quad_checked(fn, lo, hi, abs_tol: float, label: str,
                   points=None) -> tuple[float, float]:
-    # a tolerance warning from the integrator is fine as long as the achieved
-    # error estimate still meets the caller's bound
+    # imported here so the closed-form routes never load scipy; a tolerance
+    # warning from the integrator is fine as long as the achieved error
+    # estimate still meets the caller's bound
+    from scipy.integrate import quad
+
     val, err, _info, *_warn = quad(
         fn, lo, hi, epsabs=min(abs_tol * 1e-2, 1e-12), epsrel=1e-11,
         limit=300, full_output=1, points=points,

@@ -24,7 +24,7 @@ import csv
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import analytic, mc, opt
@@ -155,7 +155,8 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int)
         p.add_argument("--output", help="CSV output path (default: stdout)")
         p.add_argument("--mode", choices=("analytic", "mc", "both"), default="analytic")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="threads for Monte Carlo rows and validate checks")
         p.add_argument("--n-terms", type=int, default=analytic.DEFAULT_N_TERMS)
 
     p_outage = sub.add_parser("outage", help="outage probability vs total power")
@@ -228,28 +229,6 @@ def _spec_from_args(args) -> ExperimentSpec:
     )
 
 
-def _with_power(cfg: SystemConfig, p_db: float) -> SystemConfig:
-    return SystemConfig(
-        total_power=db_to_linear(p_db),
-        rsi_level=cfg.rsi_level,
-        pathloss_exp=cfg.pathloss_exp,
-        sum_distance=cfg.sum_distance,
-        alpha_mod=cfg.alpha_mod,
-        beta_mod=cfg.beta_mod,
-    )
-
-
-def _with_rsi(cfg: SystemConfig, eps: float) -> SystemConfig:
-    return SystemConfig(
-        total_power=cfg.total_power,
-        rsi_level=eps,
-        pathloss_exp=cfg.pathloss_exp,
-        sum_distance=cfg.sum_distance,
-        alpha_mod=cfg.alpha_mod,
-        beta_mod=cfg.beta_mod,
-    )
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -272,6 +251,12 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]):
             dump(fh)
 
 
+def _mc_workers(spec: ExperimentSpec) -> int:
+    # numpy releases the GIL inside Monte Carlo rows, so those share a pool;
+    # pure-Python analytic rows hold it, where threads only add overhead
+    return spec.workers if spec.mode in ("mc", "both") else 1
+
+
 def _parallel_rows(fn, items, workers: int) -> list:
     """Order-preserving map; rows come back by sweep index regardless of
     completion order."""
@@ -290,7 +275,7 @@ def _cmd_outage(spec: ExperimentSpec):
 
     def row(item):
         idx, p_db = item
-        cfg = _with_power(spec.config, p_db)
+        cfg = replace(spec.config, total_power=db_to_linear(p_db))
         stats = link_stats(cfg, spec.allocation)
         asym = analytic.outage(spec.threshold, stats, "asymptotic")
         exact = analytic.outage(spec.threshold, stats, "exact")
@@ -301,7 +286,7 @@ def _cmd_outage(spec: ExperimentSpec):
             mc_val, mc_se = est.value, est.std_error
         return [p_db, spec.threshold, asym, exact, mc_val, mc_se]
 
-    rows = _parallel_rows(row, list(enumerate(spec.p_db_values)), spec.workers)
+    rows = _parallel_rows(row, list(enumerate(spec.p_db_values)), _mc_workers(spec))
     _write_csv(spec.output_path,
                ["p_db", "threshold", "outage_asymptotic", "outage_exact",
                 "outage_mc", "outage_mc_stderr"], rows)
@@ -313,7 +298,7 @@ def _cmd_ser(spec: ExperimentSpec):
 
     def row(item):
         idx, p_db = item
-        cfg = _with_power(spec.config, p_db)
+        cfg = replace(spec.config, total_power=db_to_linear(p_db))
         stats = link_stats(cfg, spec.allocation)
         series = analytic.ser_series(stats, cfg, spec.n_terms)
         quadrature = analytic.ser_quadrature(stats, cfg)
@@ -325,7 +310,7 @@ def _cmd_ser(spec: ExperimentSpec):
             mc_val, mc_se = est.value, est.std_error
         return [p_db, series, quadrature, mc_val, mc_se, floor]
 
-    rows = _parallel_rows(row, list(enumerate(spec.p_db_values)), spec.workers)
+    rows = _parallel_rows(row, list(enumerate(spec.p_db_values)), _mc_workers(spec))
     _write_csv(spec.output_path,
                ["p_db", "ser_series", "ser_quadrature", "ser_mc",
                 "ser_mc_stderr", "ser_floor"], rows)
@@ -335,9 +320,8 @@ def _cmd_ser(spec: ExperimentSpec):
 def _cmd_optimize_1d(spec: ExperimentSpec, objective: str):
     fixed = spec.allocation.rho_lambda if objective == "location" else spec.allocation.rho_d
 
-    def row(item):
-        _, p_db = item
-        cfg = _with_power(spec.config, p_db)
+    def row(p_db):
+        cfg = replace(spec.config, total_power=db_to_linear(p_db))
         closed = opt.closed_form_result(objective, cfg, fixed, n_terms=spec.n_terms)
         res = opt.minimize_1d(objective, cfg, fixed, tol=1e-6, n_terms=spec.n_terms)
         if objective == "location":
@@ -348,7 +332,7 @@ def _cmd_optimize_1d(spec: ExperimentSpec, objective: str):
         return [p_db, closed_ratio, golden_ratio, closed.ser, res.ser,
                 res.foc_residual, res.iterations]
 
-    rows = _parallel_rows(row, list(enumerate(spec.p_db_values)), spec.workers)
+    rows = [row(p_db) for p_db in spec.p_db_values]
     name = "rho_d" if objective == "location" else "rho_lambda"
     _write_csv(spec.output_path,
                ["p_db", f"{name}_closed", f"{name}_golden", "ser_closed",
@@ -357,14 +341,13 @@ def _cmd_optimize_1d(spec: ExperimentSpec, objective: str):
 
 
 def _cmd_optimize_joint(spec: ExperimentSpec):
-    def row(item):
-        _, p_db = item
-        cfg = _with_power(spec.config, p_db)
+    def row(p_db):
+        cfg = replace(spec.config, total_power=db_to_linear(p_db))
         res = opt.select_joint_optimum(cfg, n_terms=spec.n_terms)
         return [p_db, res.allocation.rho_lambda, res.allocation.rho_d, res.ser,
                 res.foc_residual, res.method]
 
-    rows = _parallel_rows(row, list(enumerate(spec.p_db_values)), spec.workers)
+    rows = [row(p_db) for p_db in spec.p_db_values]
     _write_csv(spec.output_path,
                ["p_db", "rho_lambda", "rho_d", "ser", "foc_residual", "method"],
                rows)
@@ -396,7 +379,7 @@ def _figure_rows(spec: ExperimentSpec):
 
         def row(item):
             p_db, eps = item
-            cfg = _with_rsi(_with_power(spec.config, p_db), eps)
+            cfg = replace(spec.config, total_power=db_to_linear(p_db), rsi_level=eps)
             stats = link_stats(cfg, spec.allocation)
             out_mc = ser_mc = None
             if want_mc:
@@ -421,7 +404,7 @@ def _figure_rows(spec: ExperimentSpec):
 
         def row(item):
             r, eps = item
-            cfg = _with_rsi(_with_power(spec.config, 10.0), eps)
+            cfg = replace(spec.config, total_power=db_to_linear(10.0), rsi_level=eps)
             return [r, eps, opt.optimal_power_closed(cfg, r),
                     opt.optimal_location_closed(cfg, r)]
         return header, items, row
@@ -436,7 +419,7 @@ def _figure_rows(spec: ExperimentSpec):
 
         def row(item):
             r, eps = item
-            cfg = _with_rsi(spec.config, eps)
+            cfg = replace(spec.config, rsi_level=eps)
             if n == 4:
                 ser = _ser_at(cfg, 0.5, r, nt)
                 closed = opt.optimal_location_closed(cfg, 0.5)
@@ -453,7 +436,7 @@ def _figure_rows(spec: ExperimentSpec):
         items = [5.0 * k for k in range(9)]
 
         def row(p_db):
-            cfg = _with_power(spec.config, p_db)
+            cfg = replace(spec.config, total_power=db_to_linear(p_db))
             fixed = _ser_at(cfg, 0.5, 0.5, nt)
             if kind == "location":
                 closed = analytic.ser_location_optimized(cfg, 0.5)
@@ -470,7 +453,7 @@ def _figure_rows(spec: ExperimentSpec):
         items = [5.0 * k for k in range(13)]
 
         def row(p_db):
-            cfg = _with_rsi(_with_power(spec.config, p_db), 0.2)
+            cfg = replace(spec.config, total_power=db_to_linear(p_db), rsi_level=0.2)
             fixed = _ser_at(cfg, 0.5, 0.5, nt)
             loc = opt.minimize_1d("location", cfg, 0.5, tol=1e-6, n_terms=nt).ser
             pwr = opt.minimize_1d("power", cfg, 0.5, tol=1e-6, n_terms=nt).ser
@@ -486,7 +469,7 @@ def _figure_rows(spec: ExperimentSpec):
 
         def row(item):
             r, eps = item
-            cfg = _with_rsi(_with_power(spec.config, 10.0), eps)
+            cfg = replace(spec.config, total_power=db_to_linear(10.0), rsi_level=eps)
             return [r, eps, _ser_at(cfg, r, 0.5, nt), _ser_at(cfg, 0.5, r, nt)]
         return header, items, row
 
@@ -495,7 +478,8 @@ def _figure_rows(spec: ExperimentSpec):
 
 def _cmd_figure(spec: ExperimentSpec):
     header, items, row = _figure_rows(spec)
-    rows = _parallel_rows(row, items, spec.workers)
+    # figure 2 is the only figure with Monte Carlo columns
+    rows = _parallel_rows(row, items, _mc_workers(spec) if spec.figure == 2 else 1)
     _write_csv(spec.output_path, header, rows)
     return EXIT_OK
 
@@ -514,7 +498,7 @@ def _validate_checks(spec: ExperimentSpec):
 
     def cdf_gap(p_db: float, band: float):
         def run():
-            cfg = _with_power(base, p_db)
+            cfg = replace(base, total_power=db_to_linear(p_db))
             stats = link_stats(cfg, alloc)
             worst = 0.0
             for x in (0.5, 1.0, 2.0, 4.0):
@@ -526,7 +510,7 @@ def _validate_checks(spec: ExperimentSpec):
 
     def cdf_mc(threshold: float):
         def run():
-            cfg = _with_power(base, 20.0)
+            cfg = replace(base, total_power=db_to_linear(20.0))
             stats = link_stats(cfg, alloc)
             est = mc.estimate_outage(stats, threshold, n_mc, seed,
                                      workers=1)
@@ -539,7 +523,7 @@ def _validate_checks(spec: ExperimentSpec):
     def series_vs_quadrature():
         worst = 0.0
         for p_db in (10.0, 20.0, 30.0):
-            cfg = _with_power(base, p_db)
+            cfg = replace(base, total_power=db_to_linear(p_db))
             stats = link_stats(cfg, alloc)
             s = analytic.ser_series(stats, cfg, spec.n_terms)
             q = analytic.ser_quadrature(stats, cfg)
@@ -547,7 +531,7 @@ def _validate_checks(spec: ExperimentSpec):
         return "ser_series_vs_quadrature", worst, 0.0, 0.01, worst <= 0.01
 
     def series_vs_mc():
-        cfg = _with_power(base, 20.0)
+        cfg = replace(base, total_power=db_to_linear(20.0))
         stats = link_stats(cfg, alloc)
         est = mc.estimate_ser_semianalytic(stats, cfg, n_mc, seed, workers=1)
         s = analytic.ser_series(stats, cfg, spec.n_terms)
@@ -556,7 +540,7 @@ def _validate_checks(spec: ExperimentSpec):
         return "ser_series_vs_mc", gap, 0.0, tol, gap <= tol
 
     def high_power_vs_quadrature():
-        cfg = _with_power(base, 40.0)
+        cfg = replace(base, total_power=db_to_linear(40.0))
         stats = link_stats(cfg, alloc)
         hp = analytic.ser_high_power(stats, cfg)
         q = analytic.ser_quadrature(stats, cfg)
@@ -564,7 +548,7 @@ def _validate_checks(spec: ExperimentSpec):
         return "ser_high_power_vs_quadrature", gap, 0.0, 0.02, gap <= 0.02
 
     def floor_vs_mc():
-        cfg = _with_power(base, 60.0)
+        cfg = replace(base, total_power=db_to_linear(60.0))
         stats = link_stats(cfg, alloc)
         est = mc.estimate_ser_semianalytic(stats, cfg, n_mc, seed, workers=1)
         floor = analytic.ser_floor(alloc, cfg)
@@ -583,7 +567,7 @@ def _validate_checks(spec: ExperimentSpec):
 
     def optimizer_agreement(kind: str):
         def run():
-            cfg = _with_power(base, 40.0)
+            cfg = replace(base, total_power=db_to_linear(40.0))
             if kind == "location":
                 closed = opt.optimal_location_closed(cfg, alloc.rho_lambda)
                 res = opt.minimize_1d("location", cfg, alloc.rho_lambda, tol=1e-6)
@@ -598,7 +582,7 @@ def _validate_checks(spec: ExperimentSpec):
 
     def particular_foc():
         # the symmetric particular solution must be stationary
-        cfg = _with_power(base, 20.0)
+        cfg = replace(base, total_power=db_to_linear(20.0))
         s = math.sqrt(1.0 + cfg.rsi_level * cfg.total_power)
         g = analytic.f_gradient(Allocation(s / (s + 1.0), 0.5), cfg)
         resid = max(abs(g[0]), abs(g[1]))

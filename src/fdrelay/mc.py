@@ -6,6 +6,10 @@ randomness is a pure function of (seed, estimator tag, sample index) through
 counter-based Philox streams, so estimates are bit-identical for any chunking
 or worker count. Chunk partials are combined with math.fsum (exactly rounded,
 hence order-independent).
+
+numpy and scipy.special are imported inside the sampling functions, so that
+importing fdrelay loads neither; each estimator imports what its chunks use
+before any worker thread starts.
 """
 
 from __future__ import annotations
@@ -13,13 +17,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
-from numpy.random import Generator, Philox
-from scipy.special import erfc, ndtri
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, UnsupportedModulationError
 from .model import LinkStats, SystemConfig
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 __all__ = [
     "McEstimate",
@@ -62,6 +66,8 @@ def stream(seed: int, tag: int = _TAG_DRAW, uniform_offset: int = 0) -> Generato
 
     The offset must be a multiple of 4 (one Philox block).
     """
+    from numpy.random import Generator, Philox
+
     if uniform_offset % 4:
         raise DomainError("uniform_offset must be a multiple of 4")
     key = (int(seed) & 0xFFFFFFFFFFFFFFFF) + (tag << 64)
@@ -74,6 +80,8 @@ def draw_gammas(stats: LinkStats, gen: Generator, n: int = 1):
     Inverse-CDF from uniforms (3 per sample, consumed in sample order) so the
     consumption count is fixed. gamma_li is identically 0 when lambda_li = 0.
     """
+    import numpy as np
+
     u = gen.random(3 * n).reshape(n, 3)
     g_sr = -stats.lambda_sr * np.log1p(-u[:, 0])
     g_rd = -stats.lambda_rd * np.log1p(-u[:, 1])
@@ -99,6 +107,8 @@ def sinr_approx(g_sr, g_rd, g_li):
 
 def _q_func(x):
     # Gaussian tail Q(x) = erfc(x / sqrt 2) / 2, vectorized
+    from scipy.special import erfc
+
     return 0.5 * erfc(x / math.sqrt(2.0))
 
 
@@ -124,6 +134,9 @@ def _check_n(n: int, minimum: int, label: str) -> None:
 def estimate_outage(stats: LinkStats, threshold: float, n: int, seed: int,
                     workers: int = 1) -> McEstimate:
     """Fraction of channel draws whose end-to-end SINR falls below threshold."""
+    import numpy as np
+    import numpy.random  # noqa: F401  (stream's Philox)
+
     _check_n(n, _MIN_SAMPLES, "estimate_outage")
     if threshold < 0.0:
         raise DomainError(f"threshold must be >= 0, got {threshold}")
@@ -146,6 +159,10 @@ def estimate_ser_semianalytic(stats: LinkStats, cfg: SystemConfig, n: int,
     This is the low-variance estimator of the average SER: the noise
     expectation is taken analytically, only the fading is sampled.
     """
+    import numpy as np
+    import numpy.random  # noqa: F401  (stream's Philox)
+    import scipy.special  # noqa: F401  (_q_func's erfc)
+
     _check_n(n, _MIN_SAMPLES, "estimate_ser_semianalytic")
     alpha = cfg.alpha_mod
     beta = cfg.beta_mod
@@ -184,6 +201,10 @@ def estimate_ser_symbol_level(stats: LinkStats, cfg: SystemConfig,
     4 for relay/destination noise. Channel phases are absorbed by circular
     symmetry; only fade magnitudes are drawn.
     """
+    import numpy as np
+    import numpy.random  # noqa: F401  (stream's Philox)
+    from scipy.special import ndtri
+
     if not cfg.is_bpsk:
         raise UnsupportedModulationError(
             "estimate_ser_symbol_level supports BPSK only (alpha=1, beta=2)"

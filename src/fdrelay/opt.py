@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import analytic
 from .errors import DomainError
 from .model import RATIO_FLOOR, Allocation, SystemConfig, link_stats
@@ -32,7 +30,6 @@ __all__ = [
 ]
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_FOC_GRID = 10_000
 
 
 @dataclass(frozen=True)
@@ -163,14 +160,52 @@ def minimize_1d(objective: str, cfg: SystemConfig, fixed_ratio: float,
     )
 
 
-def _foc_log(rbar: np.ndarray | float, eps_p: float, v: float):
+def _foc_log(rbar: float, eps_p: float, v: float) -> float:
     # log-form of the stationarity equation in rbar = 1 - rho_lambda:
     # v ln(1 + eps P rbar) + (v-2) ln(1/rbar - 1) - (v-1) ln(1 + eps P) = 0
     return (
-        v * np.log1p(eps_p * rbar)
-        + (v - 2.0) * np.log(1.0 / rbar - 1.0)
-        - (v - 1.0) * np.log1p(eps_p)
+        v * math.log1p(eps_p * rbar)
+        + (v - 2.0) * math.log(1.0 / rbar - 1.0)
+        - (v - 1.0) * math.log1p(eps_p)
     )
+
+
+def _foc_log_noise(rbar: float, eps_p: float, v: float) -> float:
+    # rounding-error bound of _foc_log: a few ulps of its largest term
+    return 8.0 * math.ulp(1.0) * (
+        abs(v * math.log1p(eps_p * rbar))
+        + abs((v - 2.0) * math.log(1.0 / rbar - 1.0))
+        + abs((v - 1.0) * math.log1p(eps_p))
+    )
+
+
+def _foc_critical_points(eps_p: float, v: float) -> list[float]:
+    # d/drbar _foc_log = 0  <=>  v eps_p r^2 - 2 eps_p r + (v - 2) = 0
+    if eps_p == 0.0:
+        return []
+    disc = 1.0 - v * (v - 2.0) / eps_p
+    if disc < 0.0:
+        return []
+    big = (1.0 + math.sqrt(disc)) / v
+    # the product of the roots is (v-2) / (v eps_p); dividing avoids the
+    # cancellation of 1 - sqrt(disc) at large eps_p
+    return sorted({big, (v - 2.0) / (v * eps_p * big)})
+
+
+def _bisect(fn, a: float, b: float, fa: float) -> float:
+    # sign-change bisection down to adjacent doubles; fn(a) = fa and fn(b)
+    # have opposite signs
+    while True:
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            return a if abs(fa) <= abs(fn(b)) else b
+        fm = fn(mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = mid, fm
+        else:
+            b = mid
 
 
 def _pair_location(rbar: float, eps_p: float, v: float) -> float:
@@ -181,50 +216,44 @@ def _pair_location(rbar: float, eps_p: float, v: float) -> float:
 def joint_foc_roots(cfg: SystemConfig) -> list[Allocation]:
     """All joint stationary points as allocations.
 
-    Dense sign-scan of the log-form stationarity equation over
-    rbar = 1 - rho_lambda (uniform grid plus geometric refinement near both
-    edges, about 1e4 points), followed by bisection to 1e-12 and
-    deduplication. Each root is paired with its induced relay location.
+    The log-form stationarity equation in rbar = 1 - rho_lambda has at most
+    two critical points (the roots of a quadratic), which split
+    [RATIO_FLOOR, 1 - RATIO_FLOOR] into at most three monotone segments;
+    each segment holds at most one root, found by bisection to adjacent
+    doubles. A critical point where the equation vanishes to rounding is a
+    tangent root and is reported once. Each root is paired with its induced
+    relay location.
     """
     eps_p = cfg.rsi_level * cfg.total_power
     v = cfg.pathloss_exp
+    if eps_p == 0.0 and v == 2.0:
+        # the equation vanishes identically (every point is stationary); the
+        # symmetric particular solution stands in through selection
+        return []
+
+    def foc(rbar: float) -> float:
+        return _foc_log(rbar, eps_p, v)
+
     lo = RATIO_FLOOR
     hi = 1.0 - RATIO_FLOOR
-    grid = np.unique(np.concatenate([
-        np.linspace(lo, hi, _FOC_GRID - 2 * (_FOC_GRID // 5)),
-        np.geomspace(lo, 0.2, _FOC_GRID // 5),
-        1.0 - np.geomspace(lo, 0.2, _FOC_GRID // 5),
-    ]))
-    vals = _foc_log(grid, eps_p, v)
+    marks = [lo] + [c for c in _foc_critical_points(eps_p, v) if lo < c < hi] + [hi]
+    vals = []
+    for i, r in enumerate(marks):
+        fr = foc(r)
+        if 0 < i < len(marks) - 1 and abs(fr) <= _foc_log_noise(r, eps_p, v):
+            fr = 0.0
+        vals.append(fr)
     roots: list[float] = []
-    exact = np.nonzero(vals == 0.0)[0]
-    sign_change = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-    # all-zero residual means the equation is degenerate (eps=0, v=2):
-    # every point is stationary and the symmetric particular solution stands in
-    if len(exact) != len(grid):
-        roots.extend(float(grid[i]) for i in exact)
-        for i in sign_change:
-            a, b = float(grid[i]), float(grid[i + 1])
-            fa = _foc_log(a, eps_p, v)
-            for _ in range(200):
-                mid = 0.5 * (a + b)
-                fm = _foc_log(mid, eps_p, v)
-                if fa * fm <= 0.0:
-                    b = mid
-                else:
-                    a = mid
-                    fa = fm
-                if b - a < 1e-12:
-                    break
-            roots.append(0.5 * (a + b))
-    roots.sort()
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > 1e-9:
-            deduped.append(r)
+    for i, (r, fr) in enumerate(zip(marks, vals)):
+        if fr == 0.0:
+            # two critical points a rounding apart are one tangent root
+            if i == 0 or vals[i - 1] != 0.0:
+                roots.append(r)
+        elif i + 1 < len(marks) and fr * vals[i + 1] < 0.0:
+            roots.append(_bisect(foc, r, marks[i + 1], fr))
     return [
         Allocation(rho_lambda=1.0 - rbar, rho_d=_pair_location(rbar, eps_p, v))
-        for rbar in deduped
+        for rbar in roots
     ]
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from fdrelay import Allocation, SystemConfig, link_stats
+from fdrelay import RATIO_FLOOR, Allocation, SystemConfig, link_stats
 
 CANONICAL_P_DB = 20.0
 
@@ -71,3 +71,51 @@ def ser_series_grid_oracle(cfg: SystemConfig, rho_lambda: np.ndarray,
             * special.hyp2f1(2 * i + 2.5, 1.5, 2 * i + 2, y_i / x_i)
         )
     return np.clip(0.5 - total, 0.0, 0.5)
+
+
+def joint_roots_grid_oracle(cfg: SystemConfig, grid_size: int = 10_000) -> list[float]:
+    """Power-split roots (as rho_lambda, ascending) of the joint stationarity
+    equation by dense sign scan.
+
+    The log-form equation in rbar = 1 - rho_lambda,
+    v ln(1 + eps P rbar) + (v-2) ln(1/rbar - 1) - (v-1) ln(1 + eps P) = 0,
+    is scanned on a uniform grid plus geometric refinement near both edges;
+    each sign change is bisected to width 1e-12 and roots closer than 1e-9
+    are merged. An identically zero equation (eps = 0, v = 2) has no
+    isolated roots and yields []. Independent of the library's exact
+    bracketing.
+    """
+    eps_p = cfg.rsi_level * cfg.total_power
+    v = cfg.pathloss_exp
+
+    def foc(rbar):
+        return (v * np.log1p(eps_p * rbar) + (v - 2.0) * np.log(1.0 / rbar - 1.0)
+                - (v - 1.0) * np.log1p(eps_p))
+
+    lo, hi = RATIO_FLOOR, 1.0 - RATIO_FLOOR
+    edge = grid_size // 5
+    grid = np.unique(np.concatenate([
+        np.linspace(lo, hi, grid_size - 2 * edge),
+        np.geomspace(lo, 0.2, edge),
+        1.0 - np.geomspace(lo, 0.2, edge),
+    ]))
+    vals = foc(grid)
+    if np.all(vals == 0.0):
+        return []
+    roots = [float(r) for r in grid[vals == 0.0]]
+    for i in np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]:
+        a, b = float(grid[i]), float(grid[i + 1])
+        fa = foc(a)
+        while b - a >= 1e-12:
+            mid = 0.5 * (a + b)
+            fm = foc(mid)
+            if fa * fm <= 0.0:
+                b = mid
+            else:
+                a, fa = mid, fm
+        roots.append(0.5 * (a + b))
+    merged: list[float] = []
+    for r in sorted(roots):
+        if not merged or r - merged[-1] > 1e-9:
+            merged.append(r)
+    return sorted(1.0 - r for r in merged)

@@ -19,6 +19,8 @@ from fdrelay import (
     f_objective,
     kappa,
     link_stats,
+    optimal_location_closed,
+    optimal_power_closed,
     outage,
     ser_floor,
     ser_high_power,
@@ -213,6 +215,49 @@ class TestSerSeries:
         e3 = abs(ser_series(stats, canonical_cfg, 3) - q)
         e1 = abs(ser_series(stats, canonical_cfg, 1) - q)
         assert e3 < e1
+
+
+class TestQpsk:
+    """QPSK (alpha = 2, beta = 1): the SER leading term is alpha/2 = 1."""
+
+    @staticmethod
+    def cfg(p_db, eps):
+        return SystemConfig(total_power=10.0 ** (p_db / 10.0), rsi_level=eps,
+                            pathloss_exp=3.0, alpha_mod=2.0, beta_mod=1.0)
+
+    @pytest.mark.parametrize("p_db", [10.0, 20.0, 40.0])
+    @pytest.mark.parametrize("eps", [0.01, 0.1])
+    def test_series_matches_quadrature(self, p_db, eps):
+        cfg = self.cfg(p_db, eps)
+        stats = link_stats(cfg, Allocation(0.5, 0.5))
+        assert ser_series(stats, cfg, 3) == pytest.approx(ser_quadrature(stats, cfg), abs=1e-7)
+
+    def test_low_power_not_clamped_at_one_half(self):
+        # the clamp is [0, alpha/2] = [0, 1]; at -10 dB the SER is about 0.75
+        cfg = self.cfg(-10.0, 0.5)
+        stats = link_stats(cfg, Allocation(0.5, 0.5))
+        q = ser_quadrature(stats, cfg)
+        assert q > 0.5
+        assert ser_series(stats, cfg, 3) == pytest.approx(q, rel=1e-9)
+
+    def test_floor_zero_without_rsi(self):
+        assert ser_floor(Allocation(0.5, 0.5), self.cfg(20.0, 0.0)) == pytest.approx(0.0, abs=1e-15)
+
+    def test_high_power_close_to_quadrature_at_40db(self):
+        cfg = self.cfg(40.0, 0.1)
+        stats = link_stats(cfg, Allocation(0.5, 0.5))
+        q = ser_quadrature(stats, cfg)
+        assert abs(ser_high_power(stats, cfg) - q) / q < 0.02
+
+    @pytest.mark.parametrize("p_db", [30.0, 40.0])
+    def test_optimized_forms_match_quadrature_at_their_optimum(self, p_db):
+        cfg = self.cfg(p_db, 0.1)
+        loc = Allocation(0.5, optimal_location_closed(cfg, 0.5))
+        pwr = Allocation(optimal_power_closed(cfg, 0.5), 0.5)
+        q_loc = ser_quadrature(link_stats(cfg, loc), cfg)
+        q_pwr = ser_quadrature(link_stats(cfg, pwr), cfg)
+        assert abs(ser_location_optimized(cfg, 0.5) - q_loc) / q_loc < 0.01
+        assert abs(ser_power_optimized(cfg, 0.5) - q_pwr) / q_pwr < 0.01
 
 
 class TestSerQuadrature:

@@ -194,6 +194,13 @@ class TestValidateAndExitCodes:
         assert rows[0] == ["check", "value", "reference", "tolerance", "status"]
         assert all(r[4] == "pass" for r in rows[1:])
 
+    def test_validate_passes_qpsk(self, tmp_path):
+        code, rows, _ = run_cli(
+            ["validate", "--modulation", "qpsk", "--mc-samples", "200000", "--seed", "3"],
+            tmp_path)
+        assert code == EXIT_OK
+        assert all(r[4] == "pass" for r in rows[1:])
+
     def test_validate_fails_outside_asymptotic_regime(self, tmp_path):
         # interference this strong breaks the stated closed-form bands, and
         # the battery must say so with the validation exit code

@@ -24,7 +24,7 @@ from fdrelay import (
     ser_series,
 )
 
-from conftest import cfg_at, ser_series_grid_oracle
+from conftest import cfg_at, joint_roots_grid_oracle, ser_series_grid_oracle
 
 
 def prop2_rho_lambda(cfg):
@@ -183,6 +183,49 @@ class TestJointRoots:
             for alloc in joint_foc_roots(cfg):
                 want = optimal_location_closed(cfg, alloc.rho_lambda)
                 assert alloc.rho_d == pytest.approx(want, abs=1e-12)
+
+    def test_matches_dense_grid_oracle(self):
+        # seeded sweep over P -10..80 dB, eps 0 or 1e-4..10, v 1.2..6, with
+        # the degenerate identically-zero line (eps = 0, v = 2) and the v = 2
+        # and eps = 0 edges forced in
+        rng = np.random.default_rng(20170321)
+        cases = [(20.0, 0.0, 2.0), (20.0, 0.1, 2.0), (20.0, 0.0, 3.0), (-10.0, 0.0, 1.2)]
+        for _ in range(300):
+            eps = 0.0 if rng.random() < 0.15 else 10.0 ** rng.uniform(-4.0, 1.0)
+            v = 2.0 if rng.random() < 0.1 else rng.uniform(1.2, 6.0)
+            cases.append((rng.uniform(-10.0, 80.0), eps, v))
+        for p_db, eps, v in cases:
+            cfg = cfg_at(p_db, eps, v)
+            got = sorted(a.rho_lambda for a in joint_foc_roots(cfg))
+            want = joint_roots_grid_oracle(cfg)
+            assert len(got) == len(want), (p_db, eps, v)
+            for g, w in zip(got, want):
+                assert g == pytest.approx(w, abs=1e-11), (p_db, eps, v)
+
+    def test_degenerate_line_has_no_isolated_roots(self):
+        assert joint_foc_roots(cfg_at(20.0, 0.0, v=2.0)) == []
+
+    def test_tangent_root_is_exact(self):
+        # v = 3, eps P = 3: the three roots merge at rho_lambda = 2/3, where
+        # a sign scan can only localize them to ~3e-6; bracketing at the
+        # critical point reports the closed form once
+        cfg = SystemConfig.bpsk(100.0, 0.03, 3.0)
+        roots = joint_foc_roots(cfg)
+        assert len(roots) == 1
+        for closed in joint_v3_closed(cfg):
+            assert roots[0].rho_lambda == pytest.approx(closed, abs=1e-12)
+        assert roots[0].rho_d == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("v", [2.5, 2.7, 3.3, 3.7, 4.0])
+    def test_triple_root_at_merging_critical_points(self, v):
+        # at eps P = v (v - 2) both critical points merge at rbar = 1/v, where
+        # the equation has a triple zero: the particular solution 1 - 1/v.
+        # The equation evaluates there to a few ulps, not always to 0.0
+        cfg = SystemConfig.bpsk(v * (v - 2.0), 1.0, v)
+        roots = joint_foc_roots(cfg)
+        assert len(roots) == 1
+        assert roots[0].rho_lambda == pytest.approx(1.0 - 1.0 / v, abs=1e-12)
+        assert roots[0].rho_d == pytest.approx(0.5, abs=1e-12)
 
 
 class TestJointV3Closed:
