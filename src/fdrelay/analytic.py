@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
+from . import quadpack
 from .errors import DomainError, NonConvergenceError, QuadratureError
 from .model import Allocation, LinkStats, SystemConfig
 from .sfun import bessel_k1, exp_integral_e1, gamma_fn, hyp2f1_complement
@@ -378,17 +379,40 @@ def ser_power_optimized(cfg: SystemConfig, rho_d: float) -> float:
 # quadrature plumbing
 # ---------------------------------------------------------------------------
 
+# QUADPACK comes in two implementations that return the same bits: the
+# pure-Python port in quadpack.py, and scipy's compiled one, 1.2-2x faster
+# per integral but behind a scipy.integrate import that takes longer than a
+# whole CLI command. A process integrates with the port first and moves to
+# scipy after _COMPILED_AFTER integrals: the CLI commands (figure 2 does the
+# most, 84) never import scipy, and bulk callers pay the import once, early.
+_COMPILED_AFTER = 256
+_integrals_done = 0
+
+
 def _quad_checked(fn, lo, hi, abs_tol: float, label: str,
                   points=None) -> tuple[float, float]:
-    # imported here so the closed-form routes never load scipy; a tolerance
-    # warning from the integrator is fine as long as the achieved error
-    # estimate still meets the caller's bound
-    from scipy.integrate import quad
+    # a tolerance warning from the integrator (nonzero ier) is fine as long
+    # as the achieved error estimate still meets the caller's bound
+    global _integrals_done
+    _integrals_done += 1
+    epsabs = min(abs_tol * 1e-2, 1e-12)
+    epsrel = 1e-11
+    if _integrals_done <= _COMPILED_AFTER:
+        # quad's routes: QAGIE for [lo, inf), QAGPE for a finite interval
+        # with break points (both call sites on a finite interval pass them)
+        if hi == math.inf:
+            val, err, _ier = quadpack.qagie(fn, lo, epsabs, epsrel, limit=300)
+        else:
+            val, err, _ier = quadpack.qagpe(fn, lo, hi, points or (), epsabs, epsrel,
+                                            limit=300)
+    else:
+        # imported here so the closed-form routes never load scipy
+        from scipy.integrate import quad
 
-    val, err, _info, *_warn = quad(
-        fn, lo, hi, epsabs=min(abs_tol * 1e-2, 1e-12), epsrel=1e-11,
-        limit=300, full_output=1, points=points,
-    )
+        val, err, _info, *_warn = quad(
+            fn, lo, hi, epsabs=epsabs, epsrel=epsrel,
+            limit=300, full_output=1, points=points,
+        )
     if math.isnan(err) or err > abs_tol:
         raise QuadratureError(
             f"{label}: quadrature error estimate {err:.3e} exceeds {abs_tol:.1e}",
