@@ -46,7 +46,6 @@ from .mc import (
     estimate_outage,
     estimate_ser_semianalytic,
     estimate_ser_symbol_level,
-    sinr_approx,
     sinr_exact,
 )
 from .opt import (
@@ -102,7 +101,6 @@ __all__ = [
     "ser_quadrature",
     "ser_series",
     "ser_series_terms",
-    "sinr_approx",
     "sinr_cdf_asymptotic",
     "sinr_cdf_exact_numeric",
     "sinr_exact",

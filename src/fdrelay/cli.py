@@ -23,7 +23,6 @@ import argparse
 import csv
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -257,15 +256,6 @@ def _mc_workers(spec: ExperimentSpec) -> int:
     return spec.workers if spec.mode in ("mc", "both") else 1
 
 
-def _parallel_rows(fn, items, workers: int) -> list:
-    """Order-preserving map; rows come back by sweep index regardless of
-    completion order."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -286,7 +276,7 @@ def _cmd_outage(spec: ExperimentSpec):
             mc_val, mc_se = est.value, est.std_error
         return [p_db, spec.threshold, asym, exact, mc_val, mc_se]
 
-    rows = _parallel_rows(row, list(enumerate(spec.p_db_values)), _mc_workers(spec))
+    rows = mc.parallel_map(row, list(enumerate(spec.p_db_values)), _mc_workers(spec))
     _write_csv(spec.output_path,
                ["p_db", "threshold", "outage_asymptotic", "outage_exact",
                 "outage_mc", "outage_mc_stderr"], rows)
@@ -310,7 +300,7 @@ def _cmd_ser(spec: ExperimentSpec):
             mc_val, mc_se = est.value, est.std_error
         return [p_db, series, quadrature, mc_val, mc_se, floor]
 
-    rows = _parallel_rows(row, list(enumerate(spec.p_db_values)), _mc_workers(spec))
+    rows = mc.parallel_map(row, list(enumerate(spec.p_db_values)), _mc_workers(spec))
     _write_csv(spec.output_path,
                ["p_db", "ser_series", "ser_quadrature", "ser_mc",
                 "ser_mc_stderr", "ser_floor"], rows)
@@ -479,7 +469,7 @@ def _figure_rows(spec: ExperimentSpec):
 def _cmd_figure(spec: ExperimentSpec):
     header, items, row = _figure_rows(spec)
     # figure 2 is the only figure with Monte Carlo columns
-    rows = _parallel_rows(row, items, _mc_workers(spec) if spec.figure == 2 else 1)
+    rows = mc.parallel_map(row, items, _mc_workers(spec) if spec.figure == 2 else 1)
     _write_csv(spec.output_path, header, rows)
     return EXIT_OK
 
@@ -605,7 +595,7 @@ def _validate_checks(spec: ExperimentSpec):
 
 def _cmd_validate(spec: ExperimentSpec):
     checks = _validate_checks(spec)
-    results = _parallel_rows(lambda check: check(), checks, spec.workers)
+    results = mc.parallel_map(lambda check: check(), checks, spec.workers)
     rows = [[name, value, ref, tol, "pass" if ok else "fail"]
             for name, value, ref, tol, ok in results]
     _write_csv(spec.output_path,

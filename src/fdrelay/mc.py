@@ -30,7 +30,6 @@ __all__ = [
     "stream",
     "draw_gammas",
     "sinr_exact",
-    "sinr_approx",
     "estimate_outage",
     "estimate_ser_semianalytic",
     "estimate_ser_symbol_level",
@@ -96,15 +95,6 @@ def sinr_exact(g_sr, g_rd, g_li):
     return a * b / (a + b + 1.0)
 
 
-def sinr_approx(g_sr, g_rd, g_li):
-    """Rearranged form g_sr g_rd / (g_sr + (g_rd + 1)(g_li + 1)).
-
-    Algebraically identical to sinr_exact once the direct path is dropped;
-    kept as a cross-check of the two published arrangements.
-    """
-    return g_sr * g_rd / (g_sr + (g_rd + 1.0) * (g_li + 1.0))
-
-
 def _q_func(x):
     # Gaussian tail Q(x) = erfc(x / sqrt 2) / 2, vectorized
     from scipy.special import erfc
@@ -112,18 +102,21 @@ def _q_func(x):
     return 0.5 * erfc(x / math.sqrt(2.0))
 
 
-def _chunks(n: int):
-    for j in range((n + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES):
-        lo = j * CHUNK_SAMPLES
-        yield j, lo, min(n, lo + CHUNK_SAMPLES)
-
-
-def _map_chunks(fn, n: int, workers: int):
-    jobs = list(_chunks(n))
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(*job) for job in jobs]
+def parallel_map(fn, items, workers: int) -> list:
+    """Order-preserving map on a thread pool; results come back in item
+    order regardless of completion order. Runs serially for one worker or
+    one item.
+    """
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda job: fn(*job), jobs))
+        return list(pool.map(fn, items))
+
+
+def _map_chunks(fn, n: int, workers: int) -> list:
+    # fn(lo, hi) over the deterministic CHUNK_SAMPLES-sized slices of range(n)
+    bounds = [(lo, min(n, lo + CHUNK_SAMPLES)) for lo in range(0, n, CHUNK_SAMPLES)]
+    return parallel_map(lambda b: fn(*b), bounds, workers)
 
 
 def _check_n(n: int, minimum: int, label: str) -> None:
@@ -141,7 +134,7 @@ def estimate_outage(stats: LinkStats, threshold: float, n: int, seed: int,
     if threshold < 0.0:
         raise DomainError(f"threshold must be >= 0, got {threshold}")
 
-    def chunk(j, lo, hi):
+    def chunk(lo, hi):
         gen = stream(seed, _TAG_OUTAGE, 3 * lo)
         g_sr, g_rd, g_li = draw_gammas(stats, gen, hi - lo)
         return int(np.count_nonzero(sinr_exact(g_sr, g_rd, g_li) < threshold))
@@ -167,7 +160,7 @@ def estimate_ser_semianalytic(stats: LinkStats, cfg: SystemConfig, n: int,
     alpha = cfg.alpha_mod
     beta = cfg.beta_mod
 
-    def chunk(j, lo, hi):
+    def chunk(lo, hi):
         gen = stream(seed, _TAG_SER, 3 * lo)
         g_sr, g_rd, g_li = draw_gammas(stats, gen, hi - lo)
         q = alpha * _q_func(np.sqrt(beta * sinr_exact(g_sr, g_rd, g_li)))
@@ -200,6 +193,19 @@ def estimate_ser_symbol_level(stats: LinkStats, cfg: SystemConfig,
     Consumes 9 uniforms per symbol: 3 fades, 2 for the interference symbol,
     4 for relay/destination noise. Channel phases are absorbed by circular
     symmetry; only fade magnitudes are drawn.
+
+    The transmitted symbol is +1 and the gain, the fades and their square
+    roots are real, so the decision statistic Re(y_d) depends only on the
+    real parts of the interference symbol and the two noises. All 9 uniforms
+    are still drawn, so the Philox layout (and every chunk's stream offset)
+    holds, but only the real components (u3, u5, u7) go through ndtri; the
+    imaginary ones (u4, u6, u8) are never read. The count equals that of the
+    full complex chain bit for bit unless one of u3..u8 is exactly 0
+    (probability 2**-53 per uniform). There ndtri(0) = -inf, and an inf * 0
+    cross term of the complex products made Re(y_d) NaN, so the complex
+    chain counted no error. The real chain ignores a zero in u4, u6 or u8
+    and counts one in u3 or u5 as an error, except u3 with g_li = 0, where
+    sqrt(g_li) * x_int is still 0 * inf = NaN.
     """
     import numpy as np
     import numpy.random  # noqa: F401  (stream's Philox)
@@ -212,21 +218,22 @@ def estimate_ser_symbol_level(stats: LinkStats, cfg: SystemConfig,
     _check_n(n_symbols, _MIN_SYMBOLS, "estimate_ser_symbol_level")
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
 
-    def chunk(j, lo, hi):
+    def chunk(lo, hi):
         gen = stream(seed, _TAG_SYMBOL, 9 * lo)
         m = hi - lo
         u = gen.random(9 * m).reshape(m, 9)
         g_sr = -stats.lambda_sr * np.log1p(-u[:, 0])
         g_rd = -stats.lambda_rd * np.log1p(-u[:, 1])
         g_li = -stats.lambda_li * np.log1p(-u[:, 2])
-        x_int = (ndtri(u[:, 3]) + 1j * ndtri(u[:, 4])) * inv_sqrt2
-        n_r = (ndtri(u[:, 5]) + 1j * ndtri(u[:, 6])) * inv_sqrt2
-        n_d = (ndtri(u[:, 7]) + 1j * ndtri(u[:, 8])) * inv_sqrt2
+        # real parts of the interference symbol, relay noise, destination noise
+        x_int = ndtri(u[:, 3]) * inv_sqrt2
+        n_r = ndtri(u[:, 5]) * inv_sqrt2
+        n_d = ndtri(u[:, 7]) * inv_sqrt2
         # transmitted symbol fixed at +1; BPSK error rate is symbol-symmetric
         y_r = np.sqrt(g_sr) + np.sqrt(g_li) * x_int + n_r
         gain = 1.0 / np.sqrt(g_sr + g_li + 1.0)
         y_d = np.sqrt(g_rd) * gain * y_r + n_d
-        return int(np.count_nonzero(y_d.real < 0.0))
+        return int(np.count_nonzero(y_d < 0.0))
 
     errors = sum(_map_chunks(chunk, n_symbols, workers))
     p = errors / n_symbols

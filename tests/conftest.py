@@ -8,9 +8,11 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy import special
 
-from fdrelay import RATIO_FLOOR, Allocation, SystemConfig, link_stats
+from fdrelay import RATIO_FLOOR, Allocation, McEstimate, SystemConfig, link_stats
+from fdrelay.mc import CHUNK_SAMPLES
 
 CANONICAL_P_DB = 20.0
 
@@ -119,3 +121,35 @@ def joint_roots_grid_oracle(cfg: SystemConfig, grid_size: int = 10_000) -> list[
         if not merged or r - merged[-1] > 1e-9:
             merged.append(r)
     return sorted(1.0 - r for r in merged)
+
+
+def symbol_level_complex_oracle(stats, n_symbols: int, seed: int) -> McEstimate:
+    """The symbol-level BPSK chain in full complex arithmetic: the reference
+    that estimate_ser_symbol_level, which computes only Re(y_d), must match
+    bit for bit.
+
+    Same Philox layout (key seed + 3 * 2**64, 9 uniforms per symbol,
+    CHUNK_SAMPLES chunks): 3 fades, then a unit circular Gaussian
+    interference symbol, relay noise and destination noise, each from its
+    (real, imaginary) uniform pair. Chunks run serially; the error count
+    does not depend on their order.
+    """
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    key = (int(seed) & 0xFFFFFFFFFFFFFFFF) + (3 << 64)
+    errors = 0
+    for lo in range(0, n_symbols, CHUNK_SAMPLES):
+        m = min(n_symbols, lo + CHUNK_SAMPLES) - lo
+        u = Generator(Philox(key=key, counter=9 * lo // 4)).random(9 * m).reshape(m, 9)
+        g_sr = -stats.lambda_sr * np.log1p(-u[:, 0])
+        g_rd = -stats.lambda_rd * np.log1p(-u[:, 1])
+        g_li = -stats.lambda_li * np.log1p(-u[:, 2])
+        x_int = (special.ndtri(u[:, 3]) + 1j * special.ndtri(u[:, 4])) * inv_sqrt2
+        n_r = (special.ndtri(u[:, 5]) + 1j * special.ndtri(u[:, 6])) * inv_sqrt2
+        n_d = (special.ndtri(u[:, 7]) + 1j * special.ndtri(u[:, 8])) * inv_sqrt2
+        y_r = np.sqrt(g_sr) + np.sqrt(g_li) * x_int + n_r
+        gain = 1.0 / np.sqrt(g_sr + g_li + 1.0)
+        y_d = np.sqrt(g_rd) * gain * y_r + n_d
+        errors += int(np.count_nonzero(y_d.real < 0.0))
+    p = errors / n_symbols
+    return McEstimate(value=p, std_error=math.sqrt(p * (1.0 - p) / n_symbols),
+                      n_samples=n_symbols, seed=seed)
