@@ -143,7 +143,8 @@ def build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--p-db", help="total power in dB: value or start:stop:step")
+        p.add_argument("--p-db", help="total power in dB: value or start:stop:step; "
+                       "write a negative start as --p-db=-10:0:5")
         p.add_argument("--rsi-level", type=float)
         p.add_argument("--pathloss-exp", type=float)
         p.add_argument("--sum-distance", type=float)
@@ -250,17 +251,12 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]):
             dump(fh)
 
 
-def _mc_workers(spec: ExperimentSpec) -> int:
-    # numpy releases the GIL inside Monte Carlo rows, so those share a pool;
-    # pure-Python analytic rows hold it, where threads only add overhead
-    return spec.workers if spec.mode in ("mc", "both") else 1
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (header, items, row, pooled); main maps row over
+# items, on spec.workers threads when pooled
 # ---------------------------------------------------------------------------
 
-def _cmd_outage(spec: ExperimentSpec):
+def _outage(spec: ExperimentSpec):
     want_mc = spec.mode in ("mc", "both")
 
     def row(item):
@@ -276,14 +272,12 @@ def _cmd_outage(spec: ExperimentSpec):
             mc_val, mc_se = est.value, est.std_error
         return [p_db, spec.threshold, asym, exact, mc_val, mc_se]
 
-    rows = mc.parallel_map(row, list(enumerate(spec.p_db_values)), _mc_workers(spec))
-    _write_csv(spec.output_path,
-               ["p_db", "threshold", "outage_asymptotic", "outage_exact",
-                "outage_mc", "outage_mc_stderr"], rows)
-    return EXIT_OK
+    header = ["p_db", "threshold", "outage_asymptotic", "outage_exact",
+              "outage_mc", "outage_mc_stderr"]
+    return header, list(enumerate(spec.p_db_values)), row, want_mc
 
 
-def _cmd_ser(spec: ExperimentSpec):
+def _ser(spec: ExperimentSpec):
     want_mc = spec.mode in ("mc", "both")
 
     def row(item):
@@ -300,14 +294,12 @@ def _cmd_ser(spec: ExperimentSpec):
             mc_val, mc_se = est.value, est.std_error
         return [p_db, series, quadrature, mc_val, mc_se, floor]
 
-    rows = mc.parallel_map(row, list(enumerate(spec.p_db_values)), _mc_workers(spec))
-    _write_csv(spec.output_path,
-               ["p_db", "ser_series", "ser_quadrature", "ser_mc",
-                "ser_mc_stderr", "ser_floor"], rows)
-    return EXIT_OK
+    header = ["p_db", "ser_series", "ser_quadrature", "ser_mc", "ser_mc_stderr",
+              "ser_floor"]
+    return header, list(enumerate(spec.p_db_values)), row, want_mc
 
 
-def _cmd_optimize_1d(spec: ExperimentSpec, objective: str):
+def _optimize_1d(spec: ExperimentSpec, objective: str):
     fixed = spec.allocation.rho_lambda if objective == "location" else spec.allocation.rho_d
 
     def row(p_db):
@@ -322,26 +314,21 @@ def _cmd_optimize_1d(spec: ExperimentSpec, objective: str):
         return [p_db, closed_ratio, golden_ratio, closed.ser, res.ser,
                 res.foc_residual, res.iterations]
 
-    rows = [row(p_db) for p_db in spec.p_db_values]
     name = "rho_d" if objective == "location" else "rho_lambda"
-    _write_csv(spec.output_path,
-               ["p_db", f"{name}_closed", f"{name}_golden", "ser_closed",
-                "ser_golden", "foc_residual", "iterations"], rows)
-    return EXIT_OK
+    header = ["p_db", f"{name}_closed", f"{name}_golden", "ser_closed",
+              "ser_golden", "foc_residual", "iterations"]
+    return header, spec.p_db_values, row, False
 
 
-def _cmd_optimize_joint(spec: ExperimentSpec):
+def _optimize_joint(spec: ExperimentSpec):
     def row(p_db):
         cfg = replace(spec.config, total_power=db_to_linear(p_db))
         res = opt.select_joint_optimum(cfg, n_terms=spec.n_terms)
         return [p_db, res.allocation.rho_lambda, res.allocation.rho_d, res.ser,
                 res.foc_residual, res.method]
 
-    rows = [row(p_db) for p_db in spec.p_db_values]
-    _write_csv(spec.output_path,
-               ["p_db", "rho_lambda", "rho_d", "ser", "foc_residual", "method"],
-               rows)
-    return EXIT_OK
+    header = ["p_db", "rho_lambda", "rho_d", "ser", "foc_residual", "method"]
+    return header, spec.p_db_values, row, False
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +340,10 @@ def _ser_at(cfg, rho_lambda, rho_d, n_terms):
         link_stats(cfg, Allocation(rho_lambda, rho_d)), cfg, n_terms)
 
 
-def _figure_rows(spec: ExperimentSpec):
+def _figure(spec: ExperimentSpec):
     """Figure data generators. Unstated sweep parameters use declared
-    defaults: v=3, BPSK, D=1, RSI grid {0, 0.01, 0.1, 0.3}, threshold 1.0."""
+    defaults: v=3, BPSK, D=1, RSI grid {0, 0.01, 0.1, 0.3}, threshold 1.0.
+    Figure 2 is the only one with Monte Carlo columns."""
     n = spec.figure
     nt = spec.n_terms
     want_mc = spec.mode in ("mc", "both")
@@ -383,7 +371,7 @@ def _figure_rows(spec: ExperimentSpec):
                     analytic.ser_series(stats, cfg, nt),
                     analytic.ser_floor(spec.allocation, cfg),
                     out_mc, ser_mc]
-        return header, items, row
+        return header, items, row, want_mc
 
     if n == 3:
         # optimal ratio curves at P = 10 dB
@@ -397,7 +385,7 @@ def _figure_rows(spec: ExperimentSpec):
             cfg = replace(spec.config, total_power=db_to_linear(10.0), rsi_level=eps)
             return [r, eps, opt.optimal_power_closed(cfg, r),
                     opt.optimal_location_closed(cfg, r)]
-        return header, items, row
+        return header, items, row, False
 
     if n in (4, 5):
         # SER vs one ratio, the other fixed at 1/2 (figure 4: location,
@@ -417,7 +405,7 @@ def _figure_rows(spec: ExperimentSpec):
                 ser = _ser_at(cfg, r, 0.5, nt)
                 closed = opt.optimal_power_closed(cfg, 0.5)
             return [r, eps, ser, closed]
-        return header, items, row
+        return header, items, row, False
 
     if n in (6, 7):
         # fixed vs closed-form vs golden-section optimized SER over power
@@ -434,7 +422,7 @@ def _figure_rows(spec: ExperimentSpec):
                 closed = analytic.ser_power_optimized(cfg, 0.5)
             res = opt.minimize_1d(kind, cfg, 0.5, tol=1e-6, n_terms=nt)
             return [p_db, fixed, closed, res.ser]
-        return header, items, row
+        return header, items, row, False
 
     if n == 8:
         # scheme comparison at eps = 0.2
@@ -449,37 +437,28 @@ def _figure_rows(spec: ExperimentSpec):
             pwr = opt.minimize_1d("power", cfg, 0.5, tol=1e-6, n_terms=nt).ser
             joint = opt.select_joint_optimum(cfg, n_terms=nt).ser
             return [p_db, fixed, loc, pwr, joint]
-        return header, items, row
+        return header, items, row, False
 
-    if n == 9:
-        # SER vs each ratio at P = 10 dB for the RSI grid
-        header = ["ratio", "rsi_level", "ser_vs_rho_lambda", "ser_vs_rho_d"]
-        ratios = [0.02 * k for k in range(1, 50)]
-        items = [(r, eps) for eps in _RSI_GRID for r in ratios]
+    # figure 9 (argparse admits only 2..9): SER vs each ratio at P = 10 dB
+    # for the RSI grid
+    header = ["ratio", "rsi_level", "ser_vs_rho_lambda", "ser_vs_rho_d"]
+    ratios = [0.02 * k for k in range(1, 50)]
+    items = [(r, eps) for eps in _RSI_GRID for r in ratios]
 
-        def row(item):
-            r, eps = item
-            cfg = replace(spec.config, total_power=db_to_linear(10.0), rsi_level=eps)
-            return [r, eps, _ser_at(cfg, r, 0.5, nt), _ser_at(cfg, 0.5, r, nt)]
-        return header, items, row
-
-    raise UsageError(f"figure {n} is not available")
-
-
-def _cmd_figure(spec: ExperimentSpec):
-    header, items, row = _figure_rows(spec)
-    # figure 2 is the only figure with Monte Carlo columns
-    rows = mc.parallel_map(row, items, _mc_workers(spec) if spec.figure == 2 else 1)
-    _write_csv(spec.output_path, header, rows)
-    return EXIT_OK
+    def row(item):
+        r, eps = item
+        cfg = replace(spec.config, total_power=db_to_linear(10.0), rsi_level=eps)
+        return [r, eps, _ser_at(cfg, r, 0.5, nt), _ser_at(cfg, 0.5, r, nt)]
+    return header, items, row, False
 
 
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
 
-def _validate_checks(spec: ExperimentSpec):
-    """Each check returns (name, value, reference, tolerance, passed)."""
+def _validate(spec: ExperimentSpec):
+    """Each check returns (name, value, reference, tolerance, passed); the
+    checks run on the pool whatever the mode."""
     base = spec.config
     alloc = spec.allocation
     n_mc = spec.mc_samples
@@ -590,43 +569,43 @@ def _validate_checks(spec: ExperimentSpec):
     checks.append(optimizer_agreement("location"))
     checks.append(optimizer_agreement("power"))
     checks.append(particular_foc)
-    return checks
 
+    def row(check):
+        name, value, ref, tol, ok = check()
+        return [name, value, ref, tol, "pass" if ok else "fail"]
 
-def _cmd_validate(spec: ExperimentSpec):
-    checks = _validate_checks(spec)
-    results = mc.parallel_map(lambda check: check(), checks, spec.workers)
-    rows = [[name, value, ref, tol, "pass" if ok else "fail"]
-            for name, value, ref, tol, ok in results]
-    _write_csv(spec.output_path,
-               ["check", "value", "reference", "tolerance", "status"], rows)
-    return EXIT_OK if all(r[4] for r in results) else EXIT_VALIDATION
+    return ["check", "value", "reference", "tolerance", "status"], checks, row, True
 
 
 # ---------------------------------------------------------------------------
 # entry
 # ---------------------------------------------------------------------------
 
+_COMMANDS = {
+    "outage": _outage,
+    "ser": _ser,
+    "optimize-location": lambda spec: _optimize_1d(spec, "location"),
+    "optimize-power": lambda spec: _optimize_1d(spec, "power"),
+    "optimize-joint": _optimize_joint,
+    "figure": _figure,
+    "validate": _validate,
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         spec = _spec_from_args(args)
-        if spec.command == "outage":
-            return _cmd_outage(spec)
-        if spec.command == "ser":
-            return _cmd_ser(spec)
-        if spec.command == "optimize-location":
-            return _cmd_optimize_1d(spec, "location")
-        if spec.command == "optimize-power":
-            return _cmd_optimize_1d(spec, "power")
-        if spec.command == "optimize-joint":
-            return _cmd_optimize_joint(spec)
-        if spec.command == "figure":
-            return _cmd_figure(spec)
-        if spec.command == "validate":
-            return _cmd_validate(spec)
-        raise UsageError(f"unknown command {spec.command!r}")
+        header, items, row, pooled = _COMMANDS[spec.command](spec)
+        # numpy releases the GIL inside Monte Carlo rows, so those share a
+        # pool; pure-Python analytic rows hold it, where threads only add
+        # overhead
+        rows = mc.parallel_map(row, items, spec.workers if pooled else 1)
+        _write_csv(spec.output_path, header, rows)
+        if spec.command == "validate" and any(r[-1] == "fail" for r in rows):
+            return EXIT_VALIDATION
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

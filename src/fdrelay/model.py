@@ -53,8 +53,6 @@ class SystemConfig:
     sum_distance: source-relay plus relay-destination path length.
     alpha_mod / beta_mod: modulation constants of the Q-function SER model
         (BPSK: alpha=1, beta=2).
-    direct_distance: source-destination distance; recorded but unused since
-        the direct path is assumed blocked.
     """
 
     total_power: float
@@ -63,12 +61,10 @@ class SystemConfig:
     sum_distance: float = 1.0
     alpha_mod: float = 1.0
     beta_mod: float = 2.0
-    noise_power: float = 1.0
-    direct_distance: float | None = None
 
     def __post_init__(self):
         for name in ("total_power", "rsi_level", "pathloss_exp", "sum_distance",
-                     "alpha_mod", "beta_mod", "noise_power"):
+                     "alpha_mod", "beta_mod"):
             _require_finite(name, getattr(self, name))
         if self.total_power <= 0.0:
             raise DomainError(f"total_power must be > 0, got {self.total_power}")
@@ -80,15 +76,13 @@ class SystemConfig:
             raise DomainError(f"sum_distance must be > 0, got {self.sum_distance}")
         if self.alpha_mod <= 0.0 or self.beta_mod <= 0.0:
             raise DomainError("modulation constants must be > 0")
-        if self.noise_power != 1.0:
-            raise DomainError("noise_power is fixed at 1.0; rescale powers instead")
 
     @classmethod
     def bpsk(cls, total_power: float, rsi_level: float, pathloss_exp: float = 3.0,
-             sum_distance: float = 1.0, direct_distance: float | None = None) -> "SystemConfig":
+             sum_distance: float = 1.0) -> "SystemConfig":
         return cls(total_power=total_power, rsi_level=rsi_level,
                    pathloss_exp=pathloss_exp, sum_distance=sum_distance,
-                   alpha_mod=1.0, beta_mod=2.0, direct_distance=direct_distance)
+                   alpha_mod=1.0, beta_mod=2.0)
 
     @property
     def is_bpsk(self) -> bool:

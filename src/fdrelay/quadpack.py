@@ -1,12 +1,24 @@
 """Adaptive Gauss-Kronrod quadrature in pure Python.
 
-A line-for-line port of the two QUADPACK drivers the quadrature oracles use:
-QAGPE (finite interval with user break points, 21-point Kronrod rule) and
-QAGIE (semi-infinite interval mapped onto (0, 1], 15-point Kronrod rule),
-both with Wynn's epsilon-algorithm extrapolation (QELG) and the error-ordered
-interval list (QPSRT). Every arithmetic step keeps QUADPACK's order, so
-results and error estimates match `scipy.integrate.quad` bit for bit
-(tests/test_quadpack.py checks this) while importing neither numpy nor scipy.
+A port of the two QUADPACK drivers the quadrature oracles use: QAGPE
+(finite interval with user break points, 21-point Kronrod rule) and QAGIE
+(semi-infinite interval mapped onto (0, 1], 15-point Kronrod rule). Each
+front end computes its first estimates and then hands its interval list to
+one bisection-extrapolation loop, `_adapt`, with Wynn's epsilon-algorithm
+extrapolation (QELG) and the error-ordered interval list (QPSRT). Every
+arithmetic step keeps QUADPACK's order, so results and error estimates match
+`scipy.integrate.quad` bit for bit (tests/test_quadpack.py checks this)
+while importing neither numpy nor scipy.
+
+The shared loop tracks bisection levels as QAGPE does. QAGIE's original
+tests compare widths against `small`, which starts at 0.375 and halves with
+each extrapolation round; since it bisects (0, 1], an interval at level L is
+exactly 2**-L wide, and after k halvings `width > small` holds exactly when
+L <= k + 1. That is QAGPE's `level + 1 <= levmax` with `levmax` starting at
+2 instead of 1. A flag keeps the rest of what differs: QAGIE seeds the
+epsilon table and the extrapolation bounds after its first bisection, and
+it stops on an extrapolated error equal to the tolerance, where QAGPE goes
+on.
 
 Reference: R. Piessens, E. de Doncker-Kapenga, C. W. Ueberhuber and
 D. K. Kahaner, "QUADPACK: A Subroutine Package for Automatic Integration",
@@ -386,258 +398,47 @@ def _divergence(ier, ksgn, result, area, errsum, resabs_ref):
     return ier
 
 
-def qagie(f, bound: float, epsabs: float, epsrel: float, limit: int = 50):
-    """Integral of f over [bound, inf) (QAGIE with inf = 1).
+def _adapt(rule, lists, nint, limit, epsabs, epsrel, result, errsum, resabs,
+           qagie):
+    """QUADPACK's bisection-extrapolation loop, shared by QAGIE and QAGPE.
 
-    Returns (result, abserr, ier); ier 0 is success, the other codes are
-    QUADPACK's (1 subdivision limit, 2 roundoff, 3 bad integrand behaviour,
-    4 extrapolation roundoff, 5 divergence, 6 invalid input).
+    `lists` are the 1-based (alist, blist, rlist, elist, iord, level) arrays
+    holding the `nint` first intervals, `result` and `errsum` their summed
+    areas and errors, `resabs` the summed integral of |f|. Returns
+    (result, abserr, ier) with QUADPACK's final ier.
     """
-    if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28):
-        return 0.0, 0.0, 6
-    alist = [0.0] * (limit + 1)
-    blist = [0.0] * (limit + 1)
-    rlist = [0.0] * (limit + 1)
-    elist = [0.0] * (limit + 1)
-    iord = [0] * (limit + 1)
-    alist[1] = 0.0
-    blist[1] = 1.0
-    boun = bound
-    ier = 0
-    # QUADPACK's naming: defabs holds the rule's resabs, resabs its resasc
-    result, abserr, defabs, resabs = _qk15i(f, boun, 0.0, 1.0)
-    last = 1
-    rlist[1] = result
-    elist[1] = abserr
-    iord[1] = 1
-    dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
-    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
-        ier = 2
-    if limit == 1:
-        ier = 1
-    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
-        return result, abserr, (ier - 1 if ier > 2 else ier)
-
-    table = _Extrapolation(result)
-    errmax = abserr
-    maxerr = 1
-    area = result
-    errsum = abserr
-    abserr = _OFLOW
-    nrmax = 1
-    ktmin = 0
-    extrap = False
-    noext = False
-    ierro = 0
-    counts = [0, 0, 0]
-    ksgn = 1 if dres >= (1.0 - 50.0 * _EPMACH) * defabs else -1
-    correc = erlarg = ertest = small = 0.0
-
-    for last in range(2, limit + 1):
-        a1 = alist[maxerr]
-        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
-        a2 = b1
-        b2 = blist[maxerr]
-        erlast = errmax
-        area1, error1, resabs, defab1 = _qk15i(f, boun, a1, b1)
-        area2, error2, resabs, defab2 = _qk15i(f, boun, a2, b2)
-        area12 = area1 + area2
-        erro12 = error1 + error2
-        errsum = errsum + erro12 - errmax
-        area = area + area12 - rlist[maxerr]
-        _roundoff(rlist[maxerr], area12, erro12, errmax, defab1, error1, defab2,
-                  error2, last, extrap, counts)
-        rlist[maxerr] = area1
-        rlist[last] = area2
-        errbnd = max(epsabs, epsrel * abs(area))
-        if counts[0] + counts[1] >= 10 or counts[2] >= 20:
-            ier = 2
-        if counts[1] >= 5:
-            ierro = 3
-        if last == limit:
-            ier = 1
-        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
-            ier = 4
-        if error2 > error1:
-            alist[maxerr] = a2
-            alist[last] = a1
-            blist[last] = b1
-            rlist[maxerr] = area2
-            rlist[last] = area1
-            elist[maxerr] = error2
-            elist[last] = error1
-        else:
-            alist[last] = a2
-            blist[maxerr] = b1
-            blist[last] = b2
-            elist[maxerr] = error1
-            elist[last] = error2
-        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
-        if errsum <= errbnd:
-            abserr = _OFLOW  # go straight to summing the interval list
-            break
-        if ier != 0:
-            break
-        if last == 2:
-            small = 0.375
-            erlarg = errsum
-            ertest = errbnd
-            table.append(area)
-            continue
-        if noext:
-            continue
-        erlarg = erlarg - erlast
-        if abs(b1 - a1) > small:
-            erlarg = erlarg + erro12
-        if not extrap:
-            # bisect further unless the interval to be bisected next is
-            # the smallest one
-            if abs(blist[maxerr] - alist[maxerr]) > small:
-                continue
-            extrap = True
-            nrmax = 2
-        if not (ierro == 3 or erlarg <= ertest):
-            # the smallest interval has the largest error: first bisect the
-            # larger intervals whose errors exceed ertest
-            jupbnd = last
-            if last > (2 + limit // 2):
-                jupbnd = limit + 3 - last
-            larger = False
-            for _ in range(nrmax, jupbnd + 1):
-                maxerr = iord[nrmax]
-                errmax = elist[maxerr]
-                if abs(blist[maxerr] - alist[maxerr]) > small:
-                    larger = True
-                    break
-                nrmax += 1
-            if larger:
-                continue
-        reseps, abseps = table.add(area)
-        ktmin += 1
-        if ktmin > 5 and abserr < 1e-3 * errsum:
-            ier = 5
-        if abseps < abserr:
-            ktmin = 0
-            abserr = abseps
-            result = reseps
-            correc = erlarg
-            ertest = max(epsabs, epsrel * abs(reseps))
-            if abserr <= ertest:
-                break
-        if table.n == 1:
-            noext = True
-        if ier == 5:
-            break
-        maxerr = iord[1]
-        errmax = elist[maxerr]
-        nrmax = 1
-        extrap = False
-        small = small * 0.5
-        erlarg = errsum
-
-    result, abserr, ier = _finish(ier, ierro, abserr, correc, result, area,
-                                  errsum, defabs, ksgn, rlist, last)
-    return result, abserr, (ier - 1 if ier > 2 else ier)
-
-
-def qagpe(f, a: float, b: float, points, epsabs: float, epsrel: float,
-          limit: int = 50):
-    """Integral of f over the finite interval [a, b], a < b, with break points
-    (QAGPE).
-
-    `points` are where the integrand has local difficulties; as in
-    `scipy.integrate.quad`, duplicates and points outside (a, b) are dropped.
-    Returns (result, abserr, ier) with QUADPACK's ier codes (see qagie).
-    """
-    pts_in = sorted({p for p in points if a < p < b})
-    npts = len(pts_in)
-    npts2 = npts + 2
-    if limit <= npts or (epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28)):
-        return 0.0, 0.0, 6
-    alist = [0.0] * (limit + 1)
-    blist = [0.0] * (limit + 1)
-    rlist = [0.0] * (limit + 1)
-    elist = [0.0] * (limit + 1)
-    iord = [0] * (limit + 1)
-    level = [0] * (limit + 1)
-    pts = [0.0, a, *pts_in, b]
-    nint = npts + 1
-    ier = 0
-
-    # first integral and error approximations, one per break-point interval
-    result = abserr = resabs = 0.0
-    ndin = [0] * (nint + 1)
-    a1 = pts[1]
-    for i in range(1, nint + 1):
-        b1 = pts[i + 1]
-        area1, error1, defabs, resa = _qk21(f, a1, b1)
-        abserr = abserr + error1
-        result = result + area1
-        if error1 == resa and error1 != 0.0:
-            ndin[i] = 1
-        resabs = resabs + defabs
-        elist[i] = error1
-        alist[i] = a1
-        blist[i] = b1
-        rlist[i] = area1
-        iord[i] = i
-        a1 = b1
-    errsum = 0.0
-    for i in range(1, nint + 1):
-        if ndin[i] == 1:
-            elist[i] = abserr
-        errsum = errsum + elist[i]
-
-    last = nint
-    dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
-    if abserr <= 100.0 * _EPMACH * resabs and abserr > errbnd:
-        ier = 2
-    if nint != 1:
-        for i in range(1, npts + 1):
-            ind1 = iord[i]
-            k = i
-            for j in range(i + 1, nint + 1):
-                ind2 = iord[j]
-                if elist[ind1] > elist[ind2]:
-                    continue
-                ind1 = ind2
-                k = j
-            if ind1 != iord[i]:
-                iord[k] = iord[i]
-                iord[i] = ind1
-        if limit < npts2:
-            ier = 1
-    if ier != 0 or abserr <= errbnd:
-        return result, abserr, (ier - 1 if ier > 2 else ier)
-
+    alist, blist, rlist, elist, iord, level = lists
     table = _Extrapolation(result)
     maxerr = iord[1]
     errmax = elist[maxerr]
     area = result
+    dres = abs(result)
+    errbnd = max(epsabs, epsrel * dres)
     nrmax = 1
     ktmin = 0
     extrap = False
     noext = False
+    ier = 0
+    ierro = 0
+    counts = [0, 0, 0]
     erlarg = errsum
     ertest = errbnd
-    levmax = 1
-    counts = [0, 0, 0]
-    ierro = 0
+    # QAGIE's width bound `small = 0.375` is level 2 (see the module docstring)
+    levmax = 2 if qagie else 1
     abserr = _OFLOW
     ksgn = 1 if dres >= (1.0 - 50.0 * _EPMACH) * resabs else -1
     correc = 0.0
+    last = nint  # QAGPE without interior points at limit 1 skips the loop
 
-    for last in range(npts2, limit + 1):
+    for last in range(nint + 1, limit + 1):
         levcur = level[maxerr] + 1
         a1 = alist[maxerr]
         b1 = 0.5 * (alist[maxerr] + blist[maxerr])
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        area1, error1, resa, defab1 = _qk21(f, a1, b1)
-        area2, error2, resa, defab2 = _qk21(f, a2, b2)
+        area1, error1, _, defab1 = rule(a1, b1)
+        area2, error2, _, defab2 = rule(a2, b2)
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax
@@ -677,6 +478,11 @@ def qagpe(f, a: float, b: float, points, epsabs: float, epsrel: float,
             break
         if ier != 0:
             break
+        if qagie and last == 2:
+            erlarg = errsum
+            ertest = errbnd
+            table.append(area)
+            continue
         if noext:
             continue
         erlarg = erlarg - erlast
@@ -718,11 +524,12 @@ def qagpe(f, a: float, b: float, points, epsabs: float, epsrel: float,
                 result = reseps
                 correc = erlarg
                 ertest = max(epsabs, epsrel * abs(reseps))
-                if abserr < ertest:
+                # QAGIE accepts an error equal to the tolerance, QAGPE not
+                if abserr < ertest or (qagie and abserr == ertest):
                     break
             if table.n == 1:
                 noext = True
-            if ier >= 5:
+            if ier == 5:
                 break
         maxerr = iord[1]
         errmax = elist[maxerr]
@@ -734,3 +541,106 @@ def qagpe(f, a: float, b: float, points, epsabs: float, epsrel: float,
     result, abserr, ier = _finish(ier, ierro, abserr, correc, result, area,
                                   errsum, resabs, ksgn, rlist, last)
     return result, abserr, (ier - 1 if ier > 2 else ier)
+
+
+def _lists(limit: int):
+    """Empty 1-based (alist, blist, rlist, elist, iord, level) arrays."""
+    return ([0.0] * (limit + 1), [0.0] * (limit + 1), [0.0] * (limit + 1),
+            [0.0] * (limit + 1), [0] * (limit + 1), [0] * (limit + 1))
+
+
+def qagie(f, bound: float, epsabs: float, epsrel: float, limit: int = 50):
+    """Integral of f over [bound, inf) (QAGIE with inf = 1).
+
+    Returns (result, abserr, ier); ier 0 is success, the other codes are
+    QUADPACK's (1 subdivision limit, 2 roundoff, 3 bad integrand behaviour,
+    4 extrapolation roundoff, 5 divergence, 6 invalid input).
+    """
+    if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28):
+        return 0.0, 0.0, 6
+    lists = _lists(limit)
+    alist, blist, rlist, elist, iord, _ = lists
+    ier = 0
+    # QUADPACK's naming: defabs holds the rule's resabs, resabs its resasc
+    result, abserr, defabs, resabs = _qk15i(f, bound, 0.0, 1.0)
+    alist[1] = 0.0
+    blist[1] = 1.0
+    rlist[1] = result
+    elist[1] = abserr
+    iord[1] = 1
+    errbnd = max(epsabs, epsrel * abs(result))
+    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
+        ier = 2
+    if limit == 1:
+        ier = 1
+    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
+        return result, abserr, ier  # 0, 1 or 2 here
+    return _adapt(lambda lo, hi: _qk15i(f, bound, lo, hi), lists, 1, limit,
+                  epsabs, epsrel, result, abserr, defabs, qagie=True)
+
+
+def qagpe(f, a: float, b: float, points, epsabs: float, epsrel: float,
+          limit: int = 50):
+    """Integral of f over the finite interval [a, b], a < b, with break points
+    (QAGPE).
+
+    `points` are where the integrand has local difficulties; as in
+    `scipy.integrate.quad`, duplicates and points outside (a, b) are dropped.
+    Returns (result, abserr, ier) with QUADPACK's ier codes (see qagie).
+    """
+    pts_in = sorted({p for p in points if a < p < b})
+    npts = len(pts_in)
+    if limit <= npts or (epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28)):
+        return 0.0, 0.0, 6
+    lists = _lists(limit)
+    alist, blist, rlist, elist, iord, _ = lists
+    pts = [0.0, a, *pts_in, b]
+    nint = npts + 1
+    ier = 0
+
+    # first integral and error approximations, one per break-point interval
+    result = abserr = resabs = 0.0
+    ndin = [0] * (nint + 1)
+    a1 = pts[1]
+    for i in range(1, nint + 1):
+        b1 = pts[i + 1]
+        area1, error1, defabs, resa = _qk21(f, a1, b1)
+        abserr = abserr + error1
+        result = result + area1
+        if error1 == resa and error1 != 0.0:
+            ndin[i] = 1
+        resabs = resabs + defabs
+        elist[i] = error1
+        alist[i] = a1
+        blist[i] = b1
+        rlist[i] = area1
+        iord[i] = i
+        a1 = b1
+    errsum = 0.0
+    for i in range(1, nint + 1):
+        if ndin[i] == 1:
+            elist[i] = abserr
+        errsum = errsum + elist[i]
+
+    errbnd = max(epsabs, epsrel * abs(result))
+    if abserr <= 100.0 * _EPMACH * resabs and abserr > errbnd:
+        ier = 2
+    if nint != 1:
+        for i in range(1, npts + 1):
+            ind1 = iord[i]
+            k = i
+            for j in range(i + 1, nint + 1):
+                ind2 = iord[j]
+                if elist[ind1] > elist[ind2]:
+                    continue
+                ind1 = ind2
+                k = j
+            if ind1 != iord[i]:
+                iord[k] = iord[i]
+                iord[i] = ind1
+        if limit < npts + 2:
+            ier = 1
+    if ier != 0 or abserr <= errbnd:
+        return result, abserr, ier  # 0, 1 or 2 here
+    return _adapt(lambda lo, hi: _qk21(f, lo, hi), lists, nint, limit,
+                  epsabs, epsrel, result, errsum, resabs, qagie=False)

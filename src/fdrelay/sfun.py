@@ -15,7 +15,6 @@ import math
 from .errors import DomainError, NonConvergenceError
 
 __all__ = [
-    "gauss_q",
     "bessel_k1",
     "exp_integral_e1",
     "gamma_fn",
@@ -25,7 +24,6 @@ __all__ = [
 ]
 
 _EULER_GAMMA = 0.5772156649015328606065120900824024310421593359399
-_SQRT2 = math.sqrt(2.0)
 
 # Chebyshev expansion of e^x * sqrt(x) * K1(x) in t = 4/x - 1, valid x >= 2.
 # Together with the power series below this keeps K1 under 1e-13 relative
@@ -71,18 +69,6 @@ _PSI_TAIL = (
 )
 
 _SERIES_MAX_TERMS = 800
-
-
-def gauss_q(x: float) -> float:
-    """Upper tail of the standard normal distribution, Q(x) = P(Z > x).
-
-    Strictly decreasing with range (0, 1); saturates to exactly 0.0 or 1.0
-    once the tail underflows double precision. Infinities map to the limit
-    values 0 and 1.
-    """
-    if math.isnan(x):
-        raise DomainError("gauss_q: x is NaN")
-    return 0.5 * math.erfc(x / _SQRT2)
 
 
 def _clenshaw(t: float, coeffs) -> float:

@@ -111,6 +111,12 @@ class TestCommands:
         assert rows[0][:4] == ["p_db", "threshold", "outage_asymptotic", "outage_exact"]
         assert float(rows[1][2]) < float(rows[1][3]) * 1.2
 
+    def test_negative_p_db_range(self, tmp_path):
+        # "--p-db -10:0:5" reads as an option to argparse; the "=" form works
+        code, rows, _ = run_cli(["outage", "--p-db=-10:0:5"], tmp_path)
+        assert code == EXIT_OK
+        assert [float(r[0]) for r in rows[1:]] == [-10.0, -5.0, 0.0]
+
     def test_optimize_joint_columns(self, tmp_path):
         code, rows, _ = run_cli(
             ["optimize-joint", "--p-db", "20", "--rsi-level", "0"], tmp_path)

@@ -25,7 +25,6 @@ class TestSystemConfig:
     def test_valid(self):
         cfg = SystemConfig.bpsk(total_power=100.0, rsi_level=0.1)
         assert cfg.is_bpsk
-        assert cfg.noise_power == 1.0
         assert cfg.pathloss_exp == 3.0
 
     @pytest.mark.parametrize("kwargs", [
@@ -35,20 +34,12 @@ class TestSystemConfig:
         dict(total_power=100.0, rsi_level=0.1, pathloss_exp=1.0),
         dict(total_power=100.0, rsi_level=0.1, pathloss_exp=3.0, sum_distance=0.0),
         dict(total_power=float("inf"), rsi_level=0.1, pathloss_exp=3.0),
-        dict(total_power=100.0, rsi_level=0.1, pathloss_exp=3.0, noise_power=2.0),
         dict(total_power=100.0, rsi_level=0.1, pathloss_exp=3.0, alpha_mod=0.0),
+        dict(total_power=100.0, rsi_level=0.1, pathloss_exp=3.0, beta_mod=0.0),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(DomainError):
             SystemConfig(**kwargs)
-
-    def test_direct_distance_recorded_but_unused(self):
-        cfg = SystemConfig.bpsk(100.0, 0.1, direct_distance=0.8)
-        assert cfg.direct_distance == 0.8
-        # no formula consumes it: stats match the config without it
-        other = SystemConfig.bpsk(100.0, 0.1)
-        alloc = Allocation(0.5, 0.5)
-        assert link_stats(cfg, alloc) == link_stats(other, alloc)
 
     def test_db_round_trip(self):
         assert db_to_linear(20.0) == pytest.approx(100.0, rel=1e-12)

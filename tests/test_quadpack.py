@@ -7,6 +7,7 @@ depend on which of the two ran.
 
 import math
 import random
+import sys
 
 import pytest
 from scipy.integrate import quad
@@ -45,6 +46,8 @@ FINITE = [
     ("odd", math.sin, -1.0, 1.0, [0.0]),
     ("zero", lambda x: 0.0, 0.0, 1.0, [0.5]),
     ("outside_points", math.exp, 0.0, 1.0, [-1.0, 0.0, 0.5, 0.5, 1.0, 2.0]),
+    # no point inside (a, b): at limit 1 QAGPE skips the bisection loop
+    ("no_interior_point", _inv_sqrt, 0.0, 1.0, [2.0]),
 ]
 
 # (name, integrand, lower bound) on [bound, inf)
@@ -62,14 +65,31 @@ SEMI_INFINITE = [
 ]
 
 TOLERANCES = [(1e-12, 1e-11), (1e-10, 1e-8), (0.0, 1e-13), (1e-14, 0.0)]
-LIMITS = [7, 50, 300]
+LIMITS = [1, 2, 7, 50, 300]
+
+# quad appends a message exactly when QUADPACK's ier is nonzero; its opening
+# words name the code
+_IER_MESSAGES = {
+    "The maximum number of subdivisions": 1,
+    "The occurrence of roundoff error": 2,
+    "Extremely bad integrand": 3,
+    "The algorithm does not converge": 4,
+    "The integral is probably divergent": 5,
+}
 
 
 def _scipy(f, a, b, epsabs, epsrel, limit, points=None):
-    out = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
-               full_output=1, points=points)
-    # quad appends a message exactly when QUADPACK's ier is nonzero
-    return out[0], out[1], len(out) > 3
+    try:
+        out = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
+                   full_output=1, points=points)
+    except ValueError:
+        # quad raises where QUADPACK returns ier 6 with a zero result
+        return 0.0, 0.0, 6
+    if len(out) == 3:
+        return out[0], out[1], 0
+    codes = [ier for text, ier in _IER_MESSAGES.items() if out[3].startswith(text)]
+    assert len(codes) == 1, out[3]
+    return out[0], out[1], codes[0]
 
 
 @pytest.mark.parametrize("epsabs, epsrel", TOLERANCES)
@@ -78,7 +98,7 @@ def test_qagpe_matches_scipy_bit_for_bit(epsabs, epsrel, limit):
     for name, f, a, b, points in FINITE:
         value, err, ier = quadpack.qagpe(f, a, b, points, epsabs, epsrel, limit)
         want = _scipy(f, a, b, epsabs, epsrel, limit, points)
-        assert (value, err, ier != 0) == want, name
+        assert (value, err, ier) == want, name
 
 
 @pytest.mark.parametrize("epsabs, epsrel", TOLERANCES)
@@ -87,7 +107,27 @@ def test_qagie_matches_scipy_bit_for_bit(epsabs, epsrel, limit):
     for name, f, bound in SEMI_INFINITE:
         value, err, ier = quadpack.qagie(f, bound, epsabs, epsrel, limit)
         want = _scipy(f, bound, math.inf, epsabs, epsrel, limit)
-        assert (value, err, ier != 0) == want, name
+        assert (value, err, ier) == want, name
+
+
+# at epsrel = 5 DBL_EPSILON the error estimate can equal the extrapolation
+# tolerance: QAGIE stops on abserr <= ertest, QAGPE only on abserr < ertest
+TIE_EPSABS = 1e-300
+TIE_EPSREL = 5.0 * sys.float_info.epsilon
+
+
+def test_qagie_stops_on_tie():
+    f = lambda x: (1.0 + x) ** -1.5
+    got = quadpack.qagie(f, 0.0, TIE_EPSABS, TIE_EPSREL, 50)
+    want = _scipy(f, 0.0, math.inf, TIE_EPSABS, TIE_EPSREL, 50)
+    assert want[2] == 2
+    assert got == want
+
+
+def test_qagpe_continues_past_tie():
+    f = lambda x: _log(x) * math.exp(-x)
+    got = quadpack.qagpe(f, 0.0, 1.0, [0.5], TIE_EPSABS, TIE_EPSREL, 50)
+    assert got == _scipy(f, 0.0, 1.0, TIE_EPSABS, TIE_EPSREL, 50, [0.5])
 
 
 def test_invalid_tolerance_is_ier_6():
