@@ -221,6 +221,15 @@ def outage(threshold: float, stats: LinkStats, mode: str = "asymptotic") -> floa
 # SER
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=32)
+def _series_coeffs(n_terms: int) -> tuple[tuple[float, float, float], ...]:
+    """(A_i, B_i, C_i) of ser_series_terms as floats, one triple per term."""
+    return tuple(
+        (a_i, b_i, gamma_fn(2 * i + 2.5) * gamma_fn(2 * i + 0.5) / math.factorial(2 * i + 1))
+        for i, (a_i, b_i) in enumerate(approx_coeffs(n_terms).pairs)
+    )
+
+
 def ser_series_terms(stats: LinkStats, cfg: SystemConfig,
                      n_terms: int = DEFAULT_N_TERMS) -> list[float]:
     """The individual series contributions I_i whose sum approximates alpha/2 - SER.
@@ -232,7 +241,6 @@ def ser_series_terms(stats: LinkStats, cfg: SystemConfig,
     with C_i = Gamma(2i + 5/2) Gamma(2i + 1/2) / (2i + 1)! and
     X_i, Y_i = beta/2 + eta B_i + (1/sqrt(l_sr) +- 1/sqrt(l_rd))^2.
     """
-    coeffs = approx_coeffs(n_terms).pairs
     alpha = cfg.alpha_mod
     beta = cfg.beta_mod
     lsr = stats.lambda_sr
@@ -245,8 +253,7 @@ def ser_series_terms(stats: LinkStats, cfg: SystemConfig,
     delta = 4.0 / math.sqrt(lsr * lrd)
     pref = 2.0 * alpha * math.sqrt(2.0 * beta) / (lsr * lrd)
     out = []
-    for i, (a_i, b_i) in enumerate(coeffs):
-        c_i = gamma_fn(2 * i + 2.5) * gamma_fn(2 * i + 0.5) / math.factorial(2 * i + 1)
+    for i, (a_i, b_i, c_i) in enumerate(_series_coeffs(n_terms)):
         x_i = beta / 2.0 + eta * b_i + s_plus
         hyp = hyp2f1_complement(2 * i + 2.5, 1.5, 2.0 * i + 2.0, delta / x_i)
         out.append(c_i * pref * a_i * eta ** (2 * i) / x_i ** (2 * i + 2.5) * hyp)

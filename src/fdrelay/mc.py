@@ -52,12 +52,18 @@ _MIN_SYMBOLS = 100_000
 
 @dataclass(frozen=True)
 class McEstimate:
-    """A Monte Carlo probability estimate with its standard error."""
+    """A Monte Carlo probability estimate with its standard error.
+
+    `count` is the number of events behind a counting estimate (outages,
+    symbol errors), so that value == count / n_samples; it is None for the
+    semi-analytic SER, which averages probabilities instead of counting.
+    """
 
     value: float
     std_error: float
     n_samples: int
     seed: int
+    count: int | None = None
 
 
 def stream(seed: int, tag: int = _TAG_DRAW, uniform_offset: int = 0) -> Generator:
@@ -142,7 +148,7 @@ def estimate_outage(stats: LinkStats, threshold: float, n: int, seed: int,
     count = sum(_map_chunks(chunk, n, workers))
     p = count / n
     return McEstimate(value=p, std_error=math.sqrt(p * (1.0 - p) / n),
-                      n_samples=n, seed=seed)
+                      n_samples=n, seed=seed, count=count)
 
 
 def estimate_ser_semianalytic(stats: LinkStats, cfg: SystemConfig, n: int,
@@ -238,4 +244,4 @@ def estimate_ser_symbol_level(stats: LinkStats, cfg: SystemConfig,
     errors = sum(_map_chunks(chunk, n_symbols, workers))
     p = errors / n_symbols
     return McEstimate(value=p, std_error=math.sqrt(p * (1.0 - p) / n_symbols),
-                      n_samples=n_symbols, seed=seed)
+                      n_samples=n_symbols, seed=seed, count=errors)

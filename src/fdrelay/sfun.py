@@ -5,12 +5,16 @@ a Chebyshev economization for the scaled Bessel tail, and a continued
 fraction for the exponential integral. No scipy/mpmath imports here; the
 test suite checks every function against independent high-precision oracles.
 
-All functions are pure and reentrant.
+All functions are pure and reentrant. The logarithmic 2F1 series keeps one
+table per parameter set of the factors that do not depend on its argument;
+tables fill on demand under a lock and return the bits a per-call
+evaluation would.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 from .errors import DomainError, NonConvergenceError
 
@@ -239,63 +243,131 @@ def _gamma_ratio_or_zero(c: float, a: float, b: float) -> float:
     return math.gamma(c) / (math.gamma(a) * math.gamma(b))
 
 
+class _LogSeriesTable:
+    """The part of _hyp_log_series that depends on (a, b, m) but not on w.
+
+    pref1 and the finite-part coefficients fin_coefs of the first term,
+    pref2 of the log term, and the log term's rows: rows[n] holds
+    (coef, psi_1, psi_m1, psi_a, psi_b, |psi_1|, |psi_m1|, |psi_a|, |psi_b|)
+    of index n. Each row comes from the same recurrence, in the same order,
+    as a per-call evaluation takes, so a call returns the same bits. Rows are
+    appended only when a call reads past the last one.
+    """
+
+    __slots__ = ("a", "b", "m", "pref1", "fin_coefs", "pref2", "rows")
+
+    def __init__(self, a: float, b: float, m: int) -> None:
+        self.a = a
+        self.b = b
+        self.m = m
+        c = a + b + m
+        # finite part: Gamma(m)Gamma(c)/(Gamma(a+m)Gamma(b+m)) *
+        #              sum_{n<m} (a)_n (b)_n / (n! (1-m)_n) w^n
+        self.pref1 = math.gamma(m) * _gamma_ratio_or_zero(c, a + m, b + m)
+        self.fin_coefs = []
+        pa = 1.0
+        pb = 1.0
+        fact = 1.0
+        p1m = 1.0
+        for n in range(m):
+            self.fin_coefs.append(pa * pb / (fact * p1m))
+            pa *= a + n
+            pb *= b + n
+            fact *= n + 1
+            p1m *= 1 - m + n
+        # log part: -(-1)^m Gamma(c)/(Gamma(a)Gamma(b)) w^m *
+        #           sum_n (a+m)_n (b+m)_n / (n! (n+m)!) w^n *
+        #           [ln w - psi(n+1) - psi(n+m+1) + psi(a+m+n) + psi(b+m+n)]
+        self.pref2 = ((-1.0) ** m) * _gamma_ratio_or_zero(c, a, b)
+        self.rows = []
+        if self.pref2 != 0.0:
+            psi = (digamma(1.0), digamma(m + 1.0), digamma(a + m), digamma(b + m))
+            self.rows.append(_log_row(1.0 / math.gamma(m + 1.0), *psi))
+
+    def extend_to(self, n: int) -> None:
+        """Append rows up to index n, unless another thread already has."""
+        a = self.a
+        b = self.b
+        m = self.m
+        rows = self.rows
+        with _log_tables_lock:
+            while len(rows) <= n:
+                coef, psi_1, psi_m1, psi_a, psi_b = rows[-1][:5]
+                k = len(rows)
+                coef *= (a + m + k - 1) * (b + m + k - 1) / (k * (k + m))
+                psi_1 += 1.0 / k
+                psi_m1 += 1.0 / (k + m)
+                psi_a += 1.0 / (a + m + k - 1)
+                psi_b += 1.0 / (b + m + k - 1)
+                rows.append(_log_row(coef, psi_1, psi_m1, psi_a, psi_b))
+
+
+def _log_row(coef, psi_1, psi_m1, psi_a, psi_b):
+    return (coef, psi_1, psi_m1, psi_a, psi_b,
+            abs(psi_1), abs(psi_m1), abs(psi_a), abs(psi_b))
+
+
+# One table per (a, b, m) seen, built on first use. The SER series needs
+# n_terms of them; the bound keeps arbitrary hyp2f1 parameters from piling up.
+_LOG_TABLES_MAX = 64
+_log_tables: dict[tuple[float, float, int], _LogSeriesTable] = {}
+_log_tables_lock = threading.Lock()
+
+
+def _log_table(a: float, b: float, m: int) -> _LogSeriesTable:
+    key = (a, b, m)
+    table = _log_tables.get(key)
+    if table is None:
+        with _log_tables_lock:
+            table = _log_tables.get(key)
+            if table is None:
+                table = _LogSeriesTable(a, b, m)
+                if len(_log_tables) >= _LOG_TABLES_MAX:
+                    del _log_tables[next(iter(_log_tables))]
+                _log_tables[key] = table
+    return table
+
+
 def _hyp_log_series(a: float, b: float, m: int, w: float) -> float:
     """F(a, b; a+b+m; 1-w) for integer m >= 1 via the logarithmic connection
-    formula (DLMF 15.8.10 form), geometric in w."""
-    c = a + b + m
-    # finite part: Gamma(m)Gamma(c)/(Gamma(a+m)Gamma(b+m)) *
-    #              sum_{n<m} (a)_n (b)_n / (n! (1-m)_n) w^n
-    pref1 = math.gamma(m) * _gamma_ratio_or_zero(c, a + m, b + m)
+    formula (DLMF 15.8.10 form), geometric in w.
+
+    The w-independent factors come from the (a, b, m) table; the loop does
+    only the w-dependent work."""
+    table = _log_table(a, b, m)
     fin = 0.0
-    pa = 1.0
-    pb = 1.0
-    fact = 1.0
-    p1m = 1.0
     wn = 1.0
-    for n in range(m):
-        fin += pa * pb / (fact * p1m) * wn
-        pa *= a + n
-        pb *= b + n
-        fact *= n + 1
-        p1m *= 1 - m + n
+    for fin_coef in table.fin_coefs:
+        fin += fin_coef * wn
         wn *= w
-    part1 = pref1 * fin
-    # log part: -(-1)^m Gamma(c)/(Gamma(a)Gamma(b)) w^m *
-    #           sum_n (a+m)_n (b+m)_n / (n! (n+m)!) w^n *
-    #           [ln w - psi(n+1) - psi(n+m+1) + psi(a+m+n) + psi(b+m+n)]
-    pref2 = ((-1.0) ** m) * _gamma_ratio_or_zero(c, a, b)
+    part1 = table.pref1 * fin
+    pref2 = table.pref2
     if pref2 == 0.0:
         return part1
     lw = math.log(w)
-    psi_1 = digamma(1.0)
-    psi_m1 = digamma(m + 1.0)
-    psi_a = digamma(a + m)
-    psi_b = digamma(b + m)
-    coef = 1.0 / math.gamma(m + 1.0)
+    abs_lw = abs(lw)
     wn = w**m
     s = 0.0
     comp = 0.0
-    n = 0
-    while n < _SERIES_MAX_TERMS:
+    rows = table.rows
+    # rows appended by extend_to during the loop are read by the same loop
+    for n, (coef, psi_1, psi_m1, psi_a, psi_b,
+            abs_1, abs_m1, abs_a, abs_b) in enumerate(rows):
         bracket = lw - psi_1 - psi_m1 + psi_a + psi_b
-        term = coef * wn * bracket
+        coef_wn = coef * wn
+        term = coef_wn * bracket
         y = term - comp
         t = s + y
         comp = (t - s) - y
         s = t
         # termination keyed to a sign-free envelope; the bracket itself can
         # pass through zero at one index without the tail being done
-        envelope = abs(coef * wn) * (abs(lw) + abs(psi_1) + abs(psi_m1)
-                                     + abs(psi_a) + abs(psi_b))
-        if n > 3 and envelope <= 1e-17 * max(abs(s), 1e-300):
+        if n > 3 and (abs(coef_wn) * (abs_lw + abs_1 + abs_m1 + abs_a + abs_b)
+                      <= 1e-17 * max(abs(s), 1e-300)):
             return part1 - pref2 * s
-        n += 1
-        coef *= (a + m + n - 1) * (b + m + n - 1) / (n * (n + m))
         wn *= w
-        psi_1 += 1.0 / n
-        psi_m1 += 1.0 / (n + m)
-        psi_a += 1.0 / (a + m + n - 1)
-        psi_b += 1.0 / (b + m + n - 1)
+        if n + 1 == len(rows) < _SERIES_MAX_TERMS:
+            table.extend_to(n + 1)
     raise NonConvergenceError(f"hyp2f1: log series stalled (a={a}, b={b}, m={m}, w={w})")
 
 

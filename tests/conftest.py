@@ -12,6 +12,8 @@ from numpy.random import Generator, Philox
 from scipy import special
 
 from fdrelay import RATIO_FLOOR, Allocation, McEstimate, SystemConfig, link_stats
+from fdrelay import analytic, sfun
+from fdrelay.errors import NonConvergenceError
 from fdrelay.mc import CHUNK_SAMPLES
 
 CANONICAL_P_DB = 20.0
@@ -152,4 +154,109 @@ def symbol_level_complex_oracle(stats, n_symbols: int, seed: int) -> McEstimate:
         errors += int(np.count_nonzero(y_d.real < 0.0))
     p = errors / n_symbols
     return McEstimate(value=p, std_error=math.sqrt(p * (1.0 - p) / n_symbols),
-                      n_samples=n_symbols, seed=seed)
+                      n_samples=n_symbols, seed=seed, count=errors)
+
+
+def hyp_log_series_oracle(a: float, b: float, m: int, w: float) -> float:
+    """The logarithmic connection series with every factor computed per call:
+    the reference that sfun._hyp_log_series, which tabulates the
+    w-independent factors per (a, b, m), must match bit for bit.
+
+    Same prefactors, coefficient and psi recurrences, Kahan sum and envelope
+    test, in the same order; it also stalls at sfun._SERIES_MAX_TERMS.
+    """
+    c = a + b + m
+    pref1 = math.gamma(m) * sfun._gamma_ratio_or_zero(c, a + m, b + m)
+    fin = 0.0
+    pa = 1.0
+    pb = 1.0
+    fact = 1.0
+    p1m = 1.0
+    wn = 1.0
+    for n in range(m):
+        fin += pa * pb / (fact * p1m) * wn
+        pa *= a + n
+        pb *= b + n
+        fact *= n + 1
+        p1m *= 1 - m + n
+        wn *= w
+    part1 = pref1 * fin
+    pref2 = ((-1.0) ** m) * sfun._gamma_ratio_or_zero(c, a, b)
+    if pref2 == 0.0:
+        return part1
+    lw = math.log(w)
+    psi_1 = sfun.digamma(1.0)
+    psi_m1 = sfun.digamma(m + 1.0)
+    psi_a = sfun.digamma(a + m)
+    psi_b = sfun.digamma(b + m)
+    coef = 1.0 / math.gamma(m + 1.0)
+    wn = w**m
+    s = 0.0
+    comp = 0.0
+    n = 0
+    while n < sfun._SERIES_MAX_TERMS:
+        bracket = lw - psi_1 - psi_m1 + psi_a + psi_b
+        term = coef * wn * bracket
+        y = term - comp
+        t = s + y
+        comp = (t - s) - y
+        s = t
+        envelope = abs(coef * wn) * (abs(lw) + abs(psi_1) + abs(psi_m1)
+                                     + abs(psi_a) + abs(psi_b))
+        if n > 3 and envelope <= 1e-17 * max(abs(s), 1e-300):
+            return part1 - pref2 * s
+        n += 1
+        coef *= (a + m + n - 1) * (b + m + n - 1) / (n * (n + m))
+        wn *= w
+        psi_1 += 1.0 / n
+        psi_m1 += 1.0 / (n + m)
+        psi_a += 1.0 / (a + m + n - 1)
+        psi_b += 1.0 / (b + m + n - 1)
+    raise NonConvergenceError(f"hyp2f1: log series stalled (a={a}, b={b}, m={m}, w={w})")
+
+
+def ser_series_terms_oracle(stats, cfg: SystemConfig, n_terms: int = 3) -> list[float]:
+    """ser_series_terms with the float (A_i, B_i, C_i) converted and computed
+    per call: the reference that the cached coefficients must match bit for
+    bit. The hypergeometric goes through sfun.hyp2f1_complement, so under
+    per_call_series it is the per-call log series too."""
+    coeffs = analytic.approx_coeffs(n_terms).pairs
+    alpha = cfg.alpha_mod
+    beta = cfg.beta_mod
+    lsr = stats.lambda_sr
+    lrd = stats.lambda_rd
+    eta = stats.eta
+    s_plus = (1.0 / math.sqrt(lsr) + 1.0 / math.sqrt(lrd)) ** 2
+    delta = 4.0 / math.sqrt(lsr * lrd)
+    pref = 2.0 * alpha * math.sqrt(2.0 * beta) / (lsr * lrd)
+    out = []
+    for i, (a_i, b_i) in enumerate(coeffs):
+        c_i = (sfun.gamma_fn(2 * i + 2.5) * sfun.gamma_fn(2 * i + 0.5)
+               / math.factorial(2 * i + 1))
+        x_i = beta / 2.0 + eta * b_i + s_plus
+        hyp = sfun.hyp2f1_complement(2 * i + 2.5, 1.5, 2.0 * i + 2.0, delta / x_i)
+        out.append(c_i * pref * a_i * eta ** (2 * i) / x_i ** (2 * i + 2.5) * hyp)
+    return out
+
+
+def outcome(fn, *args):
+    """fn(*args) by repr, or the type and message of what it raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.fixture
+def per_call_series(monkeypatch):
+    """per_call_series(fn, *args) is outcome(fn, *args) with the per-call
+    oracles in place of the tabulated log series and the cached series
+    coefficients, i.e. what the library returned before tabulation."""
+
+    def run(fn, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(sfun, "_hyp_log_series", hyp_log_series_oracle)
+            patch.setattr(analytic, "ser_series_terms", ser_series_terms_oracle)
+            return outcome(fn, *args)
+
+    return run

@@ -33,8 +33,9 @@ from fdrelay import (
     sinr_cdf_exact_numeric,
 )
 from fdrelay.analytic import cdf_truncation_bound, ser_from_cdf
+from fdrelay.sfun import hyp2f1_complement
 
-from conftest import cfg_at, stats_at
+from conftest import cfg_at, outcome, ser_series_terms_oracle, stats_at
 
 
 class TestApproxCoeffs:
@@ -215,6 +216,47 @@ class TestSerSeries:
         e3 = abs(ser_series(stats, canonical_cfg, 3) - q)
         e1 = abs(ser_series(stats, canonical_cfg, 1) - q)
         assert e3 < e1
+
+
+def _modulated(p_db, eps, modulation, v=3.0):
+    alpha, beta = {"bpsk": (1.0, 2.0), "qpsk": (2.0, 1.0)}[modulation]
+    return SystemConfig(total_power=10.0 ** (p_db / 10.0), rsi_level=eps,
+                        pathloss_exp=v, alpha_mod=alpha, beta_mod=beta)
+
+
+class TestSeriesAgainstPerCallOracle:
+    """ser_series_terms caches its float coefficients per n_terms and the log
+    series tabulates per (a, b, m); both must give the per-call bits."""
+
+    def test_terms_interleaved(self, per_call_series):
+        scenarios = [(p_db, eps, mod, rl, rd)
+                     for p_db, eps in ((-10.0, 0.5), (0.0, 0.0), (20.0, 0.1), (60.0, 0.731))
+                     for mod in ("bpsk", "qpsk")
+                     for rl, rd in ((0.5, 0.5), (0.1, 0.9), (0.9, 0.2))]
+        for p_db, eps, mod, rl, rd in scenarios:
+            cfg = _modulated(p_db, eps, mod)
+            stats = link_stats(cfg, Allocation(rl, rd))
+            for n_terms in (4, 1, 3, 2):
+                got = outcome(ser_series_terms, stats, cfg, n_terms)
+                want = per_call_series(ser_series_terms_oracle, stats, cfg, n_terms)
+                assert got == want, (p_db, eps, mod, rl, rd, n_terms)
+                # a neighbouring (a, b, m) between series reads: (-0.5, 1.5, 2)
+                # sits between the keys of terms 0 and 1
+                assert (outcome(hyp2f1_complement, 3.5, 1.5, 3.0, 0.3)
+                        == per_call_series(hyp2f1_complement, 3.5, 1.5, 3.0, 0.3))
+
+    @pytest.mark.parametrize("modulation", ["bpsk", "qpsk"])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("p_db", [0.0, 5.0, 10.0])
+    def test_low_power(self, per_call_series, p_db, eps, modulation):
+        # low power puts the hypergeometric argument near 0.5, the longest
+        # log series
+        cfg = _modulated(p_db, eps, modulation)
+        stats = link_stats(cfg, Allocation(0.5, 0.5))
+        val = ser_series(stats, cfg, 3)
+        assert math.isfinite(val)
+        assert 0.0 <= val <= cfg.alpha_mod / 2.0
+        assert repr(val) == per_call_series(ser_series, stats, cfg, 3)
 
 
 class TestQpsk:

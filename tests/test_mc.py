@@ -152,6 +152,15 @@ class TestEstimateOutage:
         assert est.std_error == pytest.approx(
             math.sqrt(est.value * (1 - est.value) / est.n_samples), rel=1e-12)
 
+    def test_count_is_the_integer_behind_the_value(self):
+        _, stats = stats_at(20.0, 0.1)
+        n = CHUNK_SAMPLES + 50_000
+        est = estimate_outage(stats, 1.0, n, seed=9, workers=2)
+        g_sr, g_rd, g_li = draw_gammas(stats, stream(9, 1), n)
+        assert est.count == int(np.count_nonzero(sinr_exact(g_sr, g_rd, g_li) < 1.0))
+        assert type(est.count) is int
+        assert est.value == est.count / n
+
     def test_preconditions(self):
         _, stats = stats_at(20.0, 0.1)
         with pytest.raises(DomainError):
@@ -168,6 +177,10 @@ class TestEstimateSerSemianalytic:
         stats = LinkStats(lambda_sr=1e-12, lambda_rd=400.0, lambda_li=0.0, eta=0.0)
         est = estimate_ser_semianalytic(stats, cfg, 20_000, seed=2)
         assert est.value == pytest.approx(cfg.alpha_mod / 2.0, rel=1e-5)
+
+    def test_counts_nothing(self):
+        cfg, stats = stats_at(20.0, 0.1)
+        assert estimate_ser_semianalytic(stats, cfg, 20_000, seed=2).count is None
 
     def test_against_quadrature(self):
         cfg, stats = stats_at(20.0, 0.1)
@@ -257,6 +270,7 @@ class TestEstimateSerSymbolLevel:
         n = CHUNK_SAMPLES + 50_000
         est = estimate_ser_symbol_level(stats, cfg, n, seed=seed, workers=2)
         assert est.value == errors / n
+        assert est.count == errors
 
     def test_min_symbols(self):
         cfg, stats = stats_at(20.0, 0.1)

@@ -6,13 +6,15 @@ from the oracle.
 """
 
 import math
+import sys
+import threading
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdrelay import DomainError, NonConvergenceError
+from fdrelay import DomainError, NonConvergenceError, sfun
 from fdrelay.mc import _q_func
 from fdrelay.sfun import (
     _hyp_near_one,
@@ -22,7 +24,10 @@ from fdrelay.sfun import (
     exp_integral_e1,
     gamma_fn,
     hyp2f1,
+    hyp2f1_complement,
 )
+
+from conftest import hyp_log_series_oracle, outcome
 
 mp.mp.dps = 40
 
@@ -335,3 +340,111 @@ class TestHyp2f1:
             hyp2f1(2.5, 1.5, -3.0, 0.5)
         with pytest.raises(DomainError):
             hyp2f1(2.5, 1.5, 2.0, -0.1)
+
+
+def _ser_family(i):
+    # the hypergeometric of SER series term i; c - a - b = -2
+    return 2 * i + 2.5, 1.5, 2.0 * i + 2.0
+
+
+class TestLogSeriesTables:
+    """The log series tabulates its w-independent factors per (a, b, m) and
+    must return exactly what the per-call evaluation returned."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self, monkeypatch):
+        monkeypatch.setattr(sfun, "_log_tables", {})
+
+    def test_ser_family_bit_identical(self, per_call_series):
+        # log-spaced over 1e-300...0.5, then 0.5 and its two neighbours
+        lo, hi = -300.0, math.log10(0.5)
+        ws = [10.0 ** (lo + (hi - lo) * k / 399) for k in range(400)]
+        ws += [math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0)]
+        # families interleaved at every w, so each table grows between reads
+        # of the others
+        mismatches = [
+            (i, w) for w in ws for i in range(6)
+            if outcome(hyp2f1_complement, *_ser_family(i), w)
+            != per_call_series(hyp2f1_complement, *_ser_family(i), w)
+        ]
+        assert mismatches == []
+        # i = 5 reads the most, 106 rows at w = 0.5
+        assert max(len(t.rows) for t in sfun._log_tables.values()) < 120
+
+    def test_hyp2f1_log_branch_parameter_sets(self, per_call_series):
+        cases = [args for args, _ in HYP2F1_TABLE if args[3] >= 0.5]
+        cases += [(2.5, 1.5, 2.0, 0.5), (4.5, 1.5, 4.0, 0.9)]
+        cases += [(*_ser_family(i), z) for i in range(4)
+                  for z in (0.9999, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12)]
+        for args in cases:
+            assert outcome(hyp2f1, *args) == per_call_series(hyp2f1, *args), args
+
+    @pytest.mark.parametrize("w", [1e-12, 1e-3, 0.2, 0.5])
+    def test_other_degenerate_families(self, per_call_series, w):
+        # m = 1 and 3 direct, m = -1 and -3 through the Euler transform, a
+        # swapped (a, b), a pole that drops the log part (b = -1) and a
+        # digamma domain error (a + m = -0.5); neighbouring keys back to back
+        abms = [(1.5, 2.5, 1), (2.5, 1.5, 1), (1.5, 2.5, 3), (0.25, 0.75, -1),
+                (3.5, 1.5, -3), (2.5, -1.0, 2), (-2.5, 0.5, 2), (-0.5, 1.5, 2)]
+        for a, b, m in abms + abms[::-1]:
+            c = a + b + m
+            assert (outcome(hyp2f1_complement, a, b, c, w)
+                    == per_call_series(hyp2f1_complement, a, b, c, w)), (a, b, m)
+
+    def test_stall_is_bit_identical(self, monkeypatch):
+        # the SER family converges far inside the term cap, so lower the cap
+        monkeypatch.setattr(sfun, "_SERIES_MAX_TERMS", 8)
+        got = [outcome(sfun._hyp_log_series, -0.5, 2.5, 2, w)
+               for w in (1e-6, 0.3, 1e-3, 0.5)]
+        want = [outcome(hyp_log_series_oracle, -0.5, 2.5, 2, w)
+                for w in (1e-6, 0.3, 1e-3, 0.5)]
+        assert got == want
+        assert "stalled" in got[1] and "stalled" not in got[0]
+        assert len(sfun._log_tables[(-0.5, 2.5, 2)].rows) == 8
+
+    def test_rows_built_only_as_far_as_read(self):
+        # the envelope test starts at n = 4, so a tiny w reads 5 rows
+        key = (-0.5, 2.5, 2)
+        hyp2f1_complement(*_ser_family(1), 1e-200)
+        assert len(sfun._log_tables[key].rows) == 5
+        hyp2f1_complement(*_ser_family(1), 0.5)
+        grown = len(sfun._log_tables[key].rows)
+        assert 5 < grown < 100
+        hyp2f1_complement(*_ser_family(1), 1e-3)
+        assert len(sfun._log_tables[key].rows) == grown
+        assert list(sfun._log_tables) == [key]
+
+    def test_table_count_is_bounded(self):
+        # key of family k: (c - a, c - b, 2) = (-0.5, 0.5 + k/64, 2)
+        n = sfun._LOG_TABLES_MAX + 5
+        for k in range(n):
+            hyp2f1_complement(2.5 + k / 64.0, 1.5, 2.0 + k / 64.0, 0.25)
+        assert list(sfun._log_tables) == [(-0.5, 0.5 + k / 64.0, 2) for k in range(5, n)]
+
+    def test_threads_growing_one_table(self):
+        # four threads start together and read and extend the same fresh
+        # table with ascending w; a row appended twice or out of order
+        # shifts every later term
+        ws = [k / 800.0 for k in range(1, 401)]
+        want = [hyp_log_series_oracle(-0.5, 4.5, 2, w) for w in ws]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(10):
+                sfun._log_tables.clear()
+                results = {}
+                barrier = threading.Barrier(4)
+
+                def work(t):
+                    barrier.wait(timeout=30)
+                    results[t] = [sfun._hyp_log_series(-0.5, 4.5, 2, w) for w in ws]
+
+                threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=30)
+                    assert not th.is_alive()
+                assert all(results[t] == want for t in range(4))
+        finally:
+            sys.setswitchinterval(interval)

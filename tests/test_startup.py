@@ -1,7 +1,8 @@
-"""Start-up cost: commands without Monte Carlo must not import numpy or scipy.
+"""Start-up cost: commands without Monte Carlo must not import numpy or scipy,
+and the SER series builds its coefficient tables only when first used.
 
 Runs in a fresh interpreter, since the rest of the suite has long since
-loaded both.
+loaded both and filled the tables.
 """
 
 import json
@@ -10,23 +11,33 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fdrelay
+from fdrelay import sfun
 
 _SCRIPT = """
 import json, os, sys
 import fdrelay, fdrelay.cli
-from fdrelay import analytic, estimate_outage
+from fdrelay import analytic, estimate_outage, sfun
 
 def state():
     return {name: name in sys.modules
             for name in ("numpy", "scipy", "scipy.integrate", "fdrelay.mc")}
 
+def tables():
+    return {"rows": [len(t.rows) for t in sfun._log_tables.values()],
+            "coefficient_sets": analytic._series_coeffs.cache_info().currsize}
+
 out = {"import": state()}
+rows = {"import": tables()}
 for argv in (["figure", "4"], ["optimize-joint", "--p-db", "0:60:5"],
              ["ser", "--p-db", "0:60:5"], ["outage", "--p-db", "0:60:5"],
              ["figure", "2"], ["validate", "--mc-samples", "20000"]):
     assert fdrelay.cli.main(argv + ["--output", os.devnull]) in (0, 2), argv
     out[" ".join(argv[:2])] = state()
+    rows[" ".join(argv[:2])] = tables()
+out["tables"] = rows
 # bulk integration moves on to scipy's compiled QUADPACK
 stats = fdrelay.link_stats(fdrelay.SystemConfig(100.0, 0.1, 3.0),
                            fdrelay.Allocation(0.5, 0.5))
@@ -37,14 +48,19 @@ print(json.dumps(out))
 """
 
 
-def test_closed_form_commands_load_neither_numpy_nor_scipy():
+@pytest.fixture(scope="module")
+def fresh_run():
     env = dict(os.environ)
     src = str(Path(fdrelay.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _SCRIPT], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    states = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_closed_form_commands_load_neither_numpy_nor_scipy(fresh_run):
+    states = fresh_run
     # the quadrature columns of `ser`, `outage` and `figure 2` run on the
     # pure-Python QUADPACK port
     for step in ("import", "figure 4", "optimize-joint --p-db", "ser --p-db",
@@ -56,3 +72,15 @@ def test_closed_form_commands_load_neither_numpy_nor_scipy():
     assert states["validate --mc-samples"]["numpy"]
     assert not states["validate --mc-samples"]["scipy.integrate"]
     assert states["bulk"]["scipy.integrate"]
+
+
+def test_series_tables_are_built_on_demand(fresh_run):
+    tables = fresh_run["tables"]
+    # importing builds nothing
+    assert tables["import"] == {"rows": [], "coefficient_sets": 0}
+    # the three default terms each have one table, extended only as far as
+    # the series was read: the log branch needs at most ~80 rows at w <= 0.5
+    for step in ("figure 4", "ser --p-db"):
+        assert len(tables[step]["rows"]) == 3, step
+        assert 0 < max(tables[step]["rows"]) <= sfun._SERIES_MAX_TERMS // 8, step
+        assert tables[step]["coefficient_sets"] == 1, step
