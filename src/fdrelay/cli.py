@@ -6,7 +6,8 @@ Commands
     optimize-location  closed-form and golden-section relay placement
     optimize-power     closed-form and golden-section power split
     optimize-joint     joint stationary-candidate selection
-    figure N           data behind result figure N (N in 2..9), FD curves
+    figure N           data behind result figure N (N in 2..9), FD curves; one
+                       figure per run, so loop N over 2..9 for all of them
     validate           internal analytic-vs-oracle consistency battery
 
 Config file: `key = value` lines, `#` comments. Keys: total_power_db,
@@ -119,6 +120,8 @@ def _parse_p_db(text: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise UsageError(f"--p-db range has non-numeric parts: {text!r}")
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise UsageError(f"--p-db range needs finite parts: {text!r}")
         if step <= 0 or stop < start:
             raise UsageError(f"--p-db range must be increasing: {text!r}")
         values = []
@@ -157,7 +160,8 @@ def build_parser() -> _Parser:
         p.add_argument("--mode", choices=("analytic", "mc", "both"), default="analytic")
         p.add_argument("--workers", type=int, default=1,
                        help="threads for Monte Carlo rows and validate checks")
-        p.add_argument("--n-terms", type=int, default=analytic.DEFAULT_N_TERMS)
+        p.add_argument("--n-terms", type=int, default=analytic.DEFAULT_N_TERMS,
+                       choices=range(1, analytic.MAX_N_TERMS + 1))
 
     p_outage = sub.add_parser("outage", help="outage probability vs total power")
     add_common(p_outage)
@@ -335,121 +339,95 @@ def _optimize_joint(spec: ExperimentSpec):
 # figures
 # ---------------------------------------------------------------------------
 
-def _ser_at(cfg, rho_lambda, rho_d, n_terms):
-    return analytic.ser_series(
-        link_stats(cfg, Allocation(rho_lambda, rho_d)), cfg, n_terms)
+def _points(step: float, ks: range, rsi_grid: bool = True) -> list[tuple]:
+    """(step * k, eps) with the RSI grid as the outer loop, or (step * k,)."""
+    if not rsi_grid:
+        return [(step * k,) for k in ks]
+    return [(step * k, eps) for eps in _RSI_GRID for k in ks]
 
 
 def _figure(spec: ExperimentSpec):
-    """Figure data generators. Unstated sweep parameters use declared
-    defaults: v=3, BPSK, D=1, RSI grid {0, 0.01, 0.1, 0.3}, threshold 1.0.
-    Figure 2 is the only one with Monte Carlo columns."""
-    n = spec.figure
+    """Figure data as a table: figure number -> (header, points, columns);
+    each CSV row is a point followed by columns(*point). Unstated sweep
+    parameters use declared defaults: v=3, BPSK, D=1, RSI grid
+    {0, 0.01, 0.1, 0.3}, threshold 1.0. Figure 2 is the only one with Monte
+    Carlo columns, and the only one on the pool."""
     nt = spec.n_terms
     want_mc = spec.mode in ("mc", "both")
 
-    if n == 2:
+    def at(p_db=None, **changes):
+        if p_db is not None:
+            changes["total_power"] = db_to_linear(p_db)
+        return replace(spec.config, **changes)
+
+    def ser(cfg, rho_lambda, rho_d):
+        return analytic.ser_series(link_stats(cfg, Allocation(rho_lambda, rho_d)), cfg, nt)
+
+    def golden(kind, cfg):
+        return opt.minimize_1d(kind, cfg, 0.5, tol=1e-6, n_terms=nt).ser
+
+    def outage_and_ser(p_db, eps):
+        cfg = at(p_db, rsi_level=eps)
+        stats = link_stats(cfg, spec.allocation)
+        out_mc = ser_mc = None
+        if want_mc:
+            out_mc = mc.estimate_outage(stats, spec.threshold,
+                                        spec.mc_samples, spec.seed).value
+            ser_mc = mc.estimate_ser_semianalytic(stats, cfg,
+                                                  spec.mc_samples, spec.seed).value
+        return [analytic.outage(spec.threshold, stats, "asymptotic"),
+                analytic.outage(spec.threshold, stats, "exact"),
+                analytic.ser_series(stats, cfg, nt),
+                analytic.ser_floor(spec.allocation, cfg), out_mc, ser_mc]
+
+    def schemes(p_db):
+        cfg = at(p_db, rsi_level=0.2)
+        return [ser(cfg, 0.5, 0.5), golden("location", cfg), golden("power", cfg),
+                opt.select_joint_optimum(cfg, n_terms=nt).ser]
+
+    figures = {
         # outage + SER vs power for the RSI grid, symmetric allocation
-        header = ["p_db", "rsi_level", "outage_asymptotic", "outage_exact",
-                  "ser_series", "ser_floor", "outage_mc", "ser_mc"]
-        items = [(p_db, eps) for eps in _RSI_GRID
-                 for p_db in [2.0 * k for k in range(21)]]
-
-        def row(item):
-            p_db, eps = item
-            cfg = replace(spec.config, total_power=db_to_linear(p_db), rsi_level=eps)
-            stats = link_stats(cfg, spec.allocation)
-            out_mc = ser_mc = None
-            if want_mc:
-                out_mc = mc.estimate_outage(stats, spec.threshold,
-                                            spec.mc_samples, spec.seed).value
-                ser_mc = mc.estimate_ser_semianalytic(stats, cfg,
-                                                      spec.mc_samples, spec.seed).value
-            return [p_db, eps,
-                    analytic.outage(spec.threshold, stats, "asymptotic"),
-                    analytic.outage(spec.threshold, stats, "exact"),
-                    analytic.ser_series(stats, cfg, nt),
-                    analytic.ser_floor(spec.allocation, cfg),
-                    out_mc, ser_mc]
-        return header, items, row, want_mc
-
-    if n == 3:
+        2: (["p_db", "rsi_level", "outage_asymptotic", "outage_exact",
+             "ser_series", "ser_floor", "outage_mc", "ser_mc"],
+            _points(2.0, range(21)), outage_and_ser),
         # optimal ratio curves at P = 10 dB
-        header = ["ratio", "rsi_level", "opt_rho_lambda_given_rho_d",
-                  "opt_rho_d_given_rho_lambda"]
-        ratios = [0.05 * k for k in range(1, 20)]
-        items = [(r, eps) for eps in _RSI_GRID for r in ratios]
-
-        def row(item):
-            r, eps = item
-            cfg = replace(spec.config, total_power=db_to_linear(10.0), rsi_level=eps)
-            return [r, eps, opt.optimal_power_closed(cfg, r),
-                    opt.optimal_location_closed(cfg, r)]
-        return header, items, row, False
-
-    if n in (4, 5):
-        # SER vs one ratio, the other fixed at 1/2 (figure 4: location,
-        # figure 5: power split; the latter shows the U shape)
-        sweep_name = "rho_d" if n == 4 else "rho_lambda"
-        header = [sweep_name, "rsi_level", "ser_series", f"{sweep_name}_closed"]
-        ratios = [0.02 * k for k in range(1, 50)]
-        items = [(r, eps) for eps in _RSI_GRID for r in ratios]
-
-        def row(item):
-            r, eps = item
-            cfg = replace(spec.config, rsi_level=eps)
-            if n == 4:
-                ser = _ser_at(cfg, 0.5, r, nt)
-                closed = opt.optimal_location_closed(cfg, 0.5)
-            else:
-                ser = _ser_at(cfg, r, 0.5, nt)
-                closed = opt.optimal_power_closed(cfg, 0.5)
-            return [r, eps, ser, closed]
-        return header, items, row, False
-
-    if n in (6, 7):
+        3: (["ratio", "rsi_level", "opt_rho_lambda_given_rho_d",
+             "opt_rho_d_given_rho_lambda"],
+            _points(0.05, range(1, 20)),
+            lambda r, eps: [opt.optimal_power_closed(at(10.0, rsi_level=eps), r),
+                            opt.optimal_location_closed(at(10.0, rsi_level=eps), r)]),
+        # SER vs one ratio, the other fixed at 1/2, at the spec's power
+        # (figure 5's power split shows the U shape)
+        4: (["rho_d", "rsi_level", "ser_series", "rho_d_closed"],
+            _points(0.02, range(1, 50)),
+            lambda r, eps: [ser(at(rsi_level=eps), 0.5, r),
+                            opt.optimal_location_closed(at(rsi_level=eps), 0.5)]),
+        5: (["rho_lambda", "rsi_level", "ser_series", "rho_lambda_closed"],
+            _points(0.02, range(1, 50)),
+            lambda r, eps: [ser(at(rsi_level=eps), r, 0.5),
+                            opt.optimal_power_closed(at(rsi_level=eps), 0.5)]),
         # fixed vs closed-form vs golden-section optimized SER over power
-        kind = "location" if n == 6 else "power"
-        header = ["p_db", "ser_fixed", f"ser_{kind}_closed", f"ser_{kind}_golden"]
-        items = [5.0 * k for k in range(9)]
-
-        def row(p_db):
-            cfg = replace(spec.config, total_power=db_to_linear(p_db))
-            fixed = _ser_at(cfg, 0.5, 0.5, nt)
-            if kind == "location":
-                closed = analytic.ser_location_optimized(cfg, 0.5)
-            else:
-                closed = analytic.ser_power_optimized(cfg, 0.5)
-            res = opt.minimize_1d(kind, cfg, 0.5, tol=1e-6, n_terms=nt)
-            return [p_db, fixed, closed, res.ser]
-        return header, items, row, False
-
-    if n == 8:
+        6: (["p_db", "ser_fixed", "ser_location_closed", "ser_location_golden"],
+            _points(5.0, range(9), rsi_grid=False),
+            lambda p: [ser(at(p), 0.5, 0.5), analytic.ser_location_optimized(at(p), 0.5),
+                       golden("location", at(p))]),
+        7: (["p_db", "ser_fixed", "ser_power_closed", "ser_power_golden"],
+            _points(5.0, range(9), rsi_grid=False),
+            lambda p: [ser(at(p), 0.5, 0.5), analytic.ser_power_optimized(at(p), 0.5),
+                       golden("power", at(p))]),
         # scheme comparison at eps = 0.2
-        header = ["p_db", "ser_nonoptimized", "ser_location_only",
-                  "ser_power_only", "ser_joint"]
-        items = [5.0 * k for k in range(13)]
-
-        def row(p_db):
-            cfg = replace(spec.config, total_power=db_to_linear(p_db), rsi_level=0.2)
-            fixed = _ser_at(cfg, 0.5, 0.5, nt)
-            loc = opt.minimize_1d("location", cfg, 0.5, tol=1e-6, n_terms=nt).ser
-            pwr = opt.minimize_1d("power", cfg, 0.5, tol=1e-6, n_terms=nt).ser
-            joint = opt.select_joint_optimum(cfg, n_terms=nt).ser
-            return [p_db, fixed, loc, pwr, joint]
-        return header, items, row, False
-
-    # figure 9 (argparse admits only 2..9): SER vs each ratio at P = 10 dB
-    # for the RSI grid
-    header = ["ratio", "rsi_level", "ser_vs_rho_lambda", "ser_vs_rho_d"]
-    ratios = [0.02 * k for k in range(1, 50)]
-    items = [(r, eps) for eps in _RSI_GRID for r in ratios]
-
-    def row(item):
-        r, eps = item
-        cfg = replace(spec.config, total_power=db_to_linear(10.0), rsi_level=eps)
-        return [r, eps, _ser_at(cfg, r, 0.5, nt), _ser_at(cfg, 0.5, r, nt)]
-    return header, items, row, False
+        8: (["p_db", "ser_nonoptimized", "ser_location_only", "ser_power_only",
+             "ser_joint"],
+            _points(5.0, range(13), rsi_grid=False), schemes),
+        # SER vs each ratio at P = 10 dB for the RSI grid
+        9: (["ratio", "rsi_level", "ser_vs_rho_lambda", "ser_vs_rho_d"],
+            _points(0.02, range(1, 50)),
+            lambda r, eps: [ser(at(10.0, rsi_level=eps), r, 0.5),
+                            ser(at(10.0, rsi_level=eps), 0.5, r)]),
+    }
+    header, points, columns = figures[spec.figure]
+    return (header, points, lambda point: [*point, *columns(*point)],
+            spec.figure == 2 and want_mc)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,10 @@ RATIO_FLOOR = 1e-6
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise DomainError(f"db_to_linear: {db} dB overflows a float") from None
 
 
 def linear_to_db(x: float) -> float:

@@ -94,6 +94,9 @@ class TestApproxCoeffs:
     def test_bad_n(self):
         with pytest.raises(DomainError):
             approx_coeffs(0)
+        # above the bound the exact recurrence would take seconds per term
+        with pytest.raises(DomainError):
+            approx_coeffs(11)
 
 
 class TestSinrCdf:

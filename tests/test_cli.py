@@ -67,7 +67,7 @@ class TestConfigParsing:
     def test_p_db_forms(self):
         assert _parse_p_db("20") == [20.0]
         assert _parse_p_db("0:20:5") == [0.0, 5.0, 10.0, 15.0, 20.0]
-        for bad in ("a", "0:20", "20:0:5", "0:10:-1"):
+        for bad in ("a", "0:20", "20:0:5", "0:10:-1", "0:nan:5", "0:inf:5", "0:10:nan"):
             with pytest.raises(UsageError):
                 _parse_p_db(bad)
 
@@ -141,11 +141,12 @@ class TestCommands:
         assert a.read_bytes() == b.read_bytes()
 
     def test_worker_count_invariance(self, tmp_path):
-        args = ["outage", "--p-db", "0:30:5", "--mode", "both",
-                "--mc-samples", "20000", "--seed", "5"]
-        _, _, a = run_cli(args + ["--workers", "1"], tmp_path, "w1.csv")
-        _, _, b = run_cli(args + ["--workers", "6"], tmp_path, "w6.csv")
-        assert a.read_bytes() == b.read_bytes()
+        for args in (["outage", "--p-db", "0:30:5", "--mode", "both",
+                      "--mc-samples", "20000", "--seed", "5"],
+                     ["figure", "2", "--mode", "both", "--mc-samples", "20000"]):
+            _, _, a = run_cli(args + ["--workers", "1"], tmp_path, "w1.csv")
+            _, _, b = run_cli(args + ["--workers", "6"], tmp_path, "w6.csv")
+            assert a.read_bytes() == b.read_bytes(), args
 
     def test_stdout_when_no_output(self, capsys):
         code = main(["ser", "--p-db", "20"])
@@ -186,10 +187,27 @@ class TestFigures:
         assert all(a < b for a, b in zip(opt_rl, opt_rl[1:]))
 
     def test_all_figures_emit(self, tmp_path):
-        for n in range(2, 10):
+        # header and data-row count of each figure: 4 RSI levels times the
+        # sweep length for figures 2-5 and 9, one row per power for 6-8
+        shapes = {
+            2: (["p_db", "rsi_level", "outage_asymptotic", "outage_exact",
+                 "ser_series", "ser_floor", "outage_mc", "ser_mc"], 84),
+            3: (["ratio", "rsi_level", "opt_rho_lambda_given_rho_d",
+                 "opt_rho_d_given_rho_lambda"], 76),
+            4: (["rho_d", "rsi_level", "ser_series", "rho_d_closed"], 196),
+            5: (["rho_lambda", "rsi_level", "ser_series", "rho_lambda_closed"], 196),
+            6: (["p_db", "ser_fixed", "ser_location_closed", "ser_location_golden"], 9),
+            7: (["p_db", "ser_fixed", "ser_power_closed", "ser_power_golden"], 9),
+            8: (["p_db", "ser_nonoptimized", "ser_location_only", "ser_power_only",
+                 "ser_joint"], 13),
+            9: (["ratio", "rsi_level", "ser_vs_rho_lambda", "ser_vs_rho_d"], 196),
+        }
+        for n, (header, n_rows) in shapes.items():
             code, rows, _ = run_cli(["figure", str(n)], tmp_path, f"f{n}.csv")
             assert code == EXIT_OK, f"figure {n}"
-            assert len(rows) > 2
+            assert rows[0] == header, f"figure {n}"
+            assert len(rows) - 1 == n_rows, f"figure {n}"
+            assert all(len(r) == len(header) for r in rows), f"figure {n}"
 
 
 class TestValidateAndExitCodes:
@@ -219,6 +237,8 @@ class TestValidateAndExitCodes:
     def test_usage_error_exit(self, capsys):
         assert main(["ser", "--p-db", "nonsense"]) == EXIT_USAGE
         assert main(["ser", "--rsi-level", "-1"]) == EXIT_USAGE
+        assert main(["ser", "--p-db", "4000"]) == EXIT_USAGE
+        assert main(["ser", "--n-terms", "30"]) == EXIT_USAGE
         assert "error" in capsys.readouterr().err
 
     def test_unknown_command_exit(self):
