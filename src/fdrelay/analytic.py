@@ -252,6 +252,10 @@ def ser_series_terms(stats: LinkStats, cfg: SystemConfig,
     lsr = stats.lambda_sr
     lrd = stats.lambda_rd
     eta = stats.eta
+    if not math.isfinite(lsr * lrd):
+        # past ~1535 dB (default scenario) the product overflows and delta
+        # below would be 0
+        raise DomainError(f"l_sr * l_rd overflows: l_sr={lsr}, l_rd={lrd}")
     s_plus = (1.0 / math.sqrt(lsr) + 1.0 / math.sqrt(lrd)) ** 2
     # X_i - Y_i collapses to 4 / sqrt(l_sr l_rd) exactly; feeding the
     # complement w = (X_i - Y_i) / X_i to the hypergeometric keeps full

@@ -3,8 +3,8 @@
 Commands
     outage             outage probability vs total power
     ser                average SER vs total power
-    optimize-location  closed-form and golden-section relay placement
-    optimize-power     closed-form and golden-section power split
+    optimize-location  closed-form and Brent-optimized relay placement
+    optimize-power     closed-form and Brent-optimized power split
     optimize-joint     joint stationary-candidate selection
     figure N           data behind result figure N (N in 2..9), FD curves; one
                        figure per run, so loop N over 2..9 for all of them
@@ -51,6 +51,9 @@ _CONFIG_KEYS = (
 # RSI grid used by figure sweeps when a caption-style "different levels"
 # spread is needed.
 _RSI_GRID = (0.0, 0.01, 0.1, 0.3)
+
+# largest --p-db sweep accepted; a finer range would only fill memory
+_MAX_P_DB_POINTS = 100_000
 
 
 class UsageError(Exception):
@@ -124,6 +127,8 @@ def _parse_p_db(text: str) -> list[float]:
             raise UsageError(f"--p-db range needs finite parts: {text!r}")
         if step <= 0 or stop < start:
             raise UsageError(f"--p-db range must be increasing: {text!r}")
+        if (stop - start) / step > _MAX_P_DB_POINTS:
+            raise UsageError(f"--p-db range exceeds {_MAX_P_DB_POINTS} points: {text!r}")
         values = []
         k = 0
         while True:
@@ -311,14 +316,16 @@ def _optimize_1d(spec: ExperimentSpec, objective: str):
         closed = opt.closed_form_result(objective, cfg, fixed, n_terms=spec.n_terms)
         res = opt.minimize_1d(objective, cfg, fixed, tol=1e-6, n_terms=spec.n_terms)
         if objective == "location":
-            closed_ratio, golden_ratio = closed.allocation.rho_d, res.allocation.rho_d
+            closed_ratio, brent_ratio = closed.allocation.rho_d, res.allocation.rho_d
         else:
-            closed_ratio, golden_ratio = (closed.allocation.rho_lambda,
-                                          res.allocation.rho_lambda)
-        return [p_db, closed_ratio, golden_ratio, closed.ser, res.ser,
+            closed_ratio, brent_ratio = (closed.allocation.rho_lambda,
+                                         res.allocation.rho_lambda)
+        return [p_db, closed_ratio, brent_ratio, closed.ser, res.ser,
                 res.foc_residual, res.iterations]
 
     name = "rho_d" if objective == "location" else "rho_lambda"
+    # the *_golden names predate the Brent solver and are kept for existing
+    # readers of the CSV; they hold the Brent optimum
     header = ["p_db", f"{name}_closed", f"{name}_golden", "ser_closed",
               "ser_golden", "foc_residual", "iterations"]
     return header, spec.p_db_values, row, False
@@ -363,7 +370,7 @@ def _figure(spec: ExperimentSpec):
     def ser(cfg, rho_lambda, rho_d):
         return analytic.ser_series(link_stats(cfg, Allocation(rho_lambda, rho_d)), cfg, nt)
 
-    def golden(kind, cfg):
+    def brent(kind, cfg):
         return opt.minimize_1d(kind, cfg, 0.5, tol=1e-6, n_terms=nt).ser
 
     def outage_and_ser(p_db, eps):
@@ -382,7 +389,7 @@ def _figure(spec: ExperimentSpec):
 
     def schemes(p_db):
         cfg = at(p_db, rsi_level=0.2)
-        return [ser(cfg, 0.5, 0.5), golden("location", cfg), golden("power", cfg),
+        return [ser(cfg, 0.5, 0.5), brent("location", cfg), brent("power", cfg),
                 opt.select_joint_optimum(cfg, n_terms=nt).ser]
 
     figures = {
@@ -406,15 +413,15 @@ def _figure(spec: ExperimentSpec):
             _points(0.02, range(1, 50)),
             lambda r, eps: [ser(at(rsi_level=eps), r, 0.5),
                             opt.optimal_power_closed(at(rsi_level=eps), 0.5)]),
-        # fixed vs closed-form vs golden-section optimized SER over power
+        # fixed vs closed-form vs Brent-optimized SER over power
         6: (["p_db", "ser_fixed", "ser_location_closed", "ser_location_golden"],
             _points(5.0, range(9), rsi_grid=False),
             lambda p: [ser(at(p), 0.5, 0.5), analytic.ser_location_optimized(at(p), 0.5),
-                       golden("location", at(p))]),
+                       brent("location", at(p))]),
         7: (["p_db", "ser_fixed", "ser_power_closed", "ser_power_golden"],
             _points(5.0, range(9), rsi_grid=False),
             lambda p: [ser(at(p), 0.5, 0.5), analytic.ser_power_optimized(at(p), 0.5),
-                       golden("power", at(p))]),
+                       brent("power", at(p))]),
         # scheme comparison at eps = 0.2
         8: (["p_db", "ser_nonoptimized", "ser_location_only", "ser_power_only",
              "ser_joint"],
@@ -518,12 +525,12 @@ def _validate(spec: ExperimentSpec):
             if kind == "location":
                 closed = opt.optimal_location_closed(cfg, alloc.rho_lambda)
                 res = opt.minimize_1d("location", cfg, alloc.rho_lambda, tol=1e-6)
-                golden = res.allocation.rho_d
+                brent = res.allocation.rho_d
             else:
                 closed = opt.optimal_power_closed(cfg, alloc.rho_d)
                 res = opt.minimize_1d("power", cfg, alloc.rho_d, tol=1e-6)
-                golden = res.allocation.rho_lambda
-            gap = abs(closed - golden)
+                brent = res.allocation.rho_lambda
+            gap = abs(closed - brent)
             return f"optimizer_{kind}_closed_vs_golden", gap, 0.0, 0.02, gap <= 0.02
         return run
 

@@ -125,6 +125,30 @@ def joint_roots_grid_oracle(cfg: SystemConfig, grid_size: int = 10_000) -> list[
     return sorted(1.0 - r for r in merged)
 
 
+def golden_section_oracle(fn, lo: float, hi: float, tol: float):
+    """Golden-section minimization of a unimodal scalar function down to a
+    bracket of width tol: the solver minimize_1d used before bounded Brent,
+    kept as the reference Brent's minima must match. Returns (x, iterations,
+    width) with x the bracket midpoint."""
+    inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - inv_golden * (hi - lo)
+    d = lo + inv_golden * (hi - lo)
+    fc = fn(c)
+    fd = fn(d)
+    iterations = 0
+    while hi - lo > tol:
+        iterations += 1
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - inv_golden * (hi - lo)
+            fc = fn(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + inv_golden * (hi - lo)
+            fd = fn(d)
+    return 0.5 * (lo + hi), iterations, hi - lo
+
+
 def symbol_level_complex_oracle(stats, n_symbols: int, seed: int) -> McEstimate:
     """The symbol-level BPSK chain in full complex arithmetic: the reference
     that estimate_ser_symbol_level, which computes only Re(y_d), must match

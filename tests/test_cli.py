@@ -67,7 +67,8 @@ class TestConfigParsing:
     def test_p_db_forms(self):
         assert _parse_p_db("20") == [20.0]
         assert _parse_p_db("0:20:5") == [0.0, 5.0, 10.0, 15.0, 20.0]
-        for bad in ("a", "0:20", "20:0:5", "0:10:-1", "0:nan:5", "0:inf:5", "0:10:nan"):
+        for bad in ("a", "0:20", "20:0:5", "0:10:-1", "0:nan:5", "0:inf:5", "0:10:nan",
+                    "0:1e9:1e-3"):
             with pytest.raises(UsageError):
                 _parse_p_db(bad)
 
@@ -238,6 +239,7 @@ class TestValidateAndExitCodes:
         assert main(["ser", "--p-db", "nonsense"]) == EXIT_USAGE
         assert main(["ser", "--rsi-level", "-1"]) == EXIT_USAGE
         assert main(["ser", "--p-db", "4000"]) == EXIT_USAGE
+        assert main(["ser", "--p-db", "2000"]) == EXIT_USAGE
         assert main(["ser", "--n-terms", "30"]) == EXIT_USAGE
         assert "error" in capsys.readouterr().err
 

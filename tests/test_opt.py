@@ -1,12 +1,15 @@
-"""Location/power/joint optimizers: closed forms, golden section, stationary
+"""Location/power/joint optimizers: closed forms, bounded Brent, stationary
 root enumeration, and convexity of the surrogate objective."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from fdrelay import (
+    RATIO_FLOOR,
     Allocation,
     DomainError,
     SystemConfig,
@@ -23,13 +26,38 @@ from fdrelay import (
     sequential_v2,
     ser_series,
 )
+from fdrelay import analytic
 
-from conftest import cfg_at, joint_roots_grid_oracle, ser_series_grid_oracle
+from conftest import (
+    cfg_at,
+    golden_section_oracle,
+    joint_roots_grid_oracle,
+    ser_series_grid_oracle,
+)
 
 
 def prop2_rho_lambda(cfg):
     s = math.sqrt(1.0 + cfg.rsi_level * cfg.total_power)
     return s / (s + 1.0)
+
+
+def assert_no_worse_than_golden(objective, cfg, fixed, tol):
+    """minimize_1d's bracket is within tol, and its SER is no worse than the
+    golden-section oracle's (or their argmins agree within 2 tol)."""
+    res = minimize_1d(objective, cfg, fixed, tol=tol)
+
+    def ser_at(x):
+        alloc = Allocation(fixed, x) if objective == "location" else Allocation(x, fixed)
+        return ser_series(link_stats(cfg, alloc), cfg)
+
+    x_ref, _, _ = golden_section_oracle(ser_at, RATIO_FLOOR, 1.0 - RATIO_FLOOR, tol)
+    x = res.allocation.rho_d if objective == "location" else res.allocation.rho_lambda
+    # the series is alpha/2 minus a sum, so SER differences below a few ulps
+    # of alpha/2 are rounding noise (they reach 1e-9 relative at SER ~1e-8)
+    noise = 4.0 * math.ulp(0.5 * cfg.alpha_mod)
+    assert res.bracket_width <= tol
+    assert res.ser <= ser_at(x_ref) * (1.0 + 1e-9) + noise or abs(x - x_ref) <= 2.0 * tol
+    return res
 
 
 class TestClosedForms:
@@ -116,9 +144,44 @@ class TestMinimize1d:
     def test_result_metadata(self):
         cfg = cfg_at(20.0, 0.1)
         res = minimize_1d("power", cfg, 0.5, tol=1e-6)
-        assert res.method == "golden_section"
-        assert res.iterations > 10
+        assert res.method == "brent"
+        assert res.iterations > 5
         assert res.foc_residual >= 0.0
+
+    @given(st.sampled_from(["location", "power"]), st.sampled_from(["bpsk", "qpsk"]),
+           st.floats(-10.0, 80.0), st.floats(0.0, 10.0), st.floats(1.5, 6.0),
+           st.floats(0.02, 0.98))
+    @seed(20170321)
+    @settings(max_examples=100, deadline=None)
+    def test_no_worse_than_golden_section(self, objective, modulation, p_db, eps, v,
+                                          fixed):
+        alpha, beta = {"bpsk": (1.0, 2.0), "qpsk": (2.0, 1.0)}[modulation]
+        cfg = SystemConfig(total_power=10.0 ** (p_db / 10.0), rsi_level=eps,
+                           pathloss_exp=v, sum_distance=1.0, alpha_mod=alpha,
+                           beta_mod=beta)
+        assert_no_worse_than_golden(objective, cfg, fixed, 1e-8)
+
+    def test_optimum_near_box_edge(self):
+        # the power split sits 1.6e-5 from the upper edge of the box, where
+        # parabolic steps are clipped to stay tol2 inside the bracket
+        cfg = cfg_at(57.1, 0.3459, v=3.234)
+        res = assert_no_worse_than_golden("power", cfg, 0.957, 1e-8)
+        assert res.allocation.rho_lambda == pytest.approx(0.99998, abs=1e-5)
+        assert res.allocation.rho_lambda < 1.0 - RATIO_FLOOR
+
+    def test_evaluation_count(self, monkeypatch):
+        # golden section spends 32 SER evaluations on this solve
+        calls = []
+        real = analytic.ser_series
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(analytic, "ser_series", counted)
+        res = minimize_1d("power", cfg_at(20.0, 0.1), 0.5, tol=1e-6)
+        assert len(calls) <= 20
+        assert res.iterations == len(calls)
 
     def test_validation(self):
         cfg = cfg_at(20.0, 0.1)
