@@ -252,21 +252,26 @@ def ser_series_terms(stats: LinkStats, cfg: SystemConfig,
     lsr = stats.lambda_sr
     lrd = stats.lambda_rd
     eta = stats.eta
-    if not math.isfinite(lsr * lrd):
-        # past ~1535 dB (default scenario) the product overflows and delta
-        # below would be 0
-        raise DomainError(f"l_sr * l_rd overflows: l_sr={lsr}, l_rd={lrd}")
+    prod = lsr * lrd
+    if not 0.0 < prod < math.inf:
+        # past ~1535 dB (default scenario) the product overflows to inf and
+        # far below 0 dB it underflows to 0; delta would be 0 or undefined
+        raise DomainError(f"l_sr * l_rd out of range: l_sr={lsr}, l_rd={lrd}")
     s_plus = (1.0 / math.sqrt(lsr) + 1.0 / math.sqrt(lrd)) ** 2
     # X_i - Y_i collapses to 4 / sqrt(l_sr l_rd) exactly; feeding the
     # complement w = (X_i - Y_i) / X_i to the hypergeometric keeps full
     # precision at high power, where Y_i/X_i approaches 1
-    delta = 4.0 / math.sqrt(lsr * lrd)
-    pref = 2.0 * alpha * math.sqrt(2.0 * beta) / (lsr * lrd)
+    delta = 4.0 / math.sqrt(prod)
+    pref = 2.0 * alpha * math.sqrt(2.0 * beta) / prod
     out = []
-    for i, (a_i, b_i, c_i) in enumerate(_series_coeffs(n_terms)):
-        x_i = beta / 2.0 + eta * b_i + s_plus
-        hyp = hyp2f1_complement(2 * i + 2.5, 1.5, 2.0 * i + 2.0, delta / x_i)
-        out.append(c_i * pref * a_i * eta ** (2 * i) / x_i ** (2 * i + 2.5) * hyp)
+    try:
+        for i, (a_i, b_i, c_i) in enumerate(_series_coeffs(n_terms)):
+            x_i = beta / 2.0 + eta * b_i + s_plus
+            hyp = hyp2f1_complement(2 * i + 2.5, 1.5, 2.0 * i + 2.0, delta / x_i)
+            out.append(c_i * pref * a_i * eta ** (2 * i) / x_i ** (2 * i + 2.5) * hyp)
+    except OverflowError:
+        # far below 0 dB X_i ~ 4 / l_sr, and X_i^(2i + 5/2) overflows
+        raise DomainError(f"series terms overflow: l_sr={lsr}, l_rd={lrd}") from None
     return out
 
 

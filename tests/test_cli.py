@@ -240,6 +240,8 @@ class TestValidateAndExitCodes:
         assert main(["ser", "--rsi-level", "-1"]) == EXIT_USAGE
         assert main(["ser", "--p-db", "4000"]) == EXIT_USAGE
         assert main(["ser", "--p-db", "2000"]) == EXIT_USAGE
+        assert main(["ser", "--p-db=-1000"]) == EXIT_USAGE
+        assert main(["ser", "--p-db=-3000"]) == EXIT_USAGE
         assert main(["ser", "--n-terms", "30"]) == EXIT_USAGE
         assert "error" in capsys.readouterr().err
 

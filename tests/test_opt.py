@@ -141,11 +141,22 @@ class TestMinimize1d:
         assert gaps_loc[0] > gaps_loc[1] > gaps_loc[2]
         assert gaps_pwr[0] > gaps_pwr[1] > gaps_pwr[2]
 
-    def test_result_metadata(self):
+    def test_result_metadata(self, monkeypatch):
+        calls = []
+        real = analytic.ser_series
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(analytic, "ser_series", counted)
         cfg = cfg_at(20.0, 0.1)
         res = minimize_1d("power", cfg, 0.5, tol=1e-6)
         assert res.method == "brent"
-        assert res.iterations > 5
+        # iterations is the number of SER evaluations; golden section spent
+        # 32 on this solve
+        assert res.iterations == len(calls)
+        assert len(calls) <= 20
         assert res.foc_residual >= 0.0
 
     @given(st.sampled_from(["location", "power"]), st.sampled_from(["bpsk", "qpsk"]),
@@ -168,20 +179,6 @@ class TestMinimize1d:
         res = assert_no_worse_than_golden("power", cfg, 0.957, 1e-8)
         assert res.allocation.rho_lambda == pytest.approx(0.99998, abs=1e-5)
         assert res.allocation.rho_lambda < 1.0 - RATIO_FLOOR
-
-    def test_evaluation_count(self, monkeypatch):
-        # golden section spends 32 SER evaluations on this solve
-        calls = []
-        real = analytic.ser_series
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(analytic, "ser_series", counted)
-        res = minimize_1d("power", cfg_at(20.0, 0.1), 0.5, tol=1e-6)
-        assert len(calls) <= 20
-        assert res.iterations == len(calls)
 
     def test_validation(self):
         cfg = cfg_at(20.0, 0.1)
