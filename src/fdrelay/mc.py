@@ -4,8 +4,15 @@ Independence from the closed forms is the whole point here; nothing in this
 module touches the analytic module. Reproducibility contract: every sample's
 randomness is a pure function of (seed, estimator tag, sample index) through
 counter-based Philox streams, so estimates are bit-identical for any chunking
-or worker count. Chunk partials are combined with math.fsum (exactly rounded,
-hence order-independent).
+or worker count. Chunk sums are combined with math.fsum (exactly rounded,
+hence order-independent) and chunk variances are merged pairwise in chunk
+order, which no worker count changes.
+
+The outage estimator is conditional Monte Carlo (Asmussen & Glynn,
+*Stochastic Simulation*, 2007, ch. V) on the simulated SINR ab / (a + b + 1):
+it samples only the relay-destination fade's excess over the threshold and
+integrates the other two fades in closed form, so it draws one uniform per
+sample and its variance is at most that of the indicator count it replaces.
 
 numpy and scipy.special are imported inside the sampling functions, so that
 importing fdrelay loads neither; each estimator imports what its chunks use
@@ -15,6 +22,7 @@ before any worker thread starts.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -38,7 +46,7 @@ __all__ = [
 
 # Samples per deterministic chunk. Philox counts blocks of 4 uint64 outputs,
 # so chunk boundaries must land on multiples of 4 consumed uniforms; any
-# multiple of 4 works for both 3- and 9-uniform samples.
+# multiple of 4 works for 1-, 3- and 9-uniform samples.
 CHUNK_SAMPLES = 400_000
 
 _TAG_DRAW = 0
@@ -54,9 +62,10 @@ _MIN_SYMBOLS = 100_000
 class McEstimate:
     """A Monte Carlo probability estimate with its standard error.
 
-    `count` is the number of events behind a counting estimate (outages,
-    symbol errors), so that value == count / n_samples; it is None for the
-    semi-analytic SER, which averages probabilities instead of counting.
+    `count` is the number of symbol errors behind the symbol-level SER, the
+    one counting estimate, so that value == count / n_samples; it is None
+    for the outage and the semi-analytic SER, which average conditional
+    probabilities instead of counting.
     """
 
     value: float
@@ -130,25 +139,89 @@ def _check_n(n: int, minimum: int, label: str) -> None:
         raise DomainError(f"{label}: need at least {minimum} samples, got {n}")
 
 
+def _moments(v) -> tuple[int, float, float]:
+    # (count, sum, sum of squared deviations from the mean) of one chunk's
+    # per-sample values; two passes, and v is overwritten
+    import numpy as np
+
+    total = float(v.sum())
+    v -= total / v.size
+    np.square(v, out=v)
+    return v.size, total, float(v.sum())
+
+
+def _mean_estimate(parts: list, n: int, seed: int) -> McEstimate:
+    """Sample mean and its standard error from per-chunk _moments, in chunk
+    order.
+
+    The mean is the exactly rounded fsum of the chunk sums over n. The
+    chunks' centred sums of squares are merged pairwise by the update of
+    Chan, Golub & LeVeque (1979); unlike s2/n - mean^2 from raw sums, it does
+    not cancel to noise when the per-sample values are nearly constant.
+    """
+    mean = math.fsum(p[1] for p in parts) / n
+    while len(parts) > 1:
+        merged = []
+        for (na, sa, ma), (nb, sb, mb) in zip(parts[::2], parts[1::2]):
+            delta = sb / nb - sa / na
+            merged.append((na + nb, sa + sb, ma + mb + delta * delta * na * nb / (na + nb)))
+        parts = merged + parts[2 * len(merged):]
+    var = parts[0][2] / (n - 1)
+    return McEstimate(value=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed)
+
+
 def estimate_outage(stats: LinkStats, threshold: float, n: int, seed: int,
                     workers: int = 1) -> McEstimate:
-    """Fraction of channel draws whose end-to-end SINR falls below threshold."""
+    """Probability that the end-to-end SINR ab / (a + b + 1) falls below x,
+    with a = g_sr / (g_li + 1) and b = g_rd, by conditional Monte Carlo.
+
+    Outage is certain when b <= x. Given b > x, the excess E = b - x is again
+    Exp(lambda_rd) (the exponential is memoryless), so each sample draws only
+    E = -lambda_rd log1p(-u), one uniform. Given b = x + E, outage is
+    g_sr < (g_li + 1) k with k = x (x + 1 + E) / E; integrating g_sr and then
+    g_li ~ Exp(lambda_li) gives the per-sample value 1 - e^-s / (1 + d), with
+    c = k / lambda_sr, d = c lambda_li and s = x / lambda_rd + c, computed
+    without cancellation as (d - expm1(-s)) / (1 + d). The estimate is
+    unbiased, and as the conditional expectation of the outage indicator its
+    variance is at most the indicator count's at every input. Where outage
+    is rare (high power, eps = 0), most of that variance comes from samples
+    with E near 0 that a run of 1e6 samples seldom draws, so std_error there
+    usually understates the spread of the estimate.
+
+    A uniform of exactly 0 gives E = 0, where k is infinite and the value
+    is 1. Threshold 0 returns exactly 0 with std_error 0: the SINR is never
+    negative.
+    """
     import numpy as np
     import numpy.random  # noqa: F401  (stream's Philox)
 
     _check_n(n, _MIN_SAMPLES, "estimate_outage")
-    if threshold < 0.0:
+    if not threshold >= 0.0:
         raise DomainError(f"threshold must be >= 0, got {threshold}")
+    if threshold == 0.0:
+        return McEstimate(value=0.0, std_error=0.0, n_samples=n, seed=seed)
+    x = float(threshold)
 
     def chunk(lo, hi):
-        gen = stream(seed, _TAG_OUTAGE, 3 * lo)
-        g_sr, g_rd, g_li = draw_gammas(stats, gen, hi - lo)
-        return int(np.count_nonzero(sinr_exact(g_sr, g_rd, g_li) < threshold))
+        v = stream(seed, _TAG_OUTAGE, lo).random(hi - lo)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log1p(np.negative(v, out=v), out=v)
+            v *= -stats.lambda_rd                   # E
+            np.divide(x + 1.0, v, out=v)
+            v += 1.0
+            v *= x / stats.lambda_sr                # c = x (1 + (x + 1) / E) / lambda_sr
+            d = v * stats.lambda_li
+            # E = 0 makes d infinite, or NaN (inf * 0) when lambda_li = 0;
+            # the largest double keeps the value at its limit 1
+            np.fmin(d, sys.float_info.max, out=d)
+            v += x / stats.lambda_rd                # s
+            np.expm1(np.negative(v, out=v), out=v)
+            np.subtract(d, v, out=v)
+            d += 1.0
+            v /= d
+        return _moments(v)
 
-    count = sum(_map_chunks(chunk, n, workers))
-    p = count / n
-    return McEstimate(value=p, std_error=math.sqrt(p * (1.0 - p) / n),
-                      n_samples=n, seed=seed, count=count)
+    return _mean_estimate(_map_chunks(chunk, n, workers), n, seed)
 
 
 def estimate_ser_semianalytic(stats: LinkStats, cfg: SystemConfig, n: int,
@@ -169,16 +242,9 @@ def estimate_ser_semianalytic(stats: LinkStats, cfg: SystemConfig, n: int,
     def chunk(lo, hi):
         gen = stream(seed, _TAG_SER, 3 * lo)
         g_sr, g_rd, g_li = draw_gammas(stats, gen, hi - lo)
-        q = alpha * _q_func(np.sqrt(beta * sinr_exact(g_sr, g_rd, g_li)))
-        return float(q.sum()), float((q * q).sum())
+        return _moments(alpha * _q_func(np.sqrt(beta * sinr_exact(g_sr, g_rd, g_li))))
 
-    parts = _map_chunks(chunk, n, workers)
-    s1 = math.fsum(p[0] for p in parts)
-    s2 = math.fsum(p[1] for p in parts)
-    mean = s1 / n
-    var = max(s2 / n - mean * mean, 0.0) * n / (n - 1)
-    return McEstimate(value=mean, std_error=math.sqrt(var / n),
-                      n_samples=n, seed=seed)
+    return _mean_estimate(_map_chunks(chunk, n, workers), n, seed)
 
 
 def estimate_ser_symbol_level(stats: LinkStats, cfg: SystemConfig,

@@ -149,6 +149,50 @@ def golden_section_oracle(fn, lo: float, hi: float, tol: float):
     return 0.5 * (lo + hi), iterations, hi - lo
 
 
+def outage_indicator_oracle(stats, threshold: float, n: int, seed: int) -> McEstimate:
+    """The crude outage estimator that conditional Monte Carlo replaced: the
+    count of channel draws whose SINR ab / (a + b + 1) falls below
+    threshold. Kept as the reference the conditional estimate must agree
+    with and never be noisier than.
+
+    Philox key seed + 2**64, 3 uniforms per sample (g_sr, g_rd, g_li) in
+    CHUNK_SAMPLES chunks. The count is an exact integer, so value is
+    count / n and std_error is sqrt(p (1 - p) / n).
+    """
+    key = (int(seed) & 0xFFFFFFFFFFFFFFFF) + (1 << 64)
+    count = 0
+    for lo in range(0, n, CHUNK_SAMPLES):
+        m = min(n, lo + CHUNK_SAMPLES) - lo
+        u = Generator(Philox(key=key, counter=3 * lo // 4)).random(3 * m).reshape(m, 3)
+        g_sr = -stats.lambda_sr * np.log1p(-u[:, 0])
+        g_rd = -stats.lambda_rd * np.log1p(-u[:, 1])
+        g_li = -stats.lambda_li * np.log1p(-u[:, 2])
+        a = g_sr / (g_li + 1.0)
+        count += int(np.count_nonzero(a * g_rd / (a + g_rd + 1.0) < threshold))
+    p = count / n
+    return McEstimate(value=p, std_error=math.sqrt(p * (1.0 - p) / n),
+                      n_samples=n, seed=seed, count=count)
+
+
+def outage_conditional_samples(stats, threshold: float, n: int, seed: int) -> np.ndarray:
+    """The per-sample values of estimate_outage, written out from the
+    derivation on its stream (Philox key seed + 2**64, one uniform per
+    sample, so one stream from counter 0 covers every chunk).
+
+    The relay-destination excess over x is E = -lambda_rd log1p(-u); given
+    it, outage is g_sr < (g_li + 1) k with k = x (x + 1 + E) / E, and
+    integrating g_sr and g_li leaves 1 - e^-s / (1 + d), c = k / lambda_sr,
+    d = c lambda_li, s = x / lambda_rd + c. Meant for thresholds > 0 and
+    uniforms > 0.
+    """
+    key = (int(seed) & 0xFFFFFFFFFFFFFFFF) + (1 << 64)
+    x = threshold
+    e = -stats.lambda_rd * np.log1p(-Generator(Philox(key=key)).random(n))
+    c = x * (x + 1.0 + e) / e / stats.lambda_sr
+    d = c * stats.lambda_li
+    return (d - np.expm1(-(x / stats.lambda_rd + c))) / (1.0 + d)
+
+
 def symbol_level_complex_oracle(stats, n_symbols: int, seed: int) -> McEstimate:
     """The symbol-level BPSK chain in full complex arithmetic: the reference
     that estimate_ser_symbol_level, which computes only Re(y_d), must match

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from fdrelay import (
@@ -22,9 +22,15 @@ from fdrelay import (
     sinr_cdf_exact_numeric,
     sinr_exact,
 )
+from fdrelay import mc
 from fdrelay.mc import CHUNK_SAMPLES, stream
 
-from conftest import stats_at, symbol_level_complex_oracle
+from conftest import (
+    outage_conditional_samples,
+    outage_indicator_oracle,
+    stats_at,
+    symbol_level_complex_oracle,
+)
 
 
 class TestSinrForms:
@@ -99,9 +105,10 @@ class TestReproducibility:
             lambda w: estimate_ser_semianalytic(stats, cfg, n, seed=3, workers=w),
         ):
             one = fn(1)
-            four = fn(4)
-            assert one.value == four.value
-            assert one.std_error == four.std_error
+            for workers in (2, 4):
+                other = fn(workers)
+                assert one.value == other.value
+                assert one.std_error == other.std_error
 
     def test_symbol_level_worker_invariance(self):
         cfg, stats = stats_at(20.0, 0.1)
@@ -146,20 +153,85 @@ class TestEstimateOutage:
             assert abs(est.value - want) <= 3.0 * est.std_error + 0.05 * want
 
     def test_indicator_stderr_bound(self):
+        # a conditional probability varies less than the indicator it averages
         _, stats = stats_at(20.0, 0.1)
         est = estimate_outage(stats, 1.0, 40_000, seed=9)
         assert est.std_error <= 1.0 / (2.0 * math.sqrt(est.n_samples))
-        assert est.std_error == pytest.approx(
-            math.sqrt(est.value * (1 - est.value) / est.n_samples), rel=1e-12)
+        assert est.std_error <= math.sqrt(est.value * (1 - est.value) / est.n_samples)
+        assert est.count is None
 
     def test_count_is_the_integer_behind_the_value(self):
-        _, stats = stats_at(20.0, 0.1)
+        # symbol level is the one counting estimator left; the crude outage
+        # count survives as the test oracle
+        cfg, stats = stats_at(20.0, 0.1)
         n = CHUNK_SAMPLES + 50_000
-        est = estimate_outage(stats, 1.0, n, seed=9, workers=2)
+        sym = estimate_ser_symbol_level(stats, cfg, n, seed=9, workers=2)
+        crude = outage_indicator_oracle(stats, 1.0, n, seed=9)
+        assert sym.count == symbol_level_complex_oracle(stats, n, seed=9).count
         g_sr, g_rd, g_li = draw_gammas(stats, stream(9, 1), n)
-        assert est.count == int(np.count_nonzero(sinr_exact(g_sr, g_rd, g_li) < 1.0))
-        assert type(est.count) is int
-        assert est.value == est.count / n
+        assert crude.count == int(np.count_nonzero(sinr_exact(g_sr, g_rd, g_li) < 1.0))
+        for est in (sym, crude):
+            assert type(est.count) is int
+            assert est.value == est.count / n
+
+    @pytest.mark.parametrize("p_db, eps, v, x, mc_seed", [
+        (0.0, 0.1, 3.0, 1.0, 101),
+        (10.0, 0.0, 3.0, 1.0, 102),
+        (20.0, 0.1, 3.0, 0.5, 103),
+        (20.0, 0.1, 3.0, 4.0, 104),
+        (30.0, 1.0, 2.0, 2.0, 105),
+        (25.0, 0.3, 4.5, 1.0, 106),
+        (40.0, 0.0, 3.0, 1.0, 107),
+    ])
+    def test_against_indicator_oracle(self, p_db, eps, v, x, mc_seed):
+        # independent streams: the oracle runs on seed + 1000
+        _, stats = stats_at(p_db, eps, v)
+        n = 2_000_000
+        est = estimate_outage(stats, x, n, seed=mc_seed, workers=2)
+        crude = outage_indicator_oracle(stats, x, n, seed=mc_seed + 1000)
+        assert crude.count > 0
+        assert abs(est.value - crude.value) <= 3.0 * math.hypot(est.std_error,
+                                                                crude.std_error)
+        assert est.std_error <= crude.std_error
+        if p_db == 40.0:
+            # the rare event at eps = 0; the exact per-sample ratio is ~28 900
+            assert (crude.std_error / est.std_error) ** 2 >= 100.0
+
+    def test_std_error_is_two_pass(self):
+        # near-constant per-sample values (outage ~0.992, spread ~1e-7):
+        # s2/n - mean^2 from raw sums cancels to rounding noise here
+        _, stats = stats_at(100.0, 1e3)
+        n = 2 * CHUNK_SAMPLES + 12_345
+        est = estimate_outage(stats, 1.0, n, seed=13, workers=2)
+        samples = outage_conditional_samples(stats, 1.0, n, seed=13)
+        assert est.value == pytest.approx(float(samples.mean()), rel=1e-12)
+        want = float(np.std(samples, ddof=1)) / math.sqrt(n)
+        assert want > 0.0
+        assert est.std_error == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_zero_uniform_is_certain_outage(self, monkeypatch, eps):
+        # u = 0 gives a relay-destination excess E = 0: k = x (x + 1 + E) / E
+        # is infinite and the sample is an outage, whatever lambda_li
+        class Zeros:
+            def random(self, size):
+                return np.zeros(size)
+
+        monkeypatch.setattr(mc, "stream", lambda *args: Zeros())
+        _, stats = stats_at(20.0, eps)
+        est = estimate_outage(stats, 1.0, 20_000, seed=1)
+        assert est.value == 1.0
+        assert est.std_error == 0.0
+
+    @given(st.floats(-20.0, 150.0), st.floats(0.0, 1e3), st.floats(1.5, 6.0),
+           st.floats(0.0, 1e6), st.integers(0, 2**32))
+    @seed(20170322)
+    @settings(max_examples=200, deadline=None)
+    def test_finite_probability(self, p_db, eps, v, x, mc_seed):
+        _, stats = stats_at(p_db, eps, v)
+        est = estimate_outage(stats, x, 10_000, seed=mc_seed)
+        assert math.isfinite(est.value) and 0.0 <= est.value <= 1.0
+        assert math.isfinite(est.std_error) and est.std_error >= 0.0
 
     def test_preconditions(self):
         _, stats = stats_at(20.0, 0.1)
@@ -167,6 +239,8 @@ class TestEstimateOutage:
             estimate_outage(stats, 1.0, 100, seed=1)
         with pytest.raises(DomainError):
             estimate_outage(stats, -1.0, 20_000, seed=1)
+        with pytest.raises(DomainError):
+            estimate_outage(stats, math.nan, 20_000, seed=1)
 
 
 class TestEstimateSerSemianalytic:
