@@ -8,11 +8,17 @@ or worker count. Chunk sums are combined with math.fsum (exactly rounded,
 hence order-independent) and chunk variances are merged pairwise in chunk
 order, which no worker count changes.
 
-The outage estimator is conditional Monte Carlo (Asmussen & Glynn,
-*Stochastic Simulation*, 2007, ch. V) on the simulated SINR ab / (a + b + 1):
-it samples only the relay-destination fade's excess over the threshold and
-integrates the other two fades in closed form, so it draws one uniform per
-sample and its variance is at most that of the indicator count it replaces.
+The outage and semi-analytic SER estimators are conditional Monte Carlo
+(Asmussen & Glynn, *Stochastic Simulation*, 2007, ch. V) on the simulated
+SINR ab / (a + b + 1), through one kernel: the outage probability at a
+threshold x given the relay-destination fade's excess over x, with the other
+two fades integrated in closed form. The outage draws one uniform per sample
+(the excess) at its fixed threshold, and its variance is at most that of the
+indicator count it replaces. The SER writes alpha Q(sqrt(beta gamma)) as
+(alpha / 2) P(Z^2 > beta gamma | gamma) with Z ~ N(0, 1) independent of the
+fades, so it is (alpha / 2) times the outage probability at the random
+threshold X = Z^2 / beta: two uniforms per sample, one for X and one for the
+excess.
 
 numpy and scipy.special are imported inside the sampling functions, so that
 importing fdrelay loads neither; each estimator imports what its chunks use
@@ -46,7 +52,8 @@ __all__ = [
 
 # Samples per deterministic chunk. Philox counts blocks of 4 uint64 outputs,
 # so chunk boundaries must land on multiples of 4 consumed uniforms; any
-# multiple of 4 works for 1-, 3- and 9-uniform samples.
+# multiple of 4 works for the 1-uniform outage, the 2-uniform semi-analytic
+# SER and the 9-uniform symbol level.
 CHUNK_SAMPLES = 400_000
 
 _TAG_DRAW = 0
@@ -88,15 +95,14 @@ def stream(seed: int, tag: int = _TAG_DRAW, uniform_offset: int = 0) -> Generato
     return Generator(Philox(key=key, counter=uniform_offset // 4))
 
 
-def draw_gammas(stats: LinkStats, gen: Generator, n: int = 1):
-    """Draw n independent triples of exponential link SNRs.
-
-    Inverse-CDF from uniforms (3 per sample, consumed in sample order) so the
-    consumption count is fixed. gamma_li is identically 0 when lambda_li = 0.
+def draw_gammas(stats: LinkStats, u):
+    """The exponential link SNRs (g_sr, g_rd, g_li) of each row of a uniform
+    block u of shape (n, k), k >= 3, by inverse CDF from its columns 0, 1
+    and 2; further columns are left to the caller. gamma_li is identically 0
+    when lambda_li = 0.
     """
     import numpy as np
 
-    u = gen.random(3 * n).reshape(n, 3)
     g_sr = -stats.lambda_sr * np.log1p(-u[:, 0])
     g_rd = -stats.lambda_rd * np.log1p(-u[:, 1])
     g_li = -stats.lambda_li * np.log1p(-u[:, 2])
@@ -108,13 +114,6 @@ def sinr_exact(g_sr, g_rd, g_li):
     a = g_sr / (g_li + 1.0)
     b = g_rd
     return a * b / (a + b + 1.0)
-
-
-def _q_func(x):
-    # Gaussian tail Q(x) = erfc(x / sqrt 2) / 2, vectorized
-    from scipy.special import erfc
-
-    return 0.5 * erfc(x / math.sqrt(2.0))
 
 
 def parallel_map(fn, items, workers: int) -> list:
@@ -170,6 +169,33 @@ def _mean_estimate(parts: list, n: int, seed: int) -> McEstimate:
     return McEstimate(value=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed)
 
 
+def _outage_given_excess(v, x, stats: LinkStats):
+    """In place, the uniforms v become estimate_outage's per-sample values at
+    threshold x, a scalar or an array shaped like v: the probability that
+    the SINR falls below x given the relay-destination excess
+    E = -lambda_rd log1p(-v) over x. E = 0 or x = inf makes k infinite, and
+    the value is its limit 1. Returns v.
+    """
+    import numpy as np
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log1p(np.negative(v, out=v), out=v)
+        v *= -stats.lambda_rd                   # E
+        np.divide(x + 1.0, v, out=v)
+        v += 1.0
+        v *= x / stats.lambda_sr                # c = x (1 + (x + 1) / E) / lambda_sr
+        d = v * stats.lambda_li
+        # an infinite c makes d infinite, or NaN (inf * 0) when lambda_li = 0;
+        # the largest double keeps the value at its limit 1
+        np.fmin(d, sys.float_info.max, out=d)
+        v += x / stats.lambda_rd                # s
+        np.expm1(np.negative(v, out=v), out=v)
+        np.subtract(d, v, out=v)
+        d += 1.0
+        v /= d
+    return v
+
+
 def estimate_outage(stats: LinkStats, threshold: float, n: int, seed: int,
                     workers: int = 1) -> McEstimate:
     """Probability that the end-to-end SINR ab / (a + b + 1) falls below x,
@@ -192,7 +218,6 @@ def estimate_outage(stats: LinkStats, threshold: float, n: int, seed: int,
     is 1. Threshold 0 returns exactly 0 with std_error 0: the SINR is never
     negative.
     """
-    import numpy as np
     import numpy.random  # noqa: F401  (stream's Philox)
 
     _check_n(n, _MIN_SAMPLES, "estimate_outage")
@@ -203,46 +228,59 @@ def estimate_outage(stats: LinkStats, threshold: float, n: int, seed: int,
     x = float(threshold)
 
     def chunk(lo, hi):
-        v = stream(seed, _TAG_OUTAGE, lo).random(hi - lo)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.log1p(np.negative(v, out=v), out=v)
-            v *= -stats.lambda_rd                   # E
-            np.divide(x + 1.0, v, out=v)
-            v += 1.0
-            v *= x / stats.lambda_sr                # c = x (1 + (x + 1) / E) / lambda_sr
-            d = v * stats.lambda_li
-            # E = 0 makes d infinite, or NaN (inf * 0) when lambda_li = 0;
-            # the largest double keeps the value at its limit 1
-            np.fmin(d, sys.float_info.max, out=d)
-            v += x / stats.lambda_rd                # s
-            np.expm1(np.negative(v, out=v), out=v)
-            np.subtract(d, v, out=v)
-            d += 1.0
-            v /= d
-        return _moments(v)
+        return _moments(_outage_given_excess(stream(seed, _TAG_OUTAGE, lo).random(hi - lo),
+                                             x, stats))
 
     return _mean_estimate(_map_chunks(chunk, n, workers), n, seed)
 
 
 def estimate_ser_semianalytic(stats: LinkStats, cfg: SystemConfig, n: int,
                               seed: int, workers: int = 1) -> McEstimate:
-    """Sample mean of alpha Q(sqrt(beta * SINR)) over channel draws.
+    """Average SER alpha E[Q(sqrt(beta SINR))] of the simulated SINR
+    ab / (a + b + 1), by conditional Monte Carlo through the outage kernel.
 
-    This is the low-variance estimator of the average SER: the noise
-    expectation is taken analytically, only the fading is sampled.
+    With Z ~ N(0, 1) independent of the fades, Q(sqrt(beta g)) =
+    P(Z^2 > beta g) / 2, so the SER is (alpha / 2) E[F(X)]: F is the SINR's
+    CDF and X = Z^2 / beta a random threshold. Each sample draws two
+    uniforms: u0 gives X = ndtri(u0 / 2)^2 / beta, and u1 the
+    relay-destination excess E = -lambda_rd log1p(-u1) over X. The value is
+    (alpha / 2) (d - expm1(-s)) / (1 + d), estimate_outage's per-sample
+    value at threshold X. A uniform of exactly 0 in either place (X infinite,
+    or E = 0) gives alpha / 2.
+
+    The estimate is unbiased. Its variance is not below that of averaging
+    alpha Q(sqrt(beta SINR)) over sampled fades at every input, since it
+    conditions on other variables. Per-sample relative variance, fading
+    average -> this estimate, 1e6 samples, symmetric allocation, v = 3:
+    1.5e4 -> 2.0 at 40 dB and 3.7e5 -> 2.0 at 60 dB (eps = 0); 39 -> 2.6 at
+    20 dB and 58 -> 1.9 at 60 dB (eps = 0.1). It is noisier at low power,
+    0.77 -> 1.15 at 0 dB and 0.035 -> 0.20 at -10 dB (eps = 0.1), where
+    either reaches 1 % error within 1e4 samples. As in estimate_outage,
+    samples with E near 0 carry a tail that 1e6 draws seldom reach: at
+    40 dB, eps = 0 it adds 2 ln 2 E[X (X + 1)] / (lambda_sr lambda_rd) /
+    (2 SER / alpha)^2 = 1.73 to the relative variance, so the true value is
+    3.73 against the ~2 that std_error reports.
     """
     import numpy as np
     import numpy.random  # noqa: F401  (stream's Philox)
-    import scipy.special  # noqa: F401  (_q_func's erfc)
+    from scipy.special import ndtri
 
     _check_n(n, _MIN_SAMPLES, "estimate_ser_semianalytic")
-    alpha = cfg.alpha_mod
+    half_alpha = 0.5 * cfg.alpha_mod
     beta = cfg.beta_mod
 
     def chunk(lo, hi):
-        gen = stream(seed, _TAG_SER, 3 * lo)
-        g_sr, g_rd, g_li = draw_gammas(stats, gen, hi - lo)
-        return _moments(alpha * _q_func(np.sqrt(beta * sinr_exact(g_sr, g_rd, g_li))))
+        # u0 and u1 as contiguous rows: the kernel's passes run faster on
+        # them than on strided columns
+        x, v = (stream(seed, _TAG_SER, 2 * lo).random(2 * (hi - lo))
+                .reshape(hi - lo, 2).T.copy())
+        x *= 0.5
+        ndtri(x, out=x)
+        np.square(x, out=x)
+        x /= beta                                   # X = Z^2 / beta
+        v = _outage_given_excess(v, x, stats)
+        v *= half_alpha
+        return _moments(v)
 
     return _mean_estimate(_map_chunks(chunk, n, workers), n, seed)
 
@@ -294,9 +332,7 @@ def estimate_ser_symbol_level(stats: LinkStats, cfg: SystemConfig,
         gen = stream(seed, _TAG_SYMBOL, 9 * lo)
         m = hi - lo
         u = gen.random(9 * m).reshape(m, 9)
-        g_sr = -stats.lambda_sr * np.log1p(-u[:, 0])
-        g_rd = -stats.lambda_rd * np.log1p(-u[:, 1])
-        g_li = -stats.lambda_li * np.log1p(-u[:, 2])
+        g_sr, g_rd, g_li = draw_gammas(stats, u)
         # real parts of the interference symbol, relay noise, destination noise
         x_int = ndtri(u[:, 3]) * inv_sqrt2
         n_r = ndtri(u[:, 5]) * inv_sqrt2

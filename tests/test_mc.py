@@ -28,9 +28,25 @@ from fdrelay.mc import CHUNK_SAMPLES, stream
 from conftest import (
     outage_conditional_samples,
     outage_indicator_oracle,
+    ser_fading_oracle,
     stats_at,
     symbol_level_complex_oracle,
 )
+
+# mpmath, 30 digits: the SER alpha E[Q(sqrt(beta ab / (a + b + 1)))] at the
+# symmetric allocation, as alpha int_0^inf phi(z) F(z^2 / beta) dz, with the
+# SINR's CDF F by nested quadrature over the relay-destination excess at 36
+# digits; the same at 30 digits agrees to 31. At eps = 0 it agrees with the
+# K1 form of F to 34 digits, at eps > 0 with a double-precision quadrature
+# over g_li of the K1 form to 1e-15
+SER_TABLE = [
+    # p_db, eps, v, modulation, SER
+    (40.0, 0.0, 3.0, "bpsk", 1.25071792644170304076409335637e-05),
+    (60.0, 0.0, 3.0, "bpsk", 1.25001077778989296155587903061e-07),
+    (20.0, 0.1, 3.0, "bpsk", 4.47618042750692719261934119943e-03),
+    (25.0, 0.3, 2.5, "qpsk", 4.93336831006898598204949165702e-02),
+    (0.0, 0.1, 3.0, "bpsk", 1.31536147463494632112826419125e-01),
+]
 
 
 class TestSinrForms:
@@ -51,13 +67,13 @@ class TestSinrForms:
 class TestDrawGammas:
     def test_zero_interference_strictly_zero(self):
         _, stats = stats_at(20.0, 0.0)
-        _, _, g_li = draw_gammas(stats, stream(1), 10_000)
+        _, _, g_li = draw_gammas(stats, stream(1).random(3 * 10_000).reshape(10_000, 3))
         assert np.all(g_li == 0.0)
 
     def test_sample_means(self):
         _, stats = stats_at(20.0, 0.1)
         n = 1_000_000
-        g_sr, g_rd, g_li = draw_gammas(stats, stream(2), n)
+        g_sr, g_rd, g_li = draw_gammas(stats, stream(2).random(3 * n).reshape(n, 3))
         for sample, lam in ((g_sr, stats.lambda_sr), (g_rd, stats.lambda_rd),
                             (g_li, stats.lambda_li)):
             assert abs(sample.mean() - lam) <= 4.0 * lam / math.sqrt(n)
@@ -68,7 +84,7 @@ class TestDrawGammas:
         from fdrelay import LinkStats
         stats = LinkStats(lambda_sr=40.0, lambda_rd=40.0, lambda_li=5.0, eta=0.125)
         n = 2_000_000
-        g_sr, g_rd, g_li = draw_gammas(stats, stream(17), n)
+        g_sr, g_rd, g_li = draw_gammas(stats, stream(17).random(3 * n).reshape(n, 3))
         ratio = g_sr / (g_li + 1.0)
         for x in (0.5, 1.0, 2.0):
             emp = float(np.mean((g_rd > x) & ((ratio - x) * (g_rd - x) > x * x)))
@@ -81,7 +97,7 @@ class TestDrawGammas:
         # Kolmogorov-Smirnov distance of the empirical law stays below 2/sqrt(n)
         _, stats = stats_at(20.0, 0.1)
         n = 100_000
-        g_sr, _, g_li = draw_gammas(stats, stream(3), n)
+        g_sr, _, g_li = draw_gammas(stats, stream(3).random(3 * n).reshape(n, 3))
         x = np.sort(g_sr / (g_li + 1.0))
         cdf = 1.0 - np.exp(-x / stats.lambda_sr) / (1.0 + stats.eta * x)
         grid = np.arange(1, n + 1) / n
@@ -168,7 +184,7 @@ class TestEstimateOutage:
         sym = estimate_ser_symbol_level(stats, cfg, n, seed=9, workers=2)
         crude = outage_indicator_oracle(stats, 1.0, n, seed=9)
         assert sym.count == symbol_level_complex_oracle(stats, n, seed=9).count
-        g_sr, g_rd, g_li = draw_gammas(stats, stream(9, 1), n)
+        g_sr, g_rd, g_li = draw_gammas(stats, stream(9, 1).random(3 * n).reshape(n, 3))
         assert crude.count == int(np.count_nonzero(sinr_exact(g_sr, g_rd, g_li) < 1.0))
         for est in (sym, crude):
             assert type(est.count) is int
@@ -284,13 +300,81 @@ class TestEstimateSerSemianalytic:
         # so the check runs where that term is inside the MC noise
         _, stats = stats_at(30.0, 0.1)
         n = 1_000_000
-        g_sr, g_rd, g_li = draw_gammas(stats, stream(33), n)
+        g_sr, g_rd, g_li = draw_gammas(stats, stream(33).random(3 * n).reshape(n, 3))
         snr = sinr_exact(g_sr, g_rd, g_li)
         for x in (0.25, 0.5, 1.0, 2.0, 4.0):
             emp = float(np.count_nonzero(snr >= x)) / n
             want = 1.0 - sinr_cdf_exact_numeric(x, stats)
             se = math.sqrt(max(want * (1 - want), 1e-12) / n)
             assert abs(emp - want) <= 3.0 * se
+
+    @pytest.mark.parametrize("p_db, eps, v, modulation, want", SER_TABLE)
+    def test_against_mpmath_table(self, p_db, eps, v, modulation, want):
+        # pooled over 8 seeds: 3 sigma of the pooled mean resolves a bias of
+        # ~3e-3 relative
+        cfg, stats = stats_at(p_db, eps, v, modulation=modulation)
+        ests = [estimate_ser_semianalytic(stats, cfg, 250_000, seed=s, workers=2)
+                for s in range(500, 508)]
+        value = math.fsum(e.value for e in ests) / len(ests)
+        std_error = math.sqrt(math.fsum(e.std_error ** 2 for e in ests)) / len(ests)
+        assert abs(value - want) <= 3.0 * std_error
+
+    @pytest.mark.parametrize("p_db, eps, v, modulation, mc_seed", [
+        (40.0, 0.0, 3.0, "bpsk", 201),
+        (20.0, 0.1, 3.0, "bpsk", 202),
+        (25.0, 0.3, 2.5, "qpsk", 203),
+        (0.0, 0.1, 3.0, "bpsk", 204),
+        (60.0, 0.1, 3.0, "bpsk", 205),
+    ])
+    def test_against_fading_oracle(self, p_db, eps, v, modulation, mc_seed):
+        # independent streams: the oracle runs on seed + 1000. At 60 dB and
+        # eps = 0 the oracle's relative variance per sample is ~1e6, so no
+        # affordable run of it resolves the SER there
+        cfg, stats = stats_at(p_db, eps, v, modulation=modulation)
+        n = 1_000_000
+        est = estimate_ser_semianalytic(stats, cfg, n, seed=mc_seed, workers=2)
+        oracle = ser_fading_oracle(stats, cfg, n, seed=mc_seed + 1000)
+        assert abs(est.value - oracle.value) <= 3.0 * math.hypot(est.std_error,
+                                                                 oracle.std_error)
+
+    @pytest.mark.parametrize("p_db, n_oracle", [(40.0, 1_000_000), (60.0, 10_000_000)])
+    def test_variance_ratio_at_high_power(self, p_db, n_oracle):
+        # eps = 0, where averaging alpha Q over the fades rests on deep fades
+        # (probability ~2.5e-4 at 40 dB, ~2.5e-6 at 60 dB); the oracle needs
+        # 1e7 draws at 60 dB to see enough of them to estimate its variance.
+        # Per-sample variances: the conditional estimate's relative one is ~2
+        cfg, stats = stats_at(p_db, 0.0)
+        n = 1_000_000
+        est = estimate_ser_semianalytic(stats, cfg, n, seed=211, workers=2)
+        oracle = ser_fading_oracle(stats, cfg, n_oracle, seed=1211)
+        assert n_oracle * oracle.std_error ** 2 >= 1000.0 * n * est.std_error ** 2
+
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("eps, modulation", [(0.0, "bpsk"), (0.1, "qpsk")])
+    def test_zero_uniform_gives_half_alpha(self, monkeypatch, column, eps, modulation):
+        # u0 = 0 makes X infinite, u1 = 0 makes the excess E = 0: either way
+        # the conditional outage is 1 and the sample is alpha / 2
+        class OneColumnZero:
+            def random(self, size):
+                u = np.full(size, 0.5)
+                u[column::2] = 0.0
+                return u
+
+        monkeypatch.setattr(mc, "stream", lambda *args: OneColumnZero())
+        cfg, stats = stats_at(20.0, eps, modulation=modulation)
+        est = estimate_ser_semianalytic(stats, cfg, 20_000, seed=1)
+        assert est.value == cfg.alpha_mod / 2.0
+        assert est.std_error == 0.0
+
+    @given(st.floats(-20.0, 150.0), st.floats(0.0, 1e3), st.floats(1.5, 6.0),
+           st.sampled_from(["bpsk", "qpsk"]), st.integers(0, 2**32))
+    @seed(20170322)
+    @settings(max_examples=200, deadline=None)
+    def test_bounded_probability(self, p_db, eps, v, modulation, mc_seed):
+        cfg, stats = stats_at(p_db, eps, v, modulation=modulation)
+        est = estimate_ser_semianalytic(stats, cfg, 10_000, seed=mc_seed)
+        assert math.isfinite(est.value) and 0.0 <= est.value <= cfg.alpha_mod / 2.0
+        assert math.isfinite(est.std_error) and est.std_error >= 0.0
 
 
 class TestEstimateSerSymbolLevel:

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdrelay import DomainError, NonConvergenceError, sfun
-from fdrelay.mc import _q_func
 from fdrelay.sfun import (
     _hyp_near_one,
     _hyp_series,
@@ -27,7 +26,7 @@ from fdrelay.sfun import (
     hyp2f1_complement,
 )
 
-from conftest import hyp_log_series_oracle, outcome
+from conftest import hyp_log_series_oracle, outcome, q_func
 
 mp.mp.dps = 40
 
@@ -158,28 +157,28 @@ def rel_err(got, want):
 
 
 class TestGaussQ:
-    """The Gaussian tail the semi-analytic Monte Carlo SER evaluates."""
+    """The Gaussian tail that tests/conftest.py::ser_fading_oracle evaluates."""
 
     def test_symmetry_point(self):
-        assert _q_func(0.0) == 0.5
+        assert q_func(0.0) == 0.5
 
     def test_limits(self):
-        assert _q_func(math.inf) == 0.0
-        assert _q_func(-math.inf) == 1.0
+        assert q_func(math.inf) == 0.0
+        assert q_func(-math.inf) == 1.0
 
     @pytest.mark.parametrize("x,expected", Q_TABLE)
     def test_against_integral_oracle(self, x, expected):
-        assert rel_err(_q_func(x), expected) < 1e-12
+        assert rel_err(q_func(x), expected) < 1e-12
 
     def test_five_percent_point(self):
         # quadrature of the defining integral at the 5% quantile
-        assert abs(_q_func(1.6448536) - 0.0500000027796574564) < 1e-12
+        assert abs(q_func(1.6448536) - 0.0500000027796574564) < 1e-12
 
     @given(st.floats(-5.0, 5.0), st.floats(1e-4, 5.0))
     @settings(max_examples=200, deadline=None)
     def test_strictly_decreasing(self, x, gap):
         # range chosen so the decrement stays above one ulp of the value
-        assert _q_func(x + gap) < _q_func(x)
+        assert q_func(x + gap) < q_func(x)
 
 
 class TestBesselK1:
