@@ -4,7 +4,10 @@ Covers the end-to-end SINR CDF (asymptotic closed form plus its exact
 integral evaluated numerically), the SER series built on the staged
 exponential approximation of 1/(1+x), the high-power reduction, the
 interference-limited floor, and the convex surrogate objective behind the
-power/location optimizers.
+power/location optimizers. The two quadrature oracles, the exact CDF and
+ser_quadrature, share one adaptive Gauss-Kronrod integrator written on the
+standard library (the "quadrature plumbing" section), so no route here loads
+numpy or scipy.
 
 Conventions: stats holds mean link SNRs (see model.LinkStats), cfg holds
 (alpha_mod, beta_mod) of the Q-function SER model. SER outputs are clamped
@@ -14,14 +17,15 @@ is only meaningful where it stays in range.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from . import quadpack
 from .errors import DomainError, NonConvergenceError, QuadratureError
 from .model import Allocation, LinkStats, SystemConfig
 from .sfun import bessel_k1, exp_integral_e1, gamma_fn, hyp2f1_complement
@@ -55,6 +59,11 @@ DEFAULT_N_TERMS = 3
 # ~12 ms, 12 take ~0.6 s, 14 take ~47 s. Past ~10 terms the series gains
 # nothing that ser_quadrature cannot give.
 MAX_N_TERMS = 10
+
+# bounds on the quadrature error estimates of the two oracles; a larger
+# estimate raises QuadratureError
+_CDF_ABS_TOL = 1e-10
+_SER_ABS_TOL = 1e-9
 
 _2PI = 2.0 * math.pi
 
@@ -154,7 +163,7 @@ def sinr_cdf_asymptotic(x: float, stats: LinkStats) -> float:
     return min(max(1.0 - surv, 0.0), 1.0)
 
 
-def sinr_cdf_exact_numeric(x: float, stats: LinkStats, abs_tol: float = 1e-10) -> float:
+def sinr_cdf_exact_numeric(x: float, stats: LinkStats) -> float:
     """Exact CDF of the two-hop SINR ratio form, by adaptive quadrature.
 
     The survivor function is the semi-infinite integral over the second-hop
@@ -170,7 +179,7 @@ def sinr_cdf_exact_numeric(x: float, stats: LinkStats, abs_tol: float = 1e-10) -
     if math.isnan(x) or x < 0.0:
         raise DomainError(f"sinr_cdf_exact_numeric: x must be >= 0, got {x}")
     if x < 1e-200:
-        # CDF scales like (1/l_sr + 1/l_rd + eta) x here, far below abs_tol
+        # CDF scales like (1/l_sr + 1/l_rd + eta) x here, far below _CDF_ABS_TOL
         return 0.0
     lsr = stats.lambda_sr
     lrd = stats.lambda_rd
@@ -195,7 +204,7 @@ def sinr_cdf_exact_numeric(x: float, stats: LinkStats, abs_tol: float = 1e-10) -
     if eta > 0.0:
         marks.append(math.log(max(eta * x * x, 1e-300)))
     breaks = sorted({min(max(m, u_lo + 1e-9), u_hi - 1e-9) for m in marks})
-    surv, err = _quad_checked(integrand, u_lo, u_hi, abs_tol,
+    surv, err = _quad_checked(integrand, u_lo, u_hi, _CDF_ABS_TOL,
                               "sinr_cdf_exact_numeric", points=breaks)
     return min(max(1.0 - surv, 0.0), 1.0)
 
@@ -290,21 +299,22 @@ def ser_series(stats: LinkStats, cfg: SystemConfig,
     return raw
 
 
-def ser_from_cdf(cdf: Callable[[float], float], cfg: SystemConfig,
-                 abs_tol: float = 1e-9) -> float:
+def ser_from_cdf(cdf: Callable[[float], float], cfg: SystemConfig) -> float:
     """Average SER alpha E[Q(sqrt(beta g))] for an SINR with the given CDF.
 
     Computed as (alpha sqrt(beta) / (2 sqrt(2 pi))) int_0^inf t^(-1/2) F(t)
     e^(-beta t / 2) dt; the substitution t = u^2 removes the endpoint
-    singularity before adaptive quadrature.
+    singularity before adaptive quadrature. Clamped to [0, alpha/2]: where
+    F is 1 almost everywhere, rounding lands an ulp above alpha/2.
     """
     beta = cfg.beta_mod
 
     def integrand(u: float) -> float:
         return cdf(u * u) * math.exp(-0.5 * beta * u * u)
 
-    val, err = _quad_checked(integrand, 0.0, math.inf, abs_tol, "ser_from_cdf")
-    return cfg.alpha_mod * math.sqrt(beta) / math.sqrt(_2PI) * val
+    val, err = _quad_checked(integrand, 0.0, math.inf, _SER_ABS_TOL, "ser_from_cdf")
+    ser = cfg.alpha_mod * math.sqrt(beta) / math.sqrt(_2PI) * val
+    return min(max(ser, 0.0), 0.5 * cfg.alpha_mod)
 
 
 def ser_quadrature(stats: LinkStats, cfg: SystemConfig) -> float:
@@ -401,40 +411,132 @@ def ser_power_optimized(cfg: SystemConfig, rho_d: float) -> float:
 # quadrature plumbing
 # ---------------------------------------------------------------------------
 
-# QUADPACK comes in two implementations that return the same bits: the
-# pure-Python port in quadpack.py, and scipy's compiled one, 1.2-2x faster
-# per integral but behind a scipy.integrate import that takes longer than a
-# whole CLI command. A process integrates with the port first and moves to
-# scipy after _COMPILED_AFTER integrals: the CLI commands (figure 2 does the
-# most, 84) never import scipy, and bulk callers pay the import once, early.
-_COMPILED_AFTER = 256
-_integrals_done = 0
+# One adaptive integrator serves both oracles: QUADPACK's 21-point
+# Gauss-Kronrod rule and error scaling (R. Piessens, E. de Doncker-Kapenga,
+# C. W. Ueberhuber and D. K. Kahaner, "QUADPACK", Springer, 1983) under
+# global bisection of the interval with the largest error estimate. Both
+# integrands are smooth by construction: the CDF's break points mark its
+# features, and the SER's substitution removes its endpoint singularity. So
+# QUADPACK's extrapolation and roundoff bookkeeping would buy nothing here.
+
+# Kronrod abscissae on [-1, 1] (descending, centre last) and weights; _WG21
+# are the weights of the embedded 10-point Gauss rule, whose nodes are the
+# odd-numbered Kronrod abscissae
+_XGK21 = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.000000000000000000000000000000000,
+)
+_WGK21 = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG21 = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+# the order in which QUADPACK adds the symmetric node pairs: those at the
+# Gauss nodes (odd 0-based index) first, then the Kronrod-only ones
+_ORDER21 = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
+_EPMACH = sys.float_info.epsilon
+_UFLOW = sys.float_info.min
+_QUAD_LIMIT = 300
+
+
+def _qk21(f, a: float, b: float) -> tuple[float, float]:
+    """21-point Kronrod rule on [a, b]: (integral, error estimate)."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    fc = f(centr)
+    absc = [hlgth * x for x in _XGK21[:10]]
+    fv1 = [f(centr - d) for d in absc]
+    fv2 = [f(centr + d) for d in absc]
+    resk = _WGK21[10] * fc
+    resabs = abs(resk)
+    for j in _ORDER21:
+        resk = resk + _WGK21[j] * (fv1[j] + fv2[j])
+        resabs = resabs + _WGK21[j] * (abs(fv1[j]) + abs(fv2[j]))
+    resg = 0.0
+    for j, w in zip(_ORDER21[:5], _WG21):
+        resg = resg + w * (fv1[j] + fv2[j])
+    reskh = resk * 0.5
+    resasc = _WGK21[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK21[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    resabs = resabs * hlgth
+    resasc = resasc * hlgth
+    abserr = abs((resk - resg) * hlgth)
+    # QUADPACK's scaling of the Gauss-Kronrod difference
+    if resasc != 0.0 and abserr != 0.0:
+        # min(1, r**1.5), without the OverflowError Python raises for huge r
+        r = 200.0 * abserr / resasc
+        abserr = resasc * (1.0 if r >= 1.0 else r ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        abserr = max((_EPMACH * 50.0) * resabs, abserr)
+    return resk * hlgth, abserr
+
+
+def _adaptive(f, edges, epsabs: float, epsrel: float) -> tuple[float, float]:
+    """Integral of f over [edges[0], edges[-1]], split first at the inner
+    edges: (value, error estimate). Bisects the interval with the largest
+    error until the summed error is at most max(epsabs, epsrel |value|), the
+    list holds _QUAD_LIMIT intervals, or the worst one no longer bisects. A
+    NaN error stops at once."""
+    heap = []  # (-error, a, b, value): the largest error comes first
+    for a, b in zip(edges, edges[1:]):
+        value, error = _qk21(f, a, b)
+        heap.append((-error, a, b, value))
+    heapq.heapify(heap)
+    while True:
+        value = math.fsum(item[3] for item in heap)
+        error = math.fsum(-item[0] for item in heap)
+        if not error > max(epsabs, epsrel * abs(value)) or len(heap) >= _QUAD_LIMIT:
+            return value, error
+        _, a, b, _ = heap[0]
+        mid = 0.5 * (a + b)
+        if max(abs(a), abs(b)) <= (1.0 + 100.0 * _EPMACH) * (abs(mid) + 1000.0 * _UFLOW):
+            # the halves would be as wide as the rounding of their abscissae
+            return value, error
+        v1, e1 = _qk21(f, a, mid)
+        v2, e2 = _qk21(f, mid, b)
+        heapq.heapreplace(heap, (-e1, a, mid, v1))
+        heapq.heappush(heap, (-e2, mid, b, v2))
 
 
 def _quad_checked(fn, lo, hi, abs_tol: float, label: str,
-                  points=None) -> tuple[float, float]:
-    # a tolerance warning from the integrator (nonzero ier) is fine as long
-    # as the achieved error estimate still meets the caller's bound
-    global _integrals_done
-    _integrals_done += 1
-    epsabs = min(abs_tol * 1e-2, 1e-12)
-    epsrel = 1e-11
-    if _integrals_done <= _COMPILED_AFTER:
-        # quad's routes: QAGIE for [lo, inf), QAGPE for a finite interval
-        # with break points (both call sites on a finite interval pass them)
-        if hi == math.inf:
-            val, err, _ier = quadpack.qagie(fn, lo, epsabs, epsrel, limit=300)
-        else:
-            val, err, _ier = quadpack.qagpe(fn, lo, hi, points or (), epsabs, epsrel,
-                                            limit=300)
-    else:
-        # imported here so the closed-form routes never load scipy
-        from scipy.integrate import quad
+                  points=()) -> tuple[float, float]:
+    """Integral of fn over [lo, hi], with the sorted `points` inside it as
+    break points; hi = inf maps [lo, inf) onto (0, 1] by x = lo + (1 - t)/t.
+    Raises QuadratureError unless the error estimate is at most abs_tol."""
+    if hi == math.inf:
+        def f(t: float) -> float:
+            return (fn(lo + (1.0 - t) / t) / t) / t
 
-        val, err, _info, *_warn = quad(
-            fn, lo, hi, epsabs=epsabs, epsrel=epsrel,
-            limit=300, full_output=1, points=points,
-        )
+        edges = [0.0, 1.0]
+    else:
+        f = fn
+        edges = [lo, *(p for p in points if lo < p < hi), hi]
+    val, err = _adaptive(f, edges, min(abs_tol * 1e-2, 1e-12), 1e-11)
     if math.isnan(err) or err > abs_tol:
         raise QuadratureError(
             f"{label}: quadrature error estimate {err:.3e} exceeds {abs_tol:.1e}",

@@ -1,0 +1,149 @@
+"""The adaptive Gauss-Kronrod integrator behind the two quadrature oracles,
+`sinr_cdf_exact_numeric` and `ser_quadrature`.
+
+Its references: scipy's QUADPACK on the same integrands, the closed form the
+exact CDF reduces to at eps = 0, 30-digit `mpmath` integrals, and integrals
+with known values.
+"""
+
+import math
+import random
+
+import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+
+from fdrelay import QuadratureError, analytic
+from fdrelay.analytic import ser_quadrature, sinr_cdf_asymptotic, sinr_cdf_exact_numeric
+from fdrelay.model import Allocation, SystemConfig, link_stats
+
+from conftest import stats_at
+
+# 30 significant digits by mpmath.quad at 40 digits (the same at 50), split at
+# every power of ten so that no scale of the integrand is skipped. The exact
+# CDF integrates the survivor over s = t - x > 0 of
+#   (1/l_rd) exp(-y/l_sr - (x + s)/l_rd) / (1 + eta y),  y = x + x^2/s;
+# the SER integrates alpha sqrt(beta / 2 pi) F(u^2) e^(-beta u^2 / 2) over
+# u > 0, with F the asymptotic CDF (K1 form)
+CDF_TABLE = [
+    # p_db, eps, v, rho_lambda, rho_d, x, CDF
+    (0.0, 0.1, 3.0, 0.5, 0.5, 1.0, 0.507207149667825282429496225606),
+    (40.0, 0.0, 3.0, 0.5, 0.5, 1.0, 5.00118986372254625478078293156e-05),
+    (20.0, 1.0, 3.0, 0.5, 0.5, 1.0, 0.117456846173062368361763433161),
+    (30.0, 0.1, 3.0, 0.02, 0.9, 4.0, 0.943468133495228968074208069058),
+    (10.0, 0.01, 3.0, 0.5, 0.5, 100.0, 0.999889851145323819859772026645),
+    (60.0, 0.3, 3.0, 0.5, 0.5, 1e-3, 3.74990940813709499485383563163e-05),
+]
+SER_TABLE = [
+    # p_db, eps, v, rho_lambda, rho_d, modulation, SER
+    (20.0, 0.1, 3.0, 0.5, 0.5, "bpsk", 4.31437926119615555819226048963e-03),
+    (40.0, 0.0, 3.0, 0.5, 0.5, "bpsk", 1.25041320908686526241018338177e-05),
+    (25.0, 0.3, 2.5, 0.5, 0.5, "qpsk", 4.82351221274934257602048782583e-02),
+    # the CDF rises over u < 1e-3 only, a layer that QUADPACK's QAGIE missed
+    # (it returned 0.9999999998)
+    (-10.0, 1.0, 1.5, 1e-6, 0.5, "qpsk", 0.999640456786444963324372810721),
+]
+
+
+def _scenarios(seed, n):
+    rng = random.Random(seed)
+    for _ in range(n):
+        alpha, beta = rng.choice([(1.0, 2.0), (2.0, 1.0)])
+        cfg = SystemConfig(
+            total_power=10.0 ** (rng.uniform(-10.0, 80.0) / 10.0),
+            rsi_level=0.0 if rng.random() < 0.25 else 10.0 ** rng.uniform(-4.0, 1.0),
+            pathloss_exp=rng.uniform(2.0, 5.0),
+            alpha_mod=alpha, beta_mod=beta,
+        )
+        alloc = Allocation(rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98))
+        yield cfg, link_stats(cfg, alloc), 10.0 ** rng.uniform(-3.0, 2.0)
+
+
+def _scipy_quad_checked(fn, lo, hi, abs_tol, label, points=()):
+    # scipy's QUADPACK with the tolerances, interval limit and break points
+    # of analytic._quad_checked
+    val, err, *_ = quad(fn, lo, hi, epsabs=min(abs_tol * 1e-2, 1e-12), epsrel=1e-11,
+                        limit=300, points=points or None, full_output=1)
+    return val, err
+
+
+def test_oracles_agree_with_scipy(monkeypatch):
+    """Both oracles on seeded scenarios over P -10..80 dB, eps 0 or
+    1e-4..10, v 2..5, BPSK and QPSK, each within its route's error bound of
+    scipy's QUADPACK on the same integrand."""
+    def oracles():
+        return [(ser_quadrature(stats, cfg), sinr_cdf_exact_numeric(x, stats))
+                for cfg, stats, x in _scenarios(7, 150)]
+
+    got = oracles()
+    monkeypatch.setattr(analytic, "_quad_checked", _scipy_quad_checked)
+    for (ser, cdf), (ser_ref, cdf_ref) in zip(got, oracles()):
+        assert abs(ser - ser_ref) <= analytic._SER_ABS_TOL
+        assert abs(cdf - cdf_ref) <= analytic._CDF_ABS_TOL
+
+
+def test_exact_cdf_is_the_closed_form_without_rsi():
+    # at eps = 0 the asymptotic CDF is the exact one
+    for p_db in range(-10, 81, 10):
+        for rho_lambda, rho_d in ((0.5, 0.5), (0.1, 0.9), (0.9, 0.1), (0.02, 0.5)):
+            _, stats = stats_at(p_db, 0.0, 3.0, rho_lambda, rho_d)
+            for x in (1e-3, 0.1, 1.0, 10.0, 100.0):
+                assert sinr_cdf_exact_numeric(x, stats) == pytest.approx(
+                    sinr_cdf_asymptotic(x, stats), abs=1e-12), (p_db, rho_lambda, rho_d, x)
+
+
+@pytest.mark.parametrize("p_db, eps, v, rho_lambda, rho_d, x, want", CDF_TABLE)
+def test_exact_cdf_against_mpmath(p_db, eps, v, rho_lambda, rho_d, x, want):
+    _, stats = stats_at(p_db, eps, v, rho_lambda, rho_d)
+    assert sinr_cdf_exact_numeric(x, stats) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("p_db, eps, v, rho_lambda, rho_d, modulation, want", SER_TABLE)
+def test_ser_quadrature_against_mpmath(p_db, eps, v, rho_lambda, rho_d, modulation, want):
+    cfg, stats = stats_at(p_db, eps, v, rho_lambda, rho_d, modulation=modulation)
+    assert ser_quadrature(stats, cfg) == pytest.approx(want, abs=1e-12)
+
+
+# (name, integrand, a, b, break points, value); b = inf maps [a, inf) onto (0, 1]
+CLOSED_FORMS = [
+    ("gauss", lambda x: math.exp(-x * x), -3.0, 3.0, [0.0],
+     math.sqrt(math.pi) * math.erf(3.0)),
+    ("odd", math.sin, -1.0, 1.0, [0.0], 0.0),
+    ("zero", lambda x: 0.0, 0.0, 1.0, [0.5], 0.0),
+    ("exp", lambda x: math.exp(-x), 0.0, math.inf, [], 1.0),
+    ("cauchy", lambda x: 1.0 / (1.0 + x * x), 0.0, math.inf, [], 0.5 * math.pi),
+    ("shifted_gauss", lambda x: math.exp(-(x - 5.0) ** 2), -3.0, math.inf, [],
+     0.5 * math.sqrt(math.pi) * (1.0 + math.erf(8.0))),
+]
+
+
+@pytest.mark.parametrize("name, f, a, b, points, want", CLOSED_FORMS,
+                         ids=[case[0] for case in CLOSED_FORMS])
+def test_closed_form_integrals(name, f, a, b, points, want):
+    value, err = analytic._quad_checked(f, a, b, 1e-9, name, points)
+    assert value == pytest.approx(want, rel=1e-11, abs=1e-15)
+    assert err <= 1e-11
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: 1.0 / (1.0 + x), 0.0, math.inf),
+    (lambda x: math.nan, 0.0, 1.0),
+    (lambda x: math.nan, 0.0, math.inf),
+], ids=["divergent", "nan_finite", "nan_semi_infinite"])
+def test_unmet_bound_raises(f, a, b):
+    with pytest.raises(QuadratureError):
+        analytic._quad_checked(f, a, b, 1e-9, "test")
+
+
+@given(st.floats(-20.0, 150.0), st.floats(0.0, 1e3), st.floats(1.5, 6.0),
+       st.sampled_from([1e-6, 0.02, 0.5, 0.98, 1.0 - 1e-6]),
+       st.sampled_from([1e-6, 0.02, 0.5, 0.98, 1.0 - 1e-6]),
+       st.sampled_from(["bpsk", "qpsk"]), st.sampled_from([1e-3, 1.0, 100.0]))
+@example(-20.0, 0.0, 1.5, 1e-6, 0.5, "bpsk", 1.0)  # the CDF is 1 almost everywhere
+@seed(20170322)
+@settings(max_examples=40, deadline=None)
+def test_oracles_in_range(p_db, eps, v, rho_lambda, rho_d, modulation, x):
+    cfg, stats = stats_at(p_db, eps, v, rho_lambda, rho_d, modulation=modulation)
+    assert 0.0 <= ser_quadrature(stats, cfg) <= 0.5 * cfg.alpha_mod
+    assert 0.0 <= sinr_cdf_exact_numeric(x, stats) <= 1.0

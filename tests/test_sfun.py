@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdrelay import DomainError, NonConvergenceError, sfun
+from fdrelay.analytic import MAX_N_TERMS
 from fdrelay.sfun import (
     _hyp_near_one,
     _hyp_series,
@@ -305,8 +306,10 @@ class TestHyp2f1:
     def test_against_oracle(self, args, expected):
         assert rel_err(hyp2f1(*args), expected) < 1e-11
 
-    @pytest.mark.parametrize("i", range(4))
-    @pytest.mark.parametrize("z", [0.9999, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])
+    # every term of the SER series that --n-terms can reach, from the
+    # crossover of the two evaluation paths (z = 0.5) to z -> 1
+    @pytest.mark.parametrize("i", range(MAX_N_TERMS))
+    @pytest.mark.parametrize("z", [0.5, 0.9999, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])
     def test_near_unit_argument(self, i, z):
         a, b, c = 2 * i + 2.5, 1.5, 2.0 * i + 2.0
         want = float(mp.hyp2f1(a, b, c, z))
