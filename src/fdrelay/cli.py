@@ -265,8 +265,18 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]):
 # items, on spec.workers threads when pooled
 # ---------------------------------------------------------------------------
 
+def _mc_rows(spec: ExperimentSpec):
+    """The (index, p_db) rows of `outage` and `ser`, and the threads of each
+    row's estimator: the rows share spec.workers threads, and each estimate
+    gets an equal share of them, at least 1. No estimate depends on its
+    thread count."""
+    items = list(enumerate(spec.p_db_values))
+    return items, max(1, spec.workers // len(items))
+
+
 def _outage(spec: ExperimentSpec):
     want_mc = spec.mode in ("mc", "both")
+    items, mc_workers = _mc_rows(spec)
 
     def row(item):
         idx, p_db = item
@@ -277,17 +287,18 @@ def _outage(spec: ExperimentSpec):
         mc_val = mc_se = None
         if want_mc:
             est = mc.estimate_outage(stats, spec.threshold, spec.mc_samples,
-                                     spec.seed + idx)
+                                     spec.seed + idx, mc_workers)
             mc_val, mc_se = est.value, est.std_error
         return [p_db, spec.threshold, asym, exact, mc_val, mc_se]
 
     header = ["p_db", "threshold", "outage_asymptotic", "outage_exact",
               "outage_mc", "outage_mc_stderr"]
-    return header, list(enumerate(spec.p_db_values)), row, want_mc
+    return header, items, row, want_mc
 
 
 def _ser(spec: ExperimentSpec):
     want_mc = spec.mode in ("mc", "both")
+    items, mc_workers = _mc_rows(spec)
 
     def row(item):
         idx, p_db = item
@@ -299,13 +310,13 @@ def _ser(spec: ExperimentSpec):
         mc_val = mc_se = None
         if want_mc:
             est = mc.estimate_ser_semianalytic(stats, cfg, spec.mc_samples,
-                                               spec.seed + idx)
+                                               spec.seed + idx, mc_workers)
             mc_val, mc_se = est.value, est.std_error
         return [p_db, series, quadrature, mc_val, mc_se, floor]
 
     header = ["p_db", "ser_series", "ser_quadrature", "ser_mc", "ser_mc_stderr",
               "ser_floor"]
-    return header, list(enumerate(spec.p_db_values)), row, want_mc
+    return header, items, row, want_mc
 
 
 def _optimize_1d(spec: ExperimentSpec, objective: str):

@@ -8,6 +8,18 @@ or worker count. Chunk sums are combined with math.fsum (exactly rounded,
 hence order-independent) and chunk variances are merged pairwise in chunk
 order, which no worker count changes.
 
+Two sizes split the work. A chunk of CHUNK_SAMPLES samples is one pool task
+of the outage and semi-analytic SER: it fixes a Philox stream offset and a
+moment boundary, so it is part of what an estimate's bits depend on. A block
+of _BLOCK_UNIFORMS uniforms sets the working set: within a task, uniforms
+are drawn and evaluated one block at a time from one stream, so a worker
+thread's arrays stay cache-sized however large the chunk. The per-sample
+values of a chunk are written block by block into one array and reduced
+whole, and every kernel step is elementwise, so blocks change no bit. The
+symbol-level SER is an integer count, which does not depend on how its
+samples are split; its pool tasks split the samples evenly over the
+workers.
+
 The outage and semi-analytic SER estimators are conditional Monte Carlo
 (Asmussen & Glynn, *Stochastic Simulation*, 2007, ch. V) on the simulated
 SINR ab / (a + b + 1), through one kernel: the outage probability at a
@@ -50,11 +62,22 @@ __all__ = [
     "CHUNK_SAMPLES",
 ]
 
-# Samples per deterministic chunk. Philox counts blocks of 4 uint64 outputs,
-# so chunk boundaries must land on multiples of 4 consumed uniforms; any
-# multiple of 4 works for the 1-uniform outage, the 2-uniform semi-analytic
-# SER and the 9-uniform symbol level.
+# Samples per deterministic chunk of the outage and semi-analytic SER: each
+# chunk starts its own Philox stream and contributes one (count, sum, centred
+# sum of squares) to the estimate, so the value depends on this size. Philox
+# counts blocks of 4 uint64 outputs, so chunk boundaries must land on
+# multiples of 4 consumed uniforms; any multiple of 4 works for the 1-uniform
+# outage, the 2-uniform semi-analytic SER and the 9-uniform symbol level.
 CHUNK_SAMPLES = 400_000
+
+# Uniforms drawn and evaluated at a time inside a chunk or task: a block is
+# _BLOCK_UNIFORMS // k rows of a k-uniform estimator (65 536 outage samples,
+# 32 768 SER samples, 7 281 symbols), so a worker thread's working set stays
+# within ~1.5 MB whatever CHUNK_SAMPLES is, and no estimate changes. Counted
+# in uniforms, not rows: the 1-uniform outage wants more rows per block than
+# the 9-uniform symbol level (smaller blocks slow the 2-worker outage, larger
+# ones the symbol level); 65 536 was the best of 32 768 ... 131 072.
+_BLOCK_UNIFORMS = 65_536
 
 _TAG_DRAW = 0
 _TAG_OUTAGE = 1
@@ -127,10 +150,16 @@ def parallel_map(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _map_chunks(fn, n: int, workers: int) -> list:
-    # fn(lo, hi) over the deterministic CHUNK_SAMPLES-sized slices of range(n)
-    bounds = [(lo, min(n, lo + CHUNK_SAMPLES)) for lo in range(0, n, CHUNK_SAMPLES)]
+def _map_chunks(fn, n: int, workers: int, size: int = CHUNK_SAMPLES) -> list:
+    # fn(lo, hi) over the size-sized slices of range(n)
+    bounds = [(lo, min(n, lo + size)) for lo in range(0, n, size)]
     return parallel_map(lambda b: fn(*b), bounds, workers)
+
+
+def _blocks(m: int, k: int):
+    # (start, stop) of the block-sized slices of range(m), for k uniforms a row
+    rows = _BLOCK_UNIFORMS // k
+    return ((b, min(m, b + rows)) for b in range(0, m, rows))
 
 
 def _check_n(n: int, minimum: int, label: str) -> None:
@@ -218,6 +247,7 @@ def estimate_outage(stats: LinkStats, threshold: float, n: int, seed: int,
     is 1. Threshold 0 returns exactly 0 with std_error 0: the SINR is never
     negative.
     """
+    import numpy as np
     import numpy.random  # noqa: F401  (stream's Philox)
 
     _check_n(n, _MIN_SAMPLES, "estimate_outage")
@@ -228,8 +258,11 @@ def estimate_outage(stats: LinkStats, threshold: float, n: int, seed: int,
     x = float(threshold)
 
     def chunk(lo, hi):
-        return _moments(_outage_given_excess(stream(seed, _TAG_OUTAGE, lo).random(hi - lo),
-                                             x, stats))
+        gen = stream(seed, _TAG_OUTAGE, lo)
+        v = np.empty(hi - lo)
+        for b, e in _blocks(hi - lo, 1):
+            v[b:e] = _outage_given_excess(gen.random(e - b), x, stats)
+        return _moments(v)
 
     return _mean_estimate(_map_chunks(chunk, n, workers), n, seed)
 
@@ -270,16 +303,17 @@ def estimate_ser_semianalytic(stats: LinkStats, cfg: SystemConfig, n: int,
     beta = cfg.beta_mod
 
     def chunk(lo, hi):
-        # u0 and u1 as contiguous rows: the kernel's passes run faster on
-        # them than on strided columns
-        x, v = (stream(seed, _TAG_SER, 2 * lo).random(2 * (hi - lo))
-                .reshape(hi - lo, 2).T.copy())
-        x *= 0.5
-        ndtri(x, out=x)
-        np.square(x, out=x)
-        x /= beta                                   # X = Z^2 / beta
-        v = _outage_given_excess(v, x, stats)
-        v *= half_alpha
+        gen = stream(seed, _TAG_SER, 2 * lo)
+        v = np.empty(hi - lo)
+        for b, e in _blocks(hi - lo, 2):
+            # u0 and u1 as contiguous rows: the kernel's passes run faster on
+            # them than on strided columns
+            x, u = gen.random(2 * (e - b)).reshape(e - b, 2).T.copy()
+            x *= 0.5
+            ndtri(x, out=x)
+            np.square(x, out=x)
+            x /= beta                               # X = Z^2 / beta
+            np.multiply(_outage_given_excess(u, x, stats), half_alpha, out=v[b:e])
         return _moments(v)
 
     return _mean_estimate(_map_chunks(chunk, n, workers), n, seed)
@@ -300,22 +334,24 @@ def estimate_ser_symbol_level(stats: LinkStats, cfg: SystemConfig,
     point), which is what makes this chain agree with the semi-analytic
     estimator in expectation.
 
-    Consumes 9 uniforms per symbol: 3 fades, 2 for the interference symbol,
-    4 for relay/destination noise. Channel phases are absorbed by circular
-    symmetry; only fade magnitudes are drawn.
+    Consumes 9 uniforms per symbol, symbol i reading uniforms 9i .. 9i + 8
+    of one stream: 3 fades, 2 for the interference symbol, 4 for
+    relay/destination noise. Channel phases are absorbed by circular
+    symmetry; only fade magnitudes are drawn. The error count does not
+    depend on how the symbols are split into tasks and blocks.
 
     The transmitted symbol is +1 and the gain, the fades and their square
     roots are real, so the decision statistic Re(y_d) depends only on the
     real parts of the interference symbol and the two noises. All 9 uniforms
-    are still drawn, so the Philox layout (and every chunk's stream offset)
-    holds, but only the real components (u3, u5, u7) go through ndtri; the
-    imaginary ones (u4, u6, u8) are never read. The count equals that of the
-    full complex chain bit for bit unless one of u3..u8 is exactly 0
-    (probability 2**-53 per uniform). There ndtri(0) = -inf, and an inf * 0
-    cross term of the complex products made Re(y_d) NaN, so the complex
-    chain counted no error. The real chain ignores a zero in u4, u6 or u8
-    and counts one in u3 or u5 as an error, except u3 with g_li = 0, where
-    sqrt(g_li) * x_int is still 0 * inf = NaN.
+    are still drawn, so the Philox layout holds, but only the real
+    components (u3, u5, u7) go through ndtri; the imaginary ones (u4, u6,
+    u8) are never read. The count equals that of the full complex chain bit
+    for bit unless one of u3..u8 is exactly 0 (probability 2**-53 per
+    uniform). There ndtri(0) = -inf, and an inf * 0 cross term of the
+    complex products made Re(y_d) NaN, so the complex chain counted no
+    error. The real chain ignores a zero in u4, u6 or u8 and counts one in
+    u3 or u5 as an error, except u3 with g_li = 0, where sqrt(g_li) * x_int
+    is still 0 * inf = NaN.
     """
     import numpy as np
     import numpy.random  # noqa: F401  (stream's Philox)
@@ -328,22 +364,30 @@ def estimate_ser_symbol_level(stats: LinkStats, cfg: SystemConfig,
     _check_n(n_symbols, _MIN_SYMBOLS, "estimate_ser_symbol_level")
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
 
-    def chunk(lo, hi):
+    def task(lo, hi):
         gen = stream(seed, _TAG_SYMBOL, 9 * lo)
-        m = hi - lo
-        u = gen.random(9 * m).reshape(m, 9)
-        g_sr, g_rd, g_li = draw_gammas(stats, u)
-        # real parts of the interference symbol, relay noise, destination noise
-        x_int = ndtri(u[:, 3]) * inv_sqrt2
-        n_r = ndtri(u[:, 5]) * inv_sqrt2
-        n_d = ndtri(u[:, 7]) * inv_sqrt2
-        # transmitted symbol fixed at +1; BPSK error rate is symbol-symmetric
-        y_r = np.sqrt(g_sr) + np.sqrt(g_li) * x_int + n_r
-        gain = 1.0 / np.sqrt(g_sr + g_li + 1.0)
-        y_d = np.sqrt(g_rd) * gain * y_r + n_d
-        return int(np.count_nonzero(y_d < 0.0))
+        errors = 0
+        for b, e in _blocks(hi - lo, 9):
+            m = e - b
+            u = gen.random(9 * m).reshape(m, 9)
+            g_sr, g_rd, g_li = draw_gammas(stats, u)
+            # real parts of the interference symbol, relay and destination noise
+            x_int = ndtri(u[:, 3]) * inv_sqrt2
+            n_r = ndtri(u[:, 5]) * inv_sqrt2
+            n_d = ndtri(u[:, 7]) * inv_sqrt2
+            # transmitted symbol fixed at +1; BPSK error rate is symbol-symmetric
+            y_r = np.sqrt(g_sr) + np.sqrt(g_li) * x_int + n_r
+            gain = 1.0 / np.sqrt(g_sr + g_li + 1.0)
+            y_d = np.sqrt(g_rd) * gain * y_r + n_d
+            errors += int(np.count_nonzero(y_d < 0.0))
+        return errors
 
-    errors = sum(_map_chunks(chunk, n_symbols, workers))
+    # equal tasks, one per worker but no more than the other estimators have
+    # chunks (so no more threads either), each a multiple of 4 symbols long
+    # so that every task's stream offset 9 lo is a multiple of 4
+    tasks = min(max(1, workers), -(-n_symbols // CHUNK_SAMPLES))
+    share = -(-n_symbols // (4 * tasks)) * 4
+    errors = sum(_map_chunks(task, n_symbols, workers, share))
     p = errors / n_symbols
     return McEstimate(value=p, std_error=math.sqrt(p * (1.0 - p) / n_symbols),
                       n_samples=n_symbols, seed=seed, count=errors)

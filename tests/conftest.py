@@ -12,7 +12,7 @@ from numpy.random import Generator, Philox
 from scipy import special
 
 from fdrelay import RATIO_FLOOR, Allocation, McEstimate, SystemConfig, link_stats
-from fdrelay import analytic, sfun
+from fdrelay import analytic, mc, sfun
 from fdrelay.errors import NonConvergenceError
 from fdrelay.mc import CHUNK_SAMPLES
 
@@ -228,6 +228,50 @@ def outage_conditional_samples(stats, threshold: float, n: int, seed: int) -> np
     c = x * (x + 1.0 + e) / e / stats.lambda_sr
     d = c * stats.lambda_li
     return (d - np.expm1(-(x / stats.lambda_rd + c))) / (1.0 + d)
+
+
+def _whole_chunks(chunk, n: int, seed: int) -> McEstimate:
+    # chunk(lo, hi) over the CHUNK_SAMPLES slices of range(n), serially;
+    # the estimate does not depend on the order the chunks run in
+    parts = [chunk(lo, min(n, lo + CHUNK_SAMPLES)) for lo in range(0, n, CHUNK_SAMPLES)]
+    return mc._mean_estimate(parts, n, seed)
+
+
+def outage_chunk_oracle(stats, threshold: float, n: int, seed: int) -> McEstimate:
+    """estimate_outage with each chunk drawn and evaluated whole, as before
+    the estimators worked in blocks: the reference that the blocked
+    estimator must match bit for bit. Same stream, kernel, moments and
+    merge. Meant for thresholds > 0."""
+    x = float(threshold)
+
+    def chunk(lo, hi):
+        return mc._moments(mc._outage_given_excess(
+            mc.stream(seed, mc._TAG_OUTAGE, lo).random(hi - lo), x, stats))
+
+    return _whole_chunks(chunk, n, seed)
+
+
+def ser_chunk_oracle(stats, cfg: SystemConfig, n: int, seed: int) -> McEstimate:
+    """estimate_ser_semianalytic with each chunk drawn and evaluated whole,
+    as before the estimators worked in blocks: the reference that the
+    blocked estimator must match bit for bit."""
+    half_alpha = 0.5 * cfg.alpha_mod
+    beta = cfg.beta_mod
+
+    def chunk(lo, hi):
+        # u0 and u1 as contiguous rows: the kernel's passes run faster on
+        # them than on strided columns
+        x, v = (mc.stream(seed, mc._TAG_SER, 2 * lo).random(2 * (hi - lo))
+                .reshape(hi - lo, 2).T.copy())
+        x *= 0.5
+        special.ndtri(x, out=x)
+        np.square(x, out=x)
+        x /= beta                                   # X = Z^2 / beta
+        v = mc._outage_given_excess(v, x, stats)
+        v *= half_alpha
+        return mc._moments(v)
+
+    return _whole_chunks(chunk, n, seed)
 
 
 def symbol_level_complex_oracle(stats, n_symbols: int, seed: int) -> McEstimate:

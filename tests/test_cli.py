@@ -149,6 +149,28 @@ class TestCommands:
             _, _, b = run_cli(args + ["--workers", "6"], tmp_path, "w6.csv")
             assert a.read_bytes() == b.read_bytes(), args
 
+    @pytest.mark.parametrize("command", ["outage", "ser"])
+    def test_single_row_estimate_uses_the_workers(self, tmp_path, monkeypatch, command):
+        # one row leaves the pool idle, so its estimator gets the threads;
+        # the bytes cannot tell, so the estimator's argument is recorded
+        from fdrelay import mc
+        name = {"outage": "estimate_outage", "ser": "estimate_ser_semianalytic"}[command]
+        estimate = getattr(mc, name)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(args[-1])
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(mc, name, spy)
+        args = [command, "--p-db", "40", "--mode", "mc", "--mc-samples", "900000",
+                "--seed", "5"]
+        _, _, a = run_cli(args + ["--workers", "1"], tmp_path, "w1.csv")
+        _, _, b = run_cli(args + ["--workers", "2"], tmp_path, "w2.csv")
+        run_cli(args[:2] + ["0:10:5"] + args[3:] + ["--workers", "2"], tmp_path, "rows.csv")
+        assert a.read_bytes() == b.read_bytes()
+        assert seen == [1, 2, 1, 1, 1]
+
     def test_stdout_when_no_output(self, capsys):
         code = main(["ser", "--p-db", "20"])
         assert code == EXIT_OK

@@ -26,8 +26,10 @@ from fdrelay import mc
 from fdrelay.mc import CHUNK_SAMPLES, stream
 
 from conftest import (
+    outage_chunk_oracle,
     outage_conditional_samples,
     outage_indicator_oracle,
+    ser_chunk_oracle,
     ser_fading_oracle,
     stats_at,
     symbol_level_complex_oracle,
@@ -132,6 +134,39 @@ class TestReproducibility:
         one = estimate_ser_symbol_level(stats, cfg, n, seed=5, workers=1)
         four = estimate_ser_symbol_level(stats, cfg, n, seed=5, workers=4)
         assert one == four
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_outage_blocks_change_no_bit(self, eps):
+        # one block, a chunk plus an outage block (two SER blocks) and a
+        # ragged 4-row tail, and three chunks with a partial one, against
+        # chunks drawn and evaluated whole
+        _, stats = stats_at(20.0, eps)
+        for n in (10_000, CHUNK_SAMPLES + mc._BLOCK_UNIFORMS + 4, 2 * CHUNK_SAMPLES + 12_345):
+            want = outage_chunk_oracle(stats, 1.0, n, seed=19)
+            for workers in (1, 2, 4):
+                got = estimate_outage(stats, 1.0, n, seed=19, workers=workers)
+                assert (got.value, got.std_error, got.n_samples) == \
+                    (want.value, want.std_error, want.n_samples), (n, workers)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("modulation", ["bpsk", "qpsk"])
+    def test_ser_blocks_change_no_bit(self, eps, modulation):
+        cfg, stats = stats_at(20.0, eps, modulation=modulation)
+        for n in (10_000, CHUNK_SAMPLES + mc._BLOCK_UNIFORMS + 4, 2 * CHUNK_SAMPLES + 12_345):
+            want = ser_chunk_oracle(stats, cfg, n, seed=23)
+            for workers in (1, 2, 4):
+                got = estimate_ser_semianalytic(stats, cfg, n, seed=23, workers=workers)
+                assert (got.value, got.std_error, got.n_samples) == \
+                    (want.value, want.std_error, want.n_samples), (n, workers)
+
+    def test_symbol_level_split_changes_no_count(self):
+        # n is a multiple of neither the block nor any worker's share
+        cfg, stats = stats_at(20.0, 0.1)
+        n = CHUNK_SAMPLES + 50_003
+        want = symbol_level_complex_oracle(stats, n, seed=29)
+        for workers in (1, 2, 3, 4):
+            got = estimate_ser_symbol_level(stats, cfg, n, seed=29, workers=workers)
+            assert got == want, workers
 
     def test_different_seeds_differ(self):
         _, stats = stats_at(20.0, 0.1)
