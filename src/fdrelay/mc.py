@@ -1,36 +1,47 @@
 """Monte Carlo oracle: Rayleigh link sampling and outage/SER estimation.
 
 Independence from the closed forms is the whole point here; nothing in this
-module touches the analytic module. Reproducibility contract: every sample's
-randomness is a pure function of (seed, estimator tag, sample index) through
-counter-based Philox streams, so estimates are bit-identical for any chunking
-or worker count. Chunk sums are combined with math.fsum (exactly rounded,
-hence order-independent) and chunk variances are merged pairwise in chunk
-order, which no worker count changes.
+module touches the analytic module. Reproducibility contract: the randomness
+of every antithetic pair or symbol is a pure function of (seed, estimator
+tag, pair or symbol index) through counter-based Philox streams, so
+estimates are bit-identical for any chunking or worker count. Chunk sums are
+combined with math.fsum (exactly rounded, hence order-independent) and chunk
+variances are merged pairwise in chunk order, which no worker count changes.
 
-Two sizes split the work. A chunk of CHUNK_SAMPLES samples is one pool task
-of the outage and semi-analytic SER: it fixes a Philox stream offset and a
-moment boundary, so it is part of what an estimate's bits depend on. A block
-of _BLOCK_UNIFORMS uniforms sets the working set: within a task, uniforms
-are drawn and evaluated one block at a time from one stream, so a worker
-thread's arrays stay cache-sized however large the chunk. The per-sample
-values of a chunk are written block by block into one array and reduced
-whole, and every kernel step is elementwise, so blocks change no bit. The
-symbol-level SER is an integer count, which does not depend on how its
-samples are split; its pool tasks split the samples evenly over the
+Two sizes split the work. A chunk of CHUNK_SAMPLES evaluations is one pool
+task of the outage and semi-analytic SER: it fixes a Philox stream offset
+and a moment boundary, so it is part of what an estimate's bits depend on.
+A block of _BLOCK_UNIFORMS uniforms sets the working set: within a task,
+uniforms are drawn and evaluated one block at a time from one stream, so a
+worker thread's arrays stay cache-sized however large the chunk. The pair
+means of a chunk (below) are written block by block into one array and
+reduced whole, and every kernel step is elementwise, so blocks change no
+bit. The symbol-level SER is an integer count, which does not depend on how
+its samples are split; its pool tasks split the samples evenly over the
 workers.
 
 The outage and semi-analytic SER estimators are conditional Monte Carlo
 (Asmussen & Glynn, *Stochastic Simulation*, 2007, ch. V) on the simulated
 SINR ab / (a + b + 1), through one kernel: the outage probability at a
 threshold x given the relay-destination fade's excess over x, with the other
-two fades integrated in closed form. The outage draws one uniform per sample
-(the excess) at its fixed threshold, and its variance is at most that of the
-indicator count it replaces. The SER writes alpha Q(sqrt(beta gamma)) as
-(alpha / 2) P(Z^2 > beta gamma | gamma) with Z ~ N(0, 1) independent of the
-fades, so it is (alpha / 2) times the outage probability at the random
-threshold X = Z^2 / beta: two uniforms per sample, one for X and one for the
-excess.
+two fades integrated in closed form. The outage reads one uniform per
+evaluation (the excess) at its fixed threshold, and its variance is at most
+that of the indicator count it replaces. The SER writes alpha
+Q(sqrt(beta gamma)) as (alpha / 2) P(Z^2 > beta gamma | gamma) with
+Z ~ N(0, 1) independent of the fades, so it is (alpha / 2) times the outage
+probability at the random threshold X = Z^2 / beta: two uniforms per
+evaluation, one for X and one for the excess.
+
+Both draw antithetic pairs (Hammersley & Morton, *Proc. Camb. Phil. Soc.*
+1956): each drawn row of uniforms u is evaluated at u and at 1 - u, so the
+outage draws half a uniform per evaluation and the SER one. The value falls
+as the excess uniform rises, and the SER's also as u0 rises (X falls, and
+the kernel rises with X), so the two evaluations of a pair are never
+positively correlated and a pair mean varies at most half as much as one
+evaluation (Ross, *Simulation*, section 9.2). The pair mean is the unit the
+moments reduce: value is the mean over evaluations, std_error the spread of
+the pair means over the number of pairs, and n_samples the number of
+evaluations, two per pair, so an odd n runs ceil(n / 2) pairs.
 
 numpy and scipy.special are imported inside the sampling functions, so that
 importing fdrelay loads neither; each estimator imports what its chunks use
@@ -62,21 +73,24 @@ __all__ = [
     "CHUNK_SAMPLES",
 ]
 
-# Samples per deterministic chunk of the outage and semi-analytic SER: each
-# chunk starts its own Philox stream and contributes one (count, sum, centred
-# sum of squares) to the estimate, so the value depends on this size. Philox
-# counts blocks of 4 uint64 outputs, so chunk boundaries must land on
-# multiples of 4 consumed uniforms; any multiple of 4 works for the 1-uniform
-# outage, the 2-uniform semi-analytic SER and the 9-uniform symbol level.
+# Evaluations per deterministic chunk of the outage and semi-analytic SER,
+# CHUNK_SAMPLES // 2 antithetic pairs: each chunk starts its own Philox
+# stream and contributes one (count, sum, centred sum of squares) of its pair
+# means to the estimate, so the value depends on this size. Philox counts
+# blocks of 4 uint64 outputs, so chunk boundaries must land on multiples of 4
+# consumed uniforms; any multiple of 8 works for the outage (1 uniform a
+# pair), the semi-analytic SER (2 a pair) and the 9-uniform symbol level.
 CHUNK_SAMPLES = 400_000
+_CHUNK_PAIRS = CHUNK_SAMPLES // 2
 
-# Uniforms drawn and evaluated at a time inside a chunk or task: a block is
-# _BLOCK_UNIFORMS // k rows of a k-uniform estimator (65 536 outage samples,
-# 32 768 SER samples, 7 281 symbols), so a worker thread's working set stays
-# within ~1.5 MB whatever CHUNK_SAMPLES is, and no estimate changes. Counted
-# in uniforms, not rows: the 1-uniform outage wants more rows per block than
+# Uniforms drawn at a time inside a chunk or task: a block is
+# _BLOCK_UNIFORMS // k rows of k uniforms (65 536 outage pairs, 32 768 SER
+# pairs, 7 281 symbols), so a worker thread's working set stays within
+# ~2 MB whatever CHUNK_SAMPLES is, and no estimate changes. Counted in
+# uniforms, not rows: the 1-uniform outage wants more rows per block than
 # the 9-uniform symbol level (smaller blocks slow the 2-worker outage, larger
-# ones the symbol level); 65 536 was the best of 32 768 ... 131 072.
+# ones the symbol level); 65 536 was the best of 32 768 ... 131 072 before
+# the pairs, and 16 384 or 32 768 time the same within the host's noise.
 _BLOCK_UNIFORMS = 65_536
 
 _TAG_DRAW = 0
@@ -150,7 +164,7 @@ def parallel_map(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _map_chunks(fn, n: int, workers: int, size: int = CHUNK_SAMPLES) -> list:
+def _map_chunks(fn, n: int, workers: int, size: int) -> list:
     # fn(lo, hi) over the size-sized slices of range(n)
     bounds = [(lo, min(n, lo + size)) for lo in range(0, n, size)]
     return parallel_map(lambda b: fn(*b), bounds, workers)
@@ -169,7 +183,7 @@ def _check_n(n: int, minimum: int, label: str) -> None:
 
 def _moments(v) -> tuple[int, float, float]:
     # (count, sum, sum of squared deviations from the mean) of one chunk's
-    # per-sample values; two passes, and v is overwritten
+    # pair means; two passes, and v is overwritten
     import numpy as np
 
     total = float(v.sum())
@@ -178,15 +192,17 @@ def _moments(v) -> tuple[int, float, float]:
     return v.size, total, float(v.sum())
 
 
-def _mean_estimate(parts: list, n: int, seed: int) -> McEstimate:
-    """Sample mean and its standard error from per-chunk _moments, in chunk
-    order.
+def _mean_estimate(parts: list, seed: int) -> McEstimate:
+    """Mean and standard error of the pair means, from per-chunk _moments
+    in chunk order; n_samples counts evaluations, two per pair.
 
-    The mean is the exactly rounded fsum of the chunk sums over n. The
-    chunks' centred sums of squares are merged pairwise by the update of
-    Chan, Golub & LeVeque (1979); unlike s2/n - mean^2 from raw sums, it does
-    not cancel to noise when the per-sample values are nearly constant.
+    The mean is the exactly rounded fsum of the chunk sums over the number
+    of pairs. The chunks' centred sums of squares are merged pairwise by the
+    update of Chan, Golub & LeVeque (1979); unlike s2/n - mean^2 from raw
+    sums, it does not cancel to noise when the pair means are nearly
+    constant.
     """
+    n = sum(p[0] for p in parts)
     mean = math.fsum(p[1] for p in parts) / n
     while len(parts) > 1:
         merged = []
@@ -195,11 +211,11 @@ def _mean_estimate(parts: list, n: int, seed: int) -> McEstimate:
             merged.append((na + nb, sa + sb, ma + mb + delta * delta * na * nb / (na + nb)))
         parts = merged + parts[2 * len(merged):]
     var = parts[0][2] / (n - 1)
-    return McEstimate(value=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed)
+    return McEstimate(value=mean, std_error=math.sqrt(var / n), n_samples=2 * n, seed=seed)
 
 
 def _outage_given_excess(v, x, stats: LinkStats):
-    """In place, the uniforms v become estimate_outage's per-sample values at
+    """In place, the uniforms v become estimate_outage's evaluations at
     threshold x, a scalar or an array shaped like v: the probability that
     the SINR falls below x given the relay-destination excess
     E = -lambda_rd log1p(-v) over x. E = 0 or x = inf makes k infinite, and
@@ -231,21 +247,29 @@ def estimate_outage(stats: LinkStats, threshold: float, n: int, seed: int,
     with a = g_sr / (g_li + 1) and b = g_rd, by conditional Monte Carlo.
 
     Outage is certain when b <= x. Given b > x, the excess E = b - x is again
-    Exp(lambda_rd) (the exponential is memoryless), so each sample draws only
-    E = -lambda_rd log1p(-u), one uniform. Given b = x + E, outage is
+    Exp(lambda_rd) (the exponential is memoryless), so each evaluation needs
+    only E = -lambda_rd log1p(-u), one uniform. Given b = x + E, outage is
     g_sr < (g_li + 1) k with k = x (x + 1 + E) / E; integrating g_sr and then
-    g_li ~ Exp(lambda_li) gives the per-sample value 1 - e^-s / (1 + d), with
+    g_li ~ Exp(lambda_li) gives the value 1 - e^-s / (1 + d), with
     c = k / lambda_sr, d = c lambda_li and s = x / lambda_rd + c, computed
     without cancellation as (d - expm1(-s)) / (1 + d). The estimate is
     unbiased, and as the conditional expectation of the outage indicator its
-    variance is at most the indicator count's at every input. Where outage
-    is rare (high power, eps = 0), most of that variance comes from samples
-    with E near 0 that a run of 1e6 samples seldom draws, so std_error there
-    usually understates the spread of the estimate.
+    variance is at most the indicator count's at every input.
 
-    A uniform of exactly 0 gives E = 0, where k is infinite and the value
-    is 1. Threshold 0 returns exactly 0 with std_error 0: the SINR is never
-    negative.
+    Pair i draws uniform i of its stream and evaluates it at u and at 1 - u;
+    the value falls as u rises, so the pair mean varies at most half as much
+    as one evaluation. Relative variance per evaluation at threshold 1, the
+    symmetric allocation and v = 3, independent draws -> pairs (30-digit
+    quadrature over u): 0.076 -> 0.028 at 0 dB and 0.250 -> 0.249 at 20 dB
+    (eps = 0.1). Where outage is rare (high power, eps = 0), the variance
+    comes from evaluations with E near 0 that a run of 1e6 seldom reaches,
+    and pairing leaves that tail as it was: 0.692 either way at 40 dB, eps =
+    0. So std_error there usually understates the spread of the estimate.
+
+    A uniform of exactly 0 gives E = 0, where k is infinite and the value is
+    1; its partner 1 gives E = inf and the finite value at k = x. An odd n
+    runs ceil(n / 2) pairs. Threshold 0 returns exactly 0 with std_error 0:
+    the SINR is never negative.
     """
     import numpy as np
     import numpy.random  # noqa: F401  (stream's Philox)
@@ -253,18 +277,26 @@ def estimate_outage(stats: LinkStats, threshold: float, n: int, seed: int,
     _check_n(n, _MIN_SAMPLES, "estimate_outage")
     if not threshold >= 0.0:
         raise DomainError(f"threshold must be >= 0, got {threshold}")
+    pairs = -(-n // 2)
     if threshold == 0.0:
-        return McEstimate(value=0.0, std_error=0.0, n_samples=n, seed=seed)
+        return McEstimate(value=0.0, std_error=0.0, n_samples=2 * pairs, seed=seed)
     x = float(threshold)
 
     def chunk(lo, hi):
+        # pairs lo .. hi - 1, one uniform each from stream offset lo
         gen = stream(seed, _TAG_OUTAGE, lo)
         v = np.empty(hi - lo)
         for b, e in _blocks(hi - lo, 1):
-            v[b:e] = _outage_given_excess(gen.random(e - b), x, stats)
+            m = e - b
+            w = np.empty(2 * m)                     # u, then 1 - u
+            gen.random(out=w[:m])
+            np.subtract(1.0, w[:m], out=w[m:])
+            _outage_given_excess(w, x, stats)
+            np.add(w[:m], w[m:], out=v[b:e])
+            v[b:e] *= 0.5
         return _moments(v)
 
-    return _mean_estimate(_map_chunks(chunk, n, workers), n, seed)
+    return _mean_estimate(_map_chunks(chunk, pairs, workers, _CHUNK_PAIRS), seed)
 
 
 def estimate_ser_semianalytic(stats: LinkStats, cfg: SystemConfig, n: int,
@@ -274,49 +306,65 @@ def estimate_ser_semianalytic(stats: LinkStats, cfg: SystemConfig, n: int,
 
     With Z ~ N(0, 1) independent of the fades, Q(sqrt(beta g)) =
     P(Z^2 > beta g) / 2, so the SER is (alpha / 2) E[F(X)]: F is the SINR's
-    CDF and X = Z^2 / beta a random threshold. Each sample draws two
+    CDF and X = Z^2 / beta a random threshold. Each evaluation reads two
     uniforms: u0 gives X = ndtri(u0 / 2)^2 / beta, and u1 the
     relay-destination excess E = -lambda_rd log1p(-u1) over X. The value is
-    (alpha / 2) (d - expm1(-s)) / (1 + d), estimate_outage's per-sample
-    value at threshold X. A uniform of exactly 0 in either place (X infinite,
-    or E = 0) gives alpha / 2.
+    (alpha / 2) (d - expm1(-s)) / (1 + d), estimate_outage's value at
+    threshold X. Pair i draws row i = (u0, u1) of its stream and evaluates
+    it at (u0, u1) and at (1 - u0, 1 - u1). The value falls as u1 rises, and
+    as u0 rises too (X falls, and the kernel rises with X at fixed excess),
+    so the two evaluations never covary positively.
+
+    A uniform of exactly 0 in either place (X infinite, or E = 0) gives
+    alpha / 2. Its partner 1 gives X = 0, where the value is 0, or E = inf,
+    the finite limit at k = X. An odd n runs ceil(n / 2) pairs.
 
     The estimate is unbiased. Its variance is not below that of averaging
     alpha Q(sqrt(beta SINR)) over sampled fades at every input, since it
-    conditions on other variables. Per-sample relative variance, fading
-    average -> this estimate, 1e6 samples, symmetric allocation, v = 3:
-    1.5e4 -> 2.0 at 40 dB and 3.7e5 -> 2.0 at 60 dB (eps = 0); 39 -> 2.6 at
-    20 dB and 58 -> 1.9 at 60 dB (eps = 0.1). It is noisier at low power,
-    0.77 -> 1.15 at 0 dB and 0.035 -> 0.20 at -10 dB (eps = 0.1), where
-    either reaches 1 % error within 1e4 samples. As in estimate_outage,
-    samples with E near 0 carry a tail that 1e6 draws seldom reach: at
+    conditions on other variables. Relative variance per evaluation, fading
+    average -> independent draws -> pairs, reported at 1e6 evaluations,
+    symmetric allocation, v = 3: 1.5e4 -> 2.0 -> 1.13 at 40 dB and 3.7e5 ->
+    2.0 -> 1.12 at 60 dB (eps = 0); 39 -> 2.6 -> 1.7 at 20 dB, 58 -> 1.9 ->
+    1.06 at 60 dB, 0.77 -> 1.15 -> 0.38 at 0 dB and 0.035 -> 0.20 -> 0.10 at
+    -10 dB (eps = 0.1), where any of them reaches 1 % error within 1e4
+    evaluations. As in estimate_outage, evaluations with E near 0 carry a
+    tail that 1e6 draws seldom reach, and pairing leaves it as it was: at
     40 dB, eps = 0 it adds 2 ln 2 E[X (X + 1)] / (lambda_sr lambda_rd) /
-    (2 SER / alpha)^2 = 1.73 to the relative variance, so the true value is
-    3.73 against the ~2 that std_error reports.
+    (2 SER / alpha)^2 = 1.73 to the relative variance per evaluation, so
+    the true value is 2.85 (3.73 without pairs, by quadrature over both
+    uniforms) against the ~1.1 that std_error reports.
     """
     import numpy as np
     import numpy.random  # noqa: F401  (stream's Philox)
     from scipy.special import ndtri
 
     _check_n(n, _MIN_SAMPLES, "estimate_ser_semianalytic")
-    half_alpha = 0.5 * cfg.alpha_mod
+    pairs = -(-n // 2)
+    quarter_alpha = 0.25 * cfg.alpha_mod          # alpha / 2 times the pair's 1 / 2
     beta = cfg.beta_mod
 
     def chunk(lo, hi):
+        # pairs lo .. hi - 1, two uniforms each from stream offset 2 lo
         gen = stream(seed, _TAG_SER, 2 * lo)
         v = np.empty(hi - lo)
         for b, e in _blocks(hi - lo, 2):
-            # u0 and u1 as contiguous rows: the kernel's passes run faster on
-            # them than on strided columns
-            x, u = gen.random(2 * (e - b)).reshape(e - b, 2).T.copy()
+            m = e - b
+            # contiguous rows, the kernel's passes run faster on them than on
+            # strided columns: x = (u0, 1 - u0) and u = (u1, 1 - u1)
+            x, u = np.empty((2, 2 * m))
+            x[:m], u[:m] = gen.random(2 * m).reshape(m, 2).T
+            np.subtract(1.0, x[:m], out=x[m:])
+            np.subtract(1.0, u[:m], out=u[m:])
             x *= 0.5
             ndtri(x, out=x)
             np.square(x, out=x)
             x /= beta                               # X = Z^2 / beta
-            np.multiply(_outage_given_excess(u, x, stats), half_alpha, out=v[b:e])
+            _outage_given_excess(u, x, stats)
+            np.add(u[:m], u[m:], out=v[b:e])
+            v[b:e] *= quarter_alpha
         return _moments(v)
 
-    return _mean_estimate(_map_chunks(chunk, n, workers), n, seed)
+    return _mean_estimate(_map_chunks(chunk, pairs, workers, _CHUNK_PAIRS), seed)
 
 
 def estimate_ser_symbol_level(stats: LinkStats, cfg: SystemConfig,

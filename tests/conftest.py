@@ -211,42 +211,55 @@ def ser_fading_oracle(stats, cfg: SystemConfig, n: int, seed: int) -> McEstimate
     return McEstimate(value=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed)
 
 
-def outage_conditional_samples(stats, threshold: float, n: int, seed: int) -> np.ndarray:
-    """The per-sample values of estimate_outage, written out from the
-    derivation on its stream (Philox key seed + 2**64, one uniform per
-    sample, so one stream from counter 0 covers every chunk).
+def outage_conditional_pair_means(stats, threshold: float, n: int, seed: int) -> np.ndarray:
+    """The pair means of estimate_outage, written out from the derivation on
+    its stream (Philox key seed + 2**64, one uniform per antithetic pair, so
+    one stream from counter 0 covers every chunk): ceil(n / 2) of them.
 
     The relay-destination excess over x is E = -lambda_rd log1p(-u); given
     it, outage is g_sr < (g_li + 1) k with k = x (x + 1 + E) / E, and
     integrating g_sr and g_li leaves 1 - e^-s / (1 + d), c = k / lambda_sr,
-    d = c lambda_li, s = x / lambda_rd + c. Meant for thresholds > 0 and
-    uniforms > 0.
+    d = c lambda_li, s = x / lambda_rd + c. Each pair averages that value at
+    u and at 1 - u, whose excess is -lambda_rd log(u). Meant for thresholds
+    > 0 and uniforms > 0.
     """
     key = (int(seed) & 0xFFFFFFFFFFFFFFFF) + (1 << 64)
     x = threshold
-    e = -stats.lambda_rd * np.log1p(-Generator(Philox(key=key)).random(n))
-    c = x * (x + 1.0 + e) / e / stats.lambda_sr
-    d = c * stats.lambda_li
-    return (d - np.expm1(-(x / stats.lambda_rd + c))) / (1.0 + d)
+    u = Generator(Philox(key=key)).random(-(-n // 2))
+
+    def value(e):
+        c = x * (x + 1.0 + e) / e / stats.lambda_sr
+        d = c * stats.lambda_li
+        return (d - np.expm1(-(x / stats.lambda_rd + c))) / (1.0 + d)
+
+    return 0.5 * (value(-stats.lambda_rd * np.log1p(-u))
+                  + value(-stats.lambda_rd * np.log(u)))
 
 
 def _whole_chunks(chunk, n: int, seed: int) -> McEstimate:
-    # chunk(lo, hi) over the CHUNK_SAMPLES slices of range(n), serially;
-    # the estimate does not depend on the order the chunks run in
-    parts = [chunk(lo, min(n, lo + CHUNK_SAMPLES)) for lo in range(0, n, CHUNK_SAMPLES)]
-    return mc._mean_estimate(parts, n, seed)
+    # chunk(lo, hi) over the CHUNK_SAMPLES // 2 slices of the ceil(n / 2)
+    # pairs, serially; the estimate does not depend on the order the chunks
+    # run in
+    pairs = -(-n // 2)
+    size = CHUNK_SAMPLES // 2
+    parts = [chunk(lo, min(pairs, lo + size)) for lo in range(0, pairs, size)]
+    return mc._mean_estimate(parts, seed)
 
 
 def outage_chunk_oracle(stats, threshold: float, n: int, seed: int) -> McEstimate:
     """estimate_outage with each chunk drawn and evaluated whole, as before
     the estimators worked in blocks: the reference that the blocked
-    estimator must match bit for bit. Same stream, kernel, moments and
-    merge. Meant for thresholds > 0."""
+    estimator must match bit for bit. Same stream, kernel, antithetic
+    pairs, moments and merge: the chunk of pairs lo .. hi - 1 draws its
+    uniforms u from stream offset lo and reduces the means of the values at
+    u and at 1 - u. Meant for thresholds > 0."""
     x = float(threshold)
 
     def chunk(lo, hi):
-        return mc._moments(mc._outage_given_excess(
-            mc.stream(seed, mc._TAG_OUTAGE, lo).random(hi - lo), x, stats))
+        u = mc.stream(seed, mc._TAG_OUTAGE, lo).random(hi - lo)
+        antithetic = mc._outage_given_excess(1.0 - u, x, stats)
+        pair_sums = mc._outage_given_excess(u, x, stats) + antithetic
+        return mc._moments(pair_sums * 0.5)
 
     return _whole_chunks(chunk, n, seed)
 
@@ -254,22 +267,21 @@ def outage_chunk_oracle(stats, threshold: float, n: int, seed: int) -> McEstimat
 def ser_chunk_oracle(stats, cfg: SystemConfig, n: int, seed: int) -> McEstimate:
     """estimate_ser_semianalytic with each chunk drawn and evaluated whole,
     as before the estimators worked in blocks: the reference that the
-    blocked estimator must match bit for bit."""
-    half_alpha = 0.5 * cfg.alpha_mod
+    blocked estimator must match bit for bit. The chunk of pairs lo .. hi - 1
+    draws its rows (u0, u1) from stream offset 2 lo and reduces the means of
+    the values at (u0, u1) and at (1 - u0, 1 - u1)."""
     beta = cfg.beta_mod
 
+    def value(u0, u1):
+        x = special.ndtri(u0 * 0.5) ** 2 / beta     # X = Z^2 / beta
+        return mc._outage_given_excess(u1, x, stats)
+
     def chunk(lo, hi):
-        # u0 and u1 as contiguous rows: the kernel's passes run faster on
-        # them than on strided columns
-        x, v = (mc.stream(seed, mc._TAG_SER, 2 * lo).random(2 * (hi - lo))
-                .reshape(hi - lo, 2).T.copy())
-        x *= 0.5
-        special.ndtri(x, out=x)
-        np.square(x, out=x)
-        x /= beta                                   # X = Z^2 / beta
-        v = mc._outage_given_excess(v, x, stats)
-        v *= half_alpha
-        return mc._moments(v)
+        u = mc.stream(seed, mc._TAG_SER, 2 * lo).random(2 * (hi - lo)).reshape(hi - lo, 2)
+        u0, u1 = u[:, 0].copy(), u[:, 1].copy()
+        antithetic = value(1.0 - u0, 1.0 - u1)
+        pair_sums = value(u0, u1) + antithetic       # the kernel overwrites u1
+        return mc._moments(pair_sums * (0.25 * cfg.alpha_mod))
 
     return _whole_chunks(chunk, n, seed)
 

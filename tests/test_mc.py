@@ -2,11 +2,13 @@
 agreement with the quadrature oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from scipy import special, stats as sps
 
 from fdrelay import (
     Allocation,
@@ -27,7 +29,7 @@ from fdrelay.mc import CHUNK_SAMPLES, stream
 
 from conftest import (
     outage_chunk_oracle,
-    outage_conditional_samples,
+    outage_conditional_pair_means,
     outage_indicator_oracle,
     ser_chunk_oracle,
     ser_fading_oracle,
@@ -49,6 +51,29 @@ SER_TABLE = [
     (25.0, 0.3, 2.5, "qpsk", 4.93336831006898598204949165702e-02),
     (0.0, 0.1, 3.0, "bpsk", 1.31536147463494632112826419125e-01),
 ]
+
+
+class RepeatedRow:
+    """A stand-in for mc.stream whose rows of len(row) uniforms all equal
+    row."""
+
+    def __init__(self, row):
+        self.row = np.asarray(row, dtype=float)
+
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.resize(self.row, size)
+        out[...] = np.resize(self.row, out.size)
+        return out
+
+
+def excess_limit(x: float, stats) -> float:
+    """The conditional outage at threshold x given an infinite
+    relay-destination excess: k = x, so c = x / lambda_sr and the value is
+    (d - expm1(-s)) / (1 + d) with d = c lambda_li, s = x / lambda_rd + c."""
+    c = x / stats.lambda_sr
+    d = c * stats.lambda_li
+    return (d - math.expm1(-(x / stats.lambda_rd + c))) / (1.0 + d)
 
 
 class TestSinrForms:
@@ -159,6 +184,20 @@ class TestReproducibility:
                 assert (got.value, got.std_error, got.n_samples) == \
                     (want.value, want.std_error, want.n_samples), (n, workers)
 
+    @pytest.mark.parametrize("n", [10_001, 2 * CHUNK_SAMPLES + 12_345])
+    def test_odd_n_runs_whole_pairs(self, n):
+        # an odd n runs ceil(n / 2) antithetic pairs, so it is the estimate
+        # at n + 1 bit for bit, at any worker count
+        cfg, stats = stats_at(20.0, 0.1)
+        for fn in (
+            lambda m, w: estimate_outage(stats, 1.0, m, seed=37, workers=w),
+            lambda m, w: estimate_ser_semianalytic(stats, cfg, m, seed=37, workers=w),
+        ):
+            want = fn(n + 1, 1)
+            assert want.n_samples == n + 1
+            for workers in (1, 2, 4):
+                assert fn(n, workers) == want, workers
+
     def test_symbol_level_split_changes_no_count(self):
         # n is a multiple of neither the block nor any worker's share
         cfg, stats = stats_at(20.0, 0.1)
@@ -181,6 +220,53 @@ class TestReproducibility:
         assert np.array_equal(whole, np.concatenate([head, tail]))
         with pytest.raises(DomainError):
             stream(11, uniform_offset=6)
+
+
+class TestAntitheticPairs:
+    @given(st.floats(-20.0, 80.0), st.floats(0.0, 10.0), st.floats(1.5, 6.0),
+           st.sampled_from(["bpsk", "qpsk"]), st.floats(1e-3, 1e3),
+           st.integers(0, 2**32))
+    @seed(20170322)
+    @settings(max_examples=60, deadline=None)
+    def test_never_worse_than_independent_draws(self, p_db, eps, v, modulation, x,
+                                                mc_seed):
+        # both kernels are monotone in every uniform they read, so their
+        # values at u and at 1 - u never covary positively (Ross,
+        # Simulation, section 9.2) and a pair mean varies at most half as
+        # much as one evaluation. The sample covariance of 2**15 pairs may exceed 0 by
+        # sampling noise only: 6 standard errors of its mean of products
+        cfg, stats = stats_at(p_db, eps, v, modulation=modulation)
+        m = mc._BLOCK_UNIFORMS // 2
+        u = stream(mc_seed, mc._TAG_OUTAGE).random(m)
+        outage = (mc._outage_given_excess(u.copy(), x, stats),
+                  mc._outage_given_excess(1.0 - u, x, stats))
+        u0, u1 = stream(mc_seed, mc._TAG_SER).random(2 * m).reshape(m, 2).T.copy()
+
+        def threshold(w):
+            return special.ndtri(w * 0.5) ** 2 / cfg.beta_mod
+
+        ser = (mc._outage_given_excess(u1.copy(), threshold(u0), stats),
+               mc._outage_given_excess(1.0 - u1, threshold(1.0 - u0), stats))
+        for h, g in (outage, ser):
+            products = (h - h.mean()) * (g - g.mean())
+            margin = 6.0 * float(products.std()) / math.sqrt(m)
+            assert float(products.mean()) <= margin
+
+    @pytest.mark.parametrize("p_db, eps", [(20.0, 0.1), (0.0, 0.1)])
+    def test_reported_error_is_honest(self, p_db, eps):
+        # the seed-to-seed spread of 200 estimates of 1e4 evaluations
+        # against their RMS std_error: the ratio of the variances lies in
+        # the two-sided 0.1 % band of chi^2 with 199 degrees of freedom over
+        # 199. The 40 dB, eps = 0 tail, which std_error misses, is left out
+        cfg, stats = stats_at(p_db, eps)
+        seeds = range(3000, 3200)
+        lo, hi = sps.chi2.ppf([0.0005, 0.9995], len(seeds) - 1) / (len(seeds) - 1)
+        for fn in (lambda s: estimate_outage(stats, 1.0, 10_000, seed=s),
+                   lambda s: estimate_ser_semianalytic(stats, cfg, 10_000, seed=s)):
+            ests = [fn(s) for s in seeds]
+            spread = float(np.var([e.value for e in ests], ddof=1))
+            reported = float(np.mean([e.std_error ** 2 for e in ests]))
+            assert lo <= spread / reported <= hi
 
 
 class TestEstimateOutage:
@@ -249,30 +335,34 @@ class TestEstimateOutage:
             assert (crude.std_error / est.std_error) ** 2 >= 100.0
 
     def test_std_error_is_two_pass(self):
-        # near-constant per-sample values (outage ~0.992, spread ~1e-7):
-        # s2/n - mean^2 from raw sums cancels to rounding noise here
+        # near-constant pair means (outage ~0.992, spread ~1e-7): s2/n -
+        # mean^2 from raw sums cancels to rounding noise here
         _, stats = stats_at(100.0, 1e3)
         n = 2 * CHUNK_SAMPLES + 12_345
         est = estimate_outage(stats, 1.0, n, seed=13, workers=2)
-        samples = outage_conditional_samples(stats, 1.0, n, seed=13)
-        assert est.value == pytest.approx(float(samples.mean()), rel=1e-12)
-        want = float(np.std(samples, ddof=1)) / math.sqrt(n)
+        pairs = outage_conditional_pair_means(stats, 1.0, n, seed=13)
+        assert est.n_samples == 2 * pairs.size
+        assert est.value == pytest.approx(float(pairs.mean()), rel=1e-12)
+        want = float(np.std(pairs, ddof=1)) / math.sqrt(pairs.size)
         assert want > 0.0
         assert est.std_error == pytest.approx(want, rel=1e-6)
 
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_zero_uniform_is_certain_outage(self, monkeypatch, eps):
         # u = 0 gives a relay-destination excess E = 0: k = x (x + 1 + E) / E
-        # is infinite and the sample is an outage, whatever lambda_li
-        class Zeros:
-            def random(self, size):
-                return np.zeros(size)
-
-        monkeypatch.setattr(mc, "stream", lambda *args: Zeros())
+        # is infinite and the evaluation is an outage, whatever lambda_li.
+        # Its antithetic partner 1 gives E = inf, where k is its limit x
+        monkeypatch.setattr(mc, "stream", lambda *args: RepeatedRow([0.0]))
         _, stats = stats_at(20.0, eps)
-        est = estimate_outage(stats, 1.0, 20_000, seed=1)
-        assert est.value == 1.0
-        assert est.std_error == 0.0
+        x = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            own, partner = mc._outage_given_excess(np.array([0.0, 1.0]), x, stats)
+            est = estimate_outage(stats, x, 20_000, seed=1)
+        assert own == 1.0
+        assert partner == pytest.approx(excess_limit(x, stats), rel=1e-14)
+        assert est.value == pytest.approx(0.5 * (1.0 + partner), rel=1e-14)
+        assert est.std_error <= 1e-15 * est.value
 
     @given(st.floats(-20.0, 150.0), st.floats(0.0, 1e3), st.floats(1.5, 6.0),
            st.floats(0.0, 1e6), st.integers(0, 2**32))
@@ -388,18 +478,21 @@ class TestEstimateSerSemianalytic:
     @pytest.mark.parametrize("eps, modulation", [(0.0, "bpsk"), (0.1, "qpsk")])
     def test_zero_uniform_gives_half_alpha(self, monkeypatch, column, eps, modulation):
         # u0 = 0 makes X infinite, u1 = 0 makes the excess E = 0: either way
-        # the conditional outage is 1 and the sample is alpha / 2
-        class OneColumnZero:
-            def random(self, size):
-                u = np.full(size, 0.5)
-                u[column::2] = 0.0
-                return u
-
-        monkeypatch.setattr(mc, "stream", lambda *args: OneColumnZero())
+        # the conditional outage is 1 and the evaluation is alpha / 2. The
+        # antithetic partner 1 - 0 = 1 gives X = 0, where outage is
+        # impossible, or E = inf, the finite limit at k = X with X from
+        # u0 = 1/2
+        row = [0.5, 0.5]
+        row[column] = 0.0
+        monkeypatch.setattr(mc, "stream", lambda *args: RepeatedRow(row))
         cfg, stats = stats_at(20.0, eps, modulation=modulation)
-        est = estimate_ser_semianalytic(stats, cfg, 20_000, seed=1)
-        assert est.value == cfg.alpha_mod / 2.0
-        assert est.std_error == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_ser_semianalytic(stats, cfg, 20_000, seed=1)
+        x_half = special.ndtri(0.25) ** 2 / cfg.beta_mod
+        partner = 0.0 if column == 0 else excess_limit(x_half, stats)
+        assert est.value == pytest.approx(cfg.alpha_mod / 4.0 * (1.0 + partner), rel=1e-14)
+        assert est.std_error <= 1e-15 * est.value
 
     @given(st.floats(-20.0, 150.0), st.floats(0.0, 1e3), st.floats(1.5, 6.0),
            st.sampled_from(["bpsk", "qpsk"]), st.integers(0, 2**32))

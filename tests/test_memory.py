@@ -20,10 +20,10 @@ import fdrelay
 
 pytest.importorskip("resource")
 
-# the estimators hold one CHUNK_SAMPLES array of per-sample values per
-# worker, 3.2 MB, plus a block's uniforms and temporaries, and raised the
-# mark by 6-7, 8 and 8 MB in this order (cumulative); drawing and evaluating
-# whole chunks raised it by 5, 23-29 and 96-124 MB
+# the outage and SER hold one array of CHUNK_SAMPLES // 2 pair means per
+# worker, 1.6 MB, plus a block's uniforms and temporaries, and raised the
+# mark by 5-6, 7-8 and 7-8 MB in this order (cumulative); drawing and
+# evaluating whole chunks raised it by 5, 23-29 and 96-124 MB
 MAX_RISE_MB = 32.0
 
 _SCRIPT = """
