@@ -24,6 +24,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable
 
 from .errors import DomainError, NonConvergenceError, QuadratureError
@@ -149,18 +150,30 @@ def sinr_cdf_asymptotic(x: float, stats: LinkStats) -> float:
     """
     if math.isnan(x) or x < 0.0:
         raise DomainError(f"sinr_cdf_asymptotic: x must be >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    u = 2.0 * x / math.sqrt(stats.lambda_sr * stats.lambda_rd)
-    # u K1(u) -> 1 with O(u^2 ln u) error; shortcut also avoids 1/u overflow
-    # for denormal u
-    uk1 = 1.0 if u < 1e-12 else u * bessel_k1(u)
-    surv = (
-        math.exp(-(1.0 / stats.lambda_sr + 1.0 / stats.lambda_rd) * x)
-        / (1.0 + stats.eta * x)
-        * uk1
-    )
-    return min(max(1.0 - surv, 0.0), 1.0)
+    return _asymptotic_cdf(stats)(x)
+
+
+def _asymptotic_cdf(stats: LinkStats) -> Callable[[float], float]:
+    """The function x -> sinr_cdf_asymptotic(x, stats) for x >= 0, with the
+    factors that do not depend on x computed once."""
+    root = math.sqrt(stats.lambda_sr * stats.lambda_rd)
+    rate = 1.0 / stats.lambda_sr + 1.0 / stats.lambda_rd
+    eta = stats.eta
+
+    def cdf(x: float) -> float:
+        if x == 0.0:
+            return 0.0
+        u = 2.0 * x / root
+        if u == math.inf:
+            # u K1(u) -> 0, so F -> 1; the product below would be inf * 0
+            return 1.0
+        # u K1(u) -> 1 with O(u^2 ln u) error; shortcut also avoids 1/u
+        # overflow for denormal u
+        uk1 = 1.0 if u < 1e-12 else u * bessel_k1(u)
+        surv = math.exp(-rate * x) / (1.0 + eta * x) * uk1
+        return min(max(1.0 - surv, 0.0), 1.0)
+
+    return cdf
 
 
 def sinr_cdf_exact_numeric(x: float, stats: LinkStats) -> float:
@@ -184,23 +197,24 @@ def sinr_cdf_exact_numeric(x: float, stats: LinkStats) -> float:
     lsr = stats.lambda_sr
     lrd = stats.lambda_rd
     eta = stats.eta
+    xx = x * x
 
     def integrand(u: float) -> float:
         eu = math.exp(u)
-        y = x * x / eu
-        expo = -(x + y) / lsr - (x + eu) / lrd
+        xy = x + xx / eu
+        expo = -xy / lsr - (x + eu) / lrd
         if expo < -745.0:
             return 0.0
-        return (eu / lrd) * math.exp(expo) / (1.0 + eta * (x + y))
+        return (eu / lrd) * math.exp(expo) / (1.0 + eta * xy)
 
     # outside [u_lo, u_hi] one of the exponentials has underflowed
-    u_lo = math.log(x * x / (lsr * 745.0))
+    u_lo = math.log(xx / (lsr * 745.0))
     u_hi = math.log(745.0 * lrd)
     if u_lo >= u_hi:
         # the exponent is at least x/l_sr + x/l_rd + 2x/sqrt(l_sr l_rd) > 1490
         # everywhere, so the survivor underflows double precision
         return 1.0
-    marks = [math.log(max(x * x / lsr, 1e-300)), math.log(lrd)]
+    marks = [math.log(max(xx / lsr, 1e-300)), math.log(lrd)]
     if eta > 0.0:
         marks.append(math.log(max(eta * x * x, 1e-300)))
     breaks = sorted({min(max(m, u_lo + 1e-9), u_hi - 1e-9) for m in marks})
@@ -310,7 +324,9 @@ def ser_from_cdf(cdf: Callable[[float], float], cfg: SystemConfig) -> float:
     beta = cfg.beta_mod
 
     def integrand(u: float) -> float:
-        return cdf(u * u) * math.exp(-0.5 * beta * u * u)
+        weight = math.exp(-0.5 * beta * u * u)
+        # where the weight has underflowed the product is 0 whatever F is
+        return cdf(u * u) * weight if weight else 0.0
 
     val, err = _quad_checked(integrand, 0.0, math.inf, _SER_ABS_TOL, "ser_from_cdf")
     ser = cfg.alpha_mod * math.sqrt(beta) / math.sqrt(_2PI) * val
@@ -319,7 +335,7 @@ def ser_from_cdf(cdf: Callable[[float], float], cfg: SystemConfig) -> float:
 
 def ser_quadrature(stats: LinkStats, cfg: SystemConfig) -> float:
     """Numerical SER from the asymptotic CDF; oracle for ser_series."""
-    return ser_from_cdf(lambda t: sinr_cdf_asymptotic(t, stats), cfg)
+    return ser_from_cdf(_asymptotic_cdf(stats), cfg)
 
 
 def ser_high_power(stats: LinkStats, cfg: SystemConfig) -> float:
@@ -458,6 +474,12 @@ _WG21 = (
 # the order in which QUADPACK adds the symmetric node pairs: those at the
 # Gauss nodes (odd 0-based index) first, then the Kronrod-only ones
 _ORDER21 = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
+# the same tables as _qk21 reads them: the node pairs' abscissae, (index,
+# weight) in _ORDER21 order for each rule, and the centre's Kronrod weight
+_XK21 = _XGK21[:10]
+_KRONROD21 = tuple((j, _WGK21[j]) for j in _ORDER21)
+_GAUSS21 = tuple(zip(_ORDER21[:5], _WG21))
+_WK21_CENTRE = _WGK21[10]
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 _QUAD_LIMIT = 300
@@ -468,21 +490,22 @@ def _qk21(f, a: float, b: float) -> tuple[float, float]:
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     fc = f(centr)
-    absc = [hlgth * x for x in _XGK21[:10]]
-    fv1 = [f(centr - d) for d in absc]
-    fv2 = [f(centr + d) for d in absc]
-    resk = _WGK21[10] * fc
+    fv1 = [f(centr - hlgth * x) for x in _XK21]
+    fv2 = [f(centr + hlgth * x) for x in _XK21]
+    resk = _WK21_CENTRE * fc
     resabs = abs(resk)
-    for j in _ORDER21:
-        resk = resk + _WGK21[j] * (fv1[j] + fv2[j])
-        resabs = resabs + _WGK21[j] * (abs(fv1[j]) + abs(fv2[j]))
+    for j, w in _KRONROD21:
+        f1 = fv1[j]
+        f2 = fv2[j]
+        resk = resk + w * (f1 + f2)
+        resabs = resabs + w * (abs(f1) + abs(f2))
     resg = 0.0
-    for j, w in zip(_ORDER21[:5], _WG21):
+    for j, w in _GAUSS21:
         resg = resg + w * (fv1[j] + fv2[j])
     reskh = resk * 0.5
-    resasc = _WGK21[10] * abs(fc - reskh)
-    for j in range(10):
-        resasc = resasc + _WGK21[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    resasc = _WK21_CENTRE * abs(fc - reskh)
+    for w, v1, v2 in zip(_WGK21, fv1, fv2):
+        resasc = resasc + w * (abs(v1 - reskh) + abs(v2 - reskh))
     resabs = resabs * hlgth
     resasc = resasc * hlgth
     abserr = abs((resk - resg) * hlgth)
@@ -508,8 +531,9 @@ def _adaptive(f, edges, epsabs: float, epsrel: float) -> tuple[float, float]:
         heap.append((-error, a, b, value))
     heapq.heapify(heap)
     while True:
-        value = math.fsum(item[3] for item in heap)
-        error = math.fsum(-item[0] for item in heap)
+        value = math.fsum(map(itemgetter(3), heap))
+        # fsum rounds exactly, and rounding is symmetric under negation
+        error = -math.fsum(map(itemgetter(0), heap))
         if not error > max(epsabs, epsrel * abs(value)) or len(heap) >= _QUAD_LIMIT:
             return value, error
         _, a, b, _ = heap[0]

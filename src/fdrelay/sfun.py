@@ -74,6 +74,12 @@ _PSI_TAIL = (
 
 _SERIES_MAX_TERMS = 800
 
+# (k (k+1), 1/k, 1/(k+1)) for k = 1..102, the factors of the K1 power series.
+# Dividing by the float k (k+1) or k gives the bits the int gave, since the
+# int converts exactly. A term is at most q^k / (k! (k+1)!) with q = x^2/4 < 1,
+# which underflows to 0 by k = 102, so both series loops stop inside the table
+_K1_STEPS = tuple((float(k * (k + 1)), 1.0 / k, 1.0 / (k + 1)) for k in range(1, 103))
+
 
 def _clenshaw(t: float, coeffs) -> float:
     b1 = 0.0
@@ -94,10 +100,8 @@ def _k1_small(x: float) -> float:
     term = 0.5 * x
     i1 = term
     comp = 0.0
-    k = 0
-    while True:
-        k += 1
-        term *= q / (k * (k + 1))
+    for kk, _, _ in _K1_STEPS:
+        term *= q / kk
         y = term - comp
         t = i1 + y
         comp = (t - i1) - y
@@ -110,12 +114,10 @@ def _k1_small(x: float) -> float:
     term = 1.0
     s = hk + hk1
     comp = 0.0
-    k = 0
-    while True:
-        k += 1
-        term *= q / (k * (k + 1))
-        hk += 1.0 / k
-        hk1 += 1.0 / (k + 1)
+    for kk, inv_k, inv_k1 in _K1_STEPS:
+        term *= q / kk
+        hk += inv_k
+        hk1 += inv_k1
         d = (hk + hk1) * term
         y = d - comp
         t = s + y

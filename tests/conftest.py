@@ -318,6 +318,45 @@ def symbol_level_complex_oracle(stats, n_symbols: int, seed: int) -> McEstimate:
                       n_samples=n_symbols, seed=seed, count=errors)
 
 
+def k1_small_oracle(x: float) -> float:
+    """The K1 power series for 0 < x < 2 with its integer recurrences
+    evaluated per term: the reference that sfun._k1_small, which reads them
+    from a table of floats, must match bit for bit."""
+    q = 0.25 * x * x
+    term = 0.5 * x
+    i1 = term
+    comp = 0.0
+    k = 0
+    while True:
+        k += 1
+        term *= q / (k * (k + 1))
+        y = term - comp
+        t = i1 + y
+        comp = (t - i1) - y
+        i1 = t
+        if term <= 1e-18 * i1:
+            break
+    hk = -sfun._EULER_GAMMA
+    hk1 = 1.0 - sfun._EULER_GAMMA
+    term = 1.0
+    s = hk + hk1
+    comp = 0.0
+    k = 0
+    while True:
+        k += 1
+        term *= q / (k * (k + 1))
+        hk += 1.0 / k
+        hk1 += 1.0 / (k + 1)
+        d = (hk + hk1) * term
+        y = d - comp
+        t = s + y
+        comp = (t - s) - y
+        s = t
+        if abs(d) <= 1e-18 * abs(s):
+            break
+    return math.log(0.5 * x) * i1 + 1.0 / x - 0.25 * x * s
+
+
 def hyp_log_series_oracle(a: float, b: float, m: int, w: float) -> float:
     """The logarithmic connection series with every factor computed per call:
     the reference that sfun._hyp_log_series, which tabulates the

@@ -110,6 +110,14 @@ class TestSinrCdf:
         assert sinr_cdf_asymptotic(1e6, stats) > 1.0 - 1e-9
         assert sinr_cdf_exact_numeric(1e6, stats) > 1.0 - 1e-9
 
+    @pytest.mark.parametrize("x", [math.inf, 1e308, 5e307])
+    def test_one_where_the_bessel_argument_overflows(self, x):
+        # at 20 dB 2x / sqrt(l_sr l_rd) overflows for x >= 1e308 (5e307 is
+        # the finite control); u K1(u) -> 0 there, so the CDF is 1, not NaN
+        _, stats = stats_at(20.0, 0.1)
+        assert sinr_cdf_asymptotic(x, stats) == 1.0
+        assert sinr_cdf_exact_numeric(x, stats) == 1.0
+
     @given(st.floats(0.0, 50.0), st.floats(0.01, 20.0))
     @settings(max_examples=150, deadline=None)
     def test_nondecreasing(self, x, gap):

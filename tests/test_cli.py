@@ -112,6 +112,11 @@ class TestCommands:
         assert rows[0][:4] == ["p_db", "threshold", "outage_asymptotic", "outage_exact"]
         assert float(rows[1][2]) < float(rows[1][3]) * 1.2
 
+    def test_outage_at_infinite_threshold(self, tmp_path):
+        code, rows, _ = run_cli(["outage", "--p-db", "20", "--threshold", "inf"], tmp_path)
+        assert code == EXIT_OK
+        assert rows[1][2:4] == ["1", "1"]
+
     def test_negative_p_db_range(self, tmp_path):
         # "--p-db -10:0:5" reads as an option to argparse; the "=" form works
         code, rows, _ = run_cli(["outage", "--p-db=-10:0:5"], tmp_path)

@@ -14,8 +14,13 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fdrelay import QuadratureError, analytic
-from fdrelay.analytic import ser_quadrature, sinr_cdf_asymptotic, sinr_cdf_exact_numeric
+from fdrelay import RATIO_FLOOR, QuadratureError, analytic
+from fdrelay.analytic import (
+    outage,
+    ser_quadrature,
+    sinr_cdf_asymptotic,
+    sinr_cdf_exact_numeric,
+)
 from fdrelay.model import Allocation, SystemConfig, link_stats
 
 from conftest import stats_at
@@ -43,6 +48,20 @@ SER_TABLE = [
     # the CDF rises over u < 1e-3 only, a layer that QUADPACK's QAGIE missed
     # (it returned 0.9999999998)
     (-10.0, 1.0, 1.5, 1e-6, 0.5, "qpsk", 0.999640456786444963324372810721),
+]
+
+# float.hex of ser_quadrature and outage(1.0, ..., "exact"), as the integrator
+# returned them before its tables and hoisted factors: a change to the order
+# of its operations moves a bit here even where every tolerance still holds
+PINNED_BITS = [
+    # p_db, eps, v, rho_lambda, rho_d, modulation, SER, exact CDF at x = 1
+    (-10.0, 0.0, 3.0, 0.5, 0.5, "bpsk", "0x1.4c39370a73294p-2", "0x1.ffee23ceb7cefp-1"),
+    (20.0, 0.3, 3.0, 0.5, 0.5, "bpsk", "0x1.4acb86f5e0dbbp-7", "0x1.5619fc7a7dca0p-5"),
+    (60.0, 0.3, 3.0, 0.5, 0.5, "bpsk", "0x1.235c74c051c1fp-7", "0x1.281a035d4ce90p-5"),
+    (-10.0, 0.3, 3.0, 0.5, 0.5, "qpsk", "0x1.7d73669f06876p-1", "0x1.ffef54eee7c97p-1"),
+    (60.0, 0.0, 3.0, 0.5, 0.5, "qpsk", "0x1.0c7021fb6ed5bp-21", "0x1.0c6fb82400000p-21"),
+    (20.0, 0.3, 3.0, 0.5, RATIO_FLOOR, "qpsk", "0x1.3e2a4ff5fa719p-6",
+     "0x1.446c897e124e0p-6"),
 ]
 
 
@@ -103,6 +122,14 @@ def test_exact_cdf_against_mpmath(p_db, eps, v, rho_lambda, rho_d, x, want):
 def test_ser_quadrature_against_mpmath(p_db, eps, v, rho_lambda, rho_d, modulation, want):
     cfg, stats = stats_at(p_db, eps, v, rho_lambda, rho_d, modulation=modulation)
     assert ser_quadrature(stats, cfg) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("p_db, eps, v, rho_lambda, rho_d, modulation, ser_bits, cdf_bits",
+                         PINNED_BITS)
+def test_pinned_bits(p_db, eps, v, rho_lambda, rho_d, modulation, ser_bits, cdf_bits):
+    cfg, stats = stats_at(p_db, eps, v, rho_lambda, rho_d, modulation=modulation)
+    assert ser_quadrature(stats, cfg).hex() == ser_bits
+    assert outage(1.0, stats, "exact").hex() == cdf_bits
 
 
 # (name, integrand, a, b, break points, value); b = inf maps [a, inf) onto (0, 1]

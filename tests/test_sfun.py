@@ -11,7 +11,7 @@ import threading
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdrelay import DomainError, NonConvergenceError, sfun
@@ -27,7 +27,7 @@ from fdrelay.sfun import (
     hyp2f1_complement,
 )
 
-from conftest import hyp_log_series_oracle, outcome, q_func
+from conftest import hyp_log_series_oracle, k1_small_oracle, outcome, q_func
 
 mp.mp.dps = 40
 
@@ -223,6 +223,23 @@ class TestBesselK1:
     def test_domain(self, x):
         with pytest.raises(DomainError):
             bessel_k1(x)
+
+    @given(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True))
+    @example(math.nextafter(2.0, 0.0))
+    @example(5e-324)  # both forms raise on log(0.5 x) = log(0)
+    @example(0.930778009682853)  # the psi series sums to ~0: its longest run
+    @settings(max_examples=400, deadline=None)
+    def test_series_table_changes_no_bit(self, x):
+        assert outcome(sfun._k1_small, x) == outcome(k1_small_oracle, x)
+
+    def test_series_table_outlasts_both_series(self):
+        # a term of either series is at most q^k / (k! (k+1)!) with q < 1 and
+        # both loops stop once it underflows to 0
+        q = math.nextafter(1.0, 0.0)
+        term = 1.0
+        for kk, _, _ in sfun._K1_STEPS:
+            term *= q / kk
+        assert term == 0.0
 
 
 class TestExpIntegral:
