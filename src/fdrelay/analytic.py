@@ -164,8 +164,9 @@ def _asymptotic_cdf(stats: LinkStats) -> Callable[[float], float]:
         if x == 0.0:
             return 0.0
         u = 2.0 * x / root
-        if u == math.inf:
-            # u K1(u) -> 0, so F -> 1; the product below would be inf * 0
+        if u == math.inf or x == math.inf:
+            # u K1(u) -> 0, so F -> 1; the product below would be inf * 0,
+            # and u is inf / inf where l_sr l_rd overflows as well
             return 1.0
         # u K1(u) -> 1 with O(u^2 ln u) error; shortcut also avoids 1/u
         # overflow for denormal u
