@@ -50,9 +50,9 @@ SER_TABLE = [
     (-10.0, 1.0, 1.5, 1e-6, 0.5, "qpsk", 0.999640456786444963324372810721),
 ]
 
-# float.hex of ser_quadrature and outage(1.0, ..., "exact"), as the integrator
-# returned them before its tables and hoisted factors: a change to the order
-# of its operations moves a bit here even where every tolerance still holds
+# literal float.hex of ser_quadrature and outage(1.0, ..., "exact"): a change
+# to the order of the integrator's operations moves a bit here even where
+# every tolerance still holds
 PINNED_BITS = [
     # p_db, eps, v, rho_lambda, rho_d, modulation, SER, exact CDF at x = 1
     (-10.0, 0.0, 3.0, 0.5, 0.5, "bpsk", "0x1.4c39370a73294p-2", "0x1.ffee23ceb7cefp-1"),
