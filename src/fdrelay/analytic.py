@@ -18,17 +18,13 @@ is only meaningful where it stays in range.
 from __future__ import annotations
 
 import heapq
-import logging
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable
 
 from .errors import DomainError, NonConvergenceError, QuadratureError
-from .model import Allocation, LinkStats, SystemConfig
+from .model import Allocation, LinkStats, SystemConfig, _Record, _setattr
 from .sfun import bessel_k1, exp_integral_e1, gamma_fn, hyp2f1_complement
 
 __all__ = [
@@ -53,8 +49,6 @@ __all__ = [
     "MAX_N_TERMS",
 ]
 
-logger = logging.getLogger(__name__)
-
 DEFAULT_N_TERMS = 3
 # The exact coefficient denominators triple in bits per term: 10 pairs take
 # ~12 ms, 12 take ~0.6 s, 14 take ~47 s. Past ~10 terms the series gains
@@ -78,15 +72,17 @@ def kappa(cfg: SystemConfig) -> float:
 # staged exponential approximation of 1/(1+x)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ApproxCoeffs:
+class ApproxCoeffs(_Record):
     """Pairs (A_i, B_i) of the approximation 1/(1+x) ~ sum A_i x^(2i) e^(-B_i x).
 
-    `exact` carries the rational values; `pairs` the float projections used
-    in evaluation. A_0 = B_0 = 1 always.
+    `exact` carries the rational values (fractions.Fraction); `pairs` the
+    float projections used in evaluation. A_0 = B_0 = 1 always.
     """
 
-    exact: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ("exact",)
+
+    def __init__(self, exact: tuple[tuple[Fraction, Fraction], ...]):
+        _setattr(self, "exact", exact)
 
     @property
     def pairs(self) -> tuple[tuple[float, float], ...]:
@@ -113,6 +109,8 @@ def approx_coeffs(n_terms: int) -> ApproxCoeffs:
     A_i = 1 - sum_{j<i} A_j B_j^(2i-2j) / (2i-2j)!
     B_i = (1 - sum_{j<i} A_j B_j^(2i-2j+1) / (2i-2j+1)!) / A_i
     """
+    from fractions import Fraction  # ~3.5 ms of import, decimal included
+
     if not 1 <= n_terms <= MAX_N_TERMS:
         raise DomainError(
             f"approx_coeffs: n_terms must be in 1..{MAX_N_TERMS}, got {n_terms}")
@@ -309,7 +307,10 @@ def ser_series(stats: LinkStats, cfg: SystemConfig,
     half = 0.5 * cfg.alpha_mod
     raw = half - math.fsum(ser_series_terms(stats, cfg, n_terms))
     if raw < 0.0 or raw > half:
-        logger.debug("ser_series clamped: raw=%.3e stats=%s", raw, stats)
+        import logging
+
+        logging.getLogger(__name__).debug("ser_series clamped: raw=%.3e stats=%s",
+                                          raw, stats)
         return min(max(raw, 0.0), half)
     return raw
 

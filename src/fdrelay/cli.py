@@ -24,8 +24,6 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, replace
-from pathlib import Path
 
 from . import analytic, mc, opt
 from .errors import DomainError, NonConvergenceError, UnsupportedModulationError
@@ -67,28 +65,33 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
 class ExperimentSpec:
     """Everything one run needs: command, sweep, scenario, and output."""
 
-    command: str
-    p_db_values: list[float]
-    config: SystemConfig
-    allocation: Allocation
-    mc_samples: int = 1_000_000
-    seed: int = 12345
-    output_path: str | None = None
-    mode: str = "analytic"
-    workers: int = 1
-    threshold: float = 1.0
-    n_terms: int = analytic.DEFAULT_N_TERMS
-    figure: int | None = None
+    def __init__(self, command: str, p_db_values: list[float], config: SystemConfig,
+                 allocation: Allocation, mc_samples: int = 1_000_000, seed: int = 12345,
+                 output_path: str | None = None, mode: str = "analytic",
+                 workers: int = 1, threshold: float = 1.0,
+                 n_terms: int = analytic.DEFAULT_N_TERMS, figure: int | None = None):
+        self.command = command
+        self.p_db_values = p_db_values
+        self.config = config
+        self.allocation = allocation
+        self.mc_samples = mc_samples
+        self.seed = seed
+        self.output_path = output_path
+        self.mode = mode
+        self.workers = workers
+        self.threshold = threshold
+        self.n_terms = n_terms
+        self.figure = figure
 
 
 def load_config(path: str) -> dict:
     """Parse a key=value config file with line-level diagnostics."""
     out: dict = {}
-    text = Path(path).read_text()
+    with open(path) as fh:
+        text = fh.read()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -280,7 +283,7 @@ def _outage(spec: ExperimentSpec):
 
     def row(item):
         idx, p_db = item
-        cfg = replace(spec.config, total_power=db_to_linear(p_db))
+        cfg = spec.config.replace(total_power=db_to_linear(p_db))
         stats = link_stats(cfg, spec.allocation)
         asym = analytic.outage(spec.threshold, stats, "asymptotic")
         exact = analytic.outage(spec.threshold, stats, "exact")
@@ -302,7 +305,7 @@ def _ser(spec: ExperimentSpec):
 
     def row(item):
         idx, p_db = item
-        cfg = replace(spec.config, total_power=db_to_linear(p_db))
+        cfg = spec.config.replace(total_power=db_to_linear(p_db))
         stats = link_stats(cfg, spec.allocation)
         series = analytic.ser_series(stats, cfg, spec.n_terms)
         quadrature = analytic.ser_quadrature(stats, cfg)
@@ -323,7 +326,7 @@ def _optimize_1d(spec: ExperimentSpec, objective: str):
     fixed = spec.allocation.rho_lambda if objective == "location" else spec.allocation.rho_d
 
     def row(p_db):
-        cfg = replace(spec.config, total_power=db_to_linear(p_db))
+        cfg = spec.config.replace(total_power=db_to_linear(p_db))
         closed = opt.closed_form_result(objective, cfg, fixed, n_terms=spec.n_terms)
         res = opt.minimize_1d(objective, cfg, fixed, tol=1e-6, n_terms=spec.n_terms)
         if objective == "location":
@@ -344,7 +347,7 @@ def _optimize_1d(spec: ExperimentSpec, objective: str):
 
 def _optimize_joint(spec: ExperimentSpec):
     def row(p_db):
-        cfg = replace(spec.config, total_power=db_to_linear(p_db))
+        cfg = spec.config.replace(total_power=db_to_linear(p_db))
         res = opt.select_joint_optimum(cfg, n_terms=spec.n_terms)
         return [p_db, res.allocation.rho_lambda, res.allocation.rho_d, res.ser,
                 res.foc_residual, res.method]
@@ -376,7 +379,7 @@ def _figure(spec: ExperimentSpec):
     def at(p_db=None, **changes):
         if p_db is not None:
             changes["total_power"] = db_to_linear(p_db)
-        return replace(spec.config, **changes)
+        return spec.config.replace(**changes)
 
     def ser(cfg, rho_lambda, rho_d):
         return analytic.ser_series(link_stats(cfg, Allocation(rho_lambda, rho_d)), cfg, nt)
@@ -463,7 +466,7 @@ def _validate(spec: ExperimentSpec):
 
     def cdf_gap(p_db: float, band: float):
         def run():
-            cfg = replace(base, total_power=db_to_linear(p_db))
+            cfg = base.replace(total_power=db_to_linear(p_db))
             stats = link_stats(cfg, alloc)
             worst = 0.0
             for x in (0.5, 1.0, 2.0, 4.0):
@@ -475,7 +478,7 @@ def _validate(spec: ExperimentSpec):
 
     def cdf_mc(threshold: float):
         def run():
-            cfg = replace(base, total_power=db_to_linear(20.0))
+            cfg = base.replace(total_power=db_to_linear(20.0))
             stats = link_stats(cfg, alloc)
             est = mc.estimate_outage(stats, threshold, n_mc, seed,
                                      workers=1)
@@ -488,7 +491,7 @@ def _validate(spec: ExperimentSpec):
     def series_vs_quadrature():
         worst = 0.0
         for p_db in (10.0, 20.0, 30.0):
-            cfg = replace(base, total_power=db_to_linear(p_db))
+            cfg = base.replace(total_power=db_to_linear(p_db))
             stats = link_stats(cfg, alloc)
             s = analytic.ser_series(stats, cfg, spec.n_terms)
             q = analytic.ser_quadrature(stats, cfg)
@@ -496,7 +499,7 @@ def _validate(spec: ExperimentSpec):
         return "ser_series_vs_quadrature", worst, 0.0, 0.01, worst <= 0.01
 
     def series_vs_mc():
-        cfg = replace(base, total_power=db_to_linear(20.0))
+        cfg = base.replace(total_power=db_to_linear(20.0))
         stats = link_stats(cfg, alloc)
         est = mc.estimate_ser_semianalytic(stats, cfg, n_mc, seed, workers=1)
         s = analytic.ser_series(stats, cfg, spec.n_terms)
@@ -505,7 +508,7 @@ def _validate(spec: ExperimentSpec):
         return "ser_series_vs_mc", gap, 0.0, tol, gap <= tol
 
     def high_power_vs_quadrature():
-        cfg = replace(base, total_power=db_to_linear(40.0))
+        cfg = base.replace(total_power=db_to_linear(40.0))
         stats = link_stats(cfg, alloc)
         hp = analytic.ser_high_power(stats, cfg)
         q = analytic.ser_quadrature(stats, cfg)
@@ -513,7 +516,7 @@ def _validate(spec: ExperimentSpec):
         return "ser_high_power_vs_quadrature", gap, 0.0, 0.02, gap <= 0.02
 
     def floor_vs_mc():
-        cfg = replace(base, total_power=db_to_linear(60.0))
+        cfg = base.replace(total_power=db_to_linear(60.0))
         stats = link_stats(cfg, alloc)
         est = mc.estimate_ser_semianalytic(stats, cfg, n_mc, seed, workers=1)
         floor = analytic.ser_floor(alloc, cfg)
@@ -532,7 +535,7 @@ def _validate(spec: ExperimentSpec):
 
     def optimizer_agreement(kind: str):
         def run():
-            cfg = replace(base, total_power=db_to_linear(40.0))
+            cfg = base.replace(total_power=db_to_linear(40.0))
             if kind == "location":
                 closed = opt.optimal_location_closed(cfg, alloc.rho_lambda)
                 res = opt.minimize_1d("location", cfg, alloc.rho_lambda, tol=1e-6)
@@ -547,7 +550,7 @@ def _validate(spec: ExperimentSpec):
 
     def particular_foc():
         # the symmetric particular solution must be stationary
-        cfg = replace(base, total_power=db_to_linear(20.0))
+        cfg = base.replace(total_power=db_to_linear(20.0))
         s = math.sqrt(1.0 + cfg.rsi_level * cfg.total_power)
         g = analytic.f_gradient(Allocation(s / (s + 1.0), 0.5), cfg)
         resid = max(abs(g[0]), abs(g[1]))

@@ -22,3 +22,7 @@ class QuadratureError(NonConvergenceError):
 
 class UnsupportedModulationError(ValueError):
     """The requested estimator only supports BPSK."""
+
+
+class FrozenInstanceError(AttributeError):
+    """A field of an immutable value was assigned or deleted."""

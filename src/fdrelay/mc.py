@@ -45,22 +45,17 @@ evaluations, two per pair, so an odd n runs ceil(n / 2) pairs.
 
 numpy and scipy.special are imported inside the sampling functions, so that
 importing fdrelay loads neither; each estimator imports what its chunks use
-before any worker thread starts.
+before any worker thread starts. concurrent.futures is imported inside
+parallel_map, only when it starts a thread pool.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import DomainError, UnsupportedModulationError
-from .model import LinkStats, SystemConfig
-
-if TYPE_CHECKING:
-    from numpy.random import Generator
+from .model import LinkStats, SystemConfig, _Record, _setattr
 
 __all__ = [
     "McEstimate",
@@ -102,21 +97,24 @@ _MIN_SAMPLES = 10_000
 _MIN_SYMBOLS = 100_000
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(_Record):
     """A Monte Carlo probability estimate with its standard error.
 
     `count` is the number of symbol errors behind the symbol-level SER, the
     one counting estimate, so that value == count / n_samples; it is None
     for the outage and the semi-analytic SER, which average conditional
-    probabilities instead of counting.
+    probabilities instead of counting. == and hash compare every field.
     """
 
-    value: float
-    std_error: float
-    n_samples: int
-    seed: int
-    count: int | None = None
+    __slots__ = ("value", "std_error", "n_samples", "seed", "count")
+
+    def __init__(self, value: float, std_error: float, n_samples: int, seed: int,
+                 count: int | None = None):
+        _setattr(self, "value", value)
+        _setattr(self, "std_error", std_error)
+        _setattr(self, "n_samples", n_samples)
+        _setattr(self, "seed", seed)
+        _setattr(self, "count", count)
 
 
 def stream(seed: int, tag: int = _TAG_DRAW, uniform_offset: int = 0) -> Generator:
@@ -160,6 +158,8 @@ def parallel_map(fn, items, workers: int) -> list:
     """
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

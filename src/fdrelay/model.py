@@ -8,9 +8,7 @@ source-destination path length defaults to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-from .errors import DomainError
+from .errors import DomainError, FrozenInstanceError
 
 __all__ = [
     "RATIO_FLOOR",
@@ -24,6 +22,7 @@ __all__ = [
 
 # Decision ratios live strictly inside (0, 1); construction clamps to this box.
 RATIO_FLOOR = 1e-6
+_RATIO_CEIL = 1.0 - RATIO_FLOOR
 
 
 def db_to_linear(db: float) -> float:
@@ -44,8 +43,55 @@ def _require_finite(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+_setattr = object.__setattr__
+
+
+def _restore(cls, values):
+    # unpickling and copying: set the fields as stored, without __init__,
+    # so that nothing is clamped or computed again
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        _setattr(obj, name, value)
+    return obj
+
+
+class _Record:
+    """Immutable value with dataclass-style ==, hash and repr.
+
+    A subclass names its fields in __slots__, in order, and its __init__ sets
+    each once with _setattr. == and hash read the fields named in _compared
+    (all of them by default); repr, pickle and copy read every field.
+    """
+
+    __slots__ = ()
+    _compared: tuple[str, ...] | None = None
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared or self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _restore, (self.__class__, tuple(getattr(self, name) for name in self.__slots__))
+
+
+class SystemConfig(_Record):
     """Global physical scenario.
 
     total_power: total transmit budget shared by source and relay, in units
@@ -58,27 +104,34 @@ class SystemConfig:
         (BPSK: alpha=1, beta=2).
     """
 
-    total_power: float
-    rsi_level: float
-    pathloss_exp: float
-    sum_distance: float = 1.0
-    alpha_mod: float = 1.0
-    beta_mod: float = 2.0
+    __slots__ = ("total_power", "rsi_level", "pathloss_exp", "sum_distance",
+                 "alpha_mod", "beta_mod")
 
-    def __post_init__(self):
-        for name in ("total_power", "rsi_level", "pathloss_exp", "sum_distance",
-                     "alpha_mod", "beta_mod"):
-            _require_finite(name, getattr(self, name))
-        if self.total_power <= 0.0:
-            raise DomainError(f"total_power must be > 0, got {self.total_power}")
-        if self.rsi_level < 0.0:
-            raise DomainError(f"rsi_level must be >= 0, got {self.rsi_level}")
-        if self.pathloss_exp <= 1.0:
-            raise DomainError(f"pathloss_exp must be > 1, got {self.pathloss_exp}")
-        if self.sum_distance <= 0.0:
-            raise DomainError(f"sum_distance must be > 0, got {self.sum_distance}")
-        if self.alpha_mod <= 0.0 or self.beta_mod <= 0.0:
+    def __init__(self, total_power: float, rsi_level: float, pathloss_exp: float,
+                 sum_distance: float = 1.0, alpha_mod: float = 1.0,
+                 beta_mod: float = 2.0):
+        _require_finite("total_power", total_power)
+        _require_finite("rsi_level", rsi_level)
+        _require_finite("pathloss_exp", pathloss_exp)
+        _require_finite("sum_distance", sum_distance)
+        _require_finite("alpha_mod", alpha_mod)
+        _require_finite("beta_mod", beta_mod)
+        if total_power <= 0.0:
+            raise DomainError(f"total_power must be > 0, got {total_power}")
+        if rsi_level < 0.0:
+            raise DomainError(f"rsi_level must be >= 0, got {rsi_level}")
+        if pathloss_exp <= 1.0:
+            raise DomainError(f"pathloss_exp must be > 1, got {pathloss_exp}")
+        if sum_distance <= 0.0:
+            raise DomainError(f"sum_distance must be > 0, got {sum_distance}")
+        if alpha_mod <= 0.0 or beta_mod <= 0.0:
             raise DomainError("modulation constants must be > 0")
+        _setattr(self, "total_power", total_power)
+        _setattr(self, "rsi_level", rsi_level)
+        _setattr(self, "pathloss_exp", pathloss_exp)
+        _setattr(self, "sum_distance", sum_distance)
+        _setattr(self, "alpha_mod", alpha_mod)
+        _setattr(self, "beta_mod", beta_mod)
 
     @classmethod
     def bpsk(cls, total_power: float, rsi_level: float, pathloss_exp: float = 3.0,
@@ -87,38 +140,39 @@ class SystemConfig:
                    pathloss_exp=pathloss_exp, sum_distance=sum_distance,
                    alpha_mod=1.0, beta_mod=2.0)
 
+    def replace(self, **changes) -> "SystemConfig":
+        """A copy with the named fields changed, validated like any new one."""
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        fields.update(changes)
+        return SystemConfig(**fields)
+
     @property
     def is_bpsk(self) -> bool:
         return self.alpha_mod == 1.0 and self.beta_mod == 2.0
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(_Record):
     """The two decision variables: power split and relay position.
 
     rho_lambda: fraction of total power given to the source.
     rho_d: fraction of the path length between source and relay.
 
     Construction clamps both into [RATIO_FLOOR, 1 - RATIO_FLOOR] and records
-    whether clamping occurred.
+    whether clamping occurred; the `clamped` argument is ignored, and == and
+    hash ignore the field.
     """
 
-    rho_lambda: float
-    rho_d: float
-    clamped: bool = field(default=False, compare=False)
+    __slots__ = ("rho_lambda", "rho_d", "clamped")
+    _compared = ("rho_lambda", "rho_d")
 
-    def __post_init__(self):
-        clamped = False
-        vals = {}
-        for name in ("rho_lambda", "rho_d"):
-            v = getattr(self, name)
-            _require_finite(name, v)
-            w = min(max(v, RATIO_FLOOR), 1.0 - RATIO_FLOOR)
-            clamped = clamped or (w != v)
-            vals[name] = w
-        object.__setattr__(self, "rho_lambda", vals["rho_lambda"])
-        object.__setattr__(self, "rho_d", vals["rho_d"])
-        object.__setattr__(self, "clamped", clamped)
+    def __init__(self, rho_lambda: float, rho_d: float, clamped: bool = False):
+        _require_finite("rho_lambda", rho_lambda)
+        _require_finite("rho_d", rho_d)
+        lam = min(max(rho_lambda, RATIO_FLOOR), _RATIO_CEIL)
+        d = min(max(rho_d, RATIO_FLOOR), _RATIO_CEIL)
+        _setattr(self, "rho_lambda", lam)
+        _setattr(self, "rho_d", d)
+        _setattr(self, "clamped", lam != rho_lambda or d != rho_d)
 
     def powers(self, cfg: SystemConfig) -> tuple[float, float]:
         """(source power, relay power); the pair sums to cfg.total_power exactly."""
@@ -138,26 +192,29 @@ def _exact_split(ratio: float, total: float) -> tuple[float, float]:
     return first, second
 
 
-@dataclass(frozen=True)
-class LinkStats:
+class LinkStats(_Record):
     """Mean SNRs of the three Rayleigh links and the interference ratio.
 
     eta is defined as lambda_li / lambda_sr and is kept consistent by
     construction in link_stats().
     """
 
-    lambda_sr: float
-    lambda_rd: float
-    lambda_li: float
-    eta: float
+    __slots__ = ("lambda_sr", "lambda_rd", "lambda_li", "eta")
 
-    def __post_init__(self):
-        for name in ("lambda_sr", "lambda_rd", "lambda_li", "eta"):
-            _require_finite(name, getattr(self, name))
-        if self.lambda_sr <= 0.0 or self.lambda_rd <= 0.0:
+    def __init__(self, lambda_sr: float, lambda_rd: float, lambda_li: float,
+                 eta: float):
+        _require_finite("lambda_sr", lambda_sr)
+        _require_finite("lambda_rd", lambda_rd)
+        _require_finite("lambda_li", lambda_li)
+        _require_finite("eta", eta)
+        if lambda_sr <= 0.0 or lambda_rd <= 0.0:
             raise DomainError("lambda_sr and lambda_rd must be > 0")
-        if self.lambda_li < 0.0 or self.eta < 0.0:
+        if lambda_li < 0.0 or eta < 0.0:
             raise DomainError("lambda_li and eta must be >= 0")
+        _setattr(self, "lambda_sr", lambda_sr)
+        _setattr(self, "lambda_rd", lambda_rd)
+        _setattr(self, "lambda_li", lambda_li)
+        _setattr(self, "eta", eta)
 
 
 def link_stats(cfg: SystemConfig, alloc: Allocation) -> LinkStats:

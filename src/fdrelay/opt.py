@@ -10,11 +10,10 @@ ratio but not jointly convex) and selecting by evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import analytic
 from .errors import DomainError
-from .model import RATIO_FLOOR, Allocation, SystemConfig, link_stats
+from .model import RATIO_FLOOR, Allocation, SystemConfig, _Record, _setattr, link_stats
 
 __all__ = [
     "OptResult",
@@ -31,8 +30,7 @@ __all__ = [
 _GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-@dataclass(frozen=True)
-class OptResult:
+class OptResult(_Record):
     """Solver output with residual diagnostics.
 
     foc_residual is the largest magnitude among the surrogate-objective
@@ -42,12 +40,17 @@ class OptResult:
     candidates scored for select_joint_optimum, 0 for a closed form.
     """
 
-    allocation: Allocation
-    ser: float
-    method: str
-    foc_residual: float
-    iterations: int
-    bracket_width: float = 0.0
+    __slots__ = ("allocation", "ser", "method", "foc_residual", "iterations",
+                 "bracket_width")
+
+    def __init__(self, allocation: Allocation, ser: float, method: str,
+                 foc_residual: float, iterations: int, bracket_width: float = 0.0):
+        _setattr(self, "allocation", allocation)
+        _setattr(self, "ser", ser)
+        _setattr(self, "method", method)
+        _setattr(self, "foc_residual", foc_residual)
+        _setattr(self, "iterations", iterations)
+        _setattr(self, "bracket_width", bracket_width)
 
 
 def _residual(alloc: Allocation, cfg: SystemConfig) -> float:

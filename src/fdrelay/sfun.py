@@ -137,7 +137,9 @@ def bessel_k1(x: float) -> float:
     if math.isnan(x) or x <= 0.0:
         raise DomainError(f"bessel_k1: x must be > 0, got {x}")
     if x < 2.0:
-        return _k1_small(x)
+        # at x = 5e-324, x / 2 rounds to 0 and the series' log(x / 2) fails;
+        # K1 has saturated there anyway, as 1 / x overflows below ~5.6e-309
+        return _k1_small(x) if 0.5 * x else math.inf
     t = 4.0 / x - 1.0
     return _clenshaw(t, _K1_CHEB) * math.exp(-x) / math.sqrt(x)
 

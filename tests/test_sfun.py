@@ -195,6 +195,17 @@ class TestBesselK1:
         # x K1(x) -> 1 with a logarithmic envelope
         assert abs(x * bessel_k1(x) - 1.0) <= 5.0 * x * abs(math.log(x))
 
+    @pytest.mark.parametrize("x", [5e-324, 1e-323, 1e-320, 5e-309])
+    def test_saturates_at_tiny_argument(self, x):
+        # 1 / x overflows below ~5.6e-309; at 5e-324 x / 2 even rounds to 0
+        assert bessel_k1(x) == math.inf
+
+    @given(st.floats(1e-323, 2.0, exclude_max=True))
+    @example(1e-323)
+    @settings(max_examples=200, deadline=None)
+    def test_small_branch_is_the_series(self, x):
+        assert bessel_k1(x) == sfun._k1_small(x)
+
     def test_large_argument_asymptotic(self):
         # e^-x sqrt(pi/2x) sum_k a_k / x^k with
         # a_k = prod_{j<=k} (4 - (2j-1)^2) / (k! 8^k); six terms suffice

@@ -18,8 +18,15 @@ from fdrelay import sfun
 
 _SCRIPT = """
 import json, os, sys
+before = set(sys.modules)
 import fdrelay, fdrelay.cli
 from fdrelay import analytic, estimate_outage, sfun
+
+def new(names):
+    return sorted(n for n in names if n in sys.modules and n not in before)
+
+loaded = {"import": new(("dataclasses", "inspect", "logging", "fractions", "decimal",
+                         "concurrent.futures", "typing", "pathlib"))}
 
 def state():
     return {name: name in sys.modules
@@ -35,6 +42,7 @@ def run(argv):
     assert fdrelay.cli.main(argv + ["--output", os.devnull]) in (0, 2), argv
     out[" ".join(argv[:2])] = state()
     rows[" ".join(argv[:2])] = tables()
+    loaded[" ".join(argv[:2])] = new(("concurrent.futures", "logging"))
 
 for argv in (["figure", "4"], ["optimize-joint", "--p-db", "0:60:5"],
              ["ser", "--p-db", "0:60:5"], ["outage", "--p-db", "0:60:5"],
@@ -50,6 +58,7 @@ for k in range(10):
 out["bulk"] = state()
 run(["validate", "--mc-samples", "20000"])
 out["tables"] = rows
+out["loaded"] = loaded
 print(json.dumps(out))
 """
 
@@ -89,3 +98,13 @@ def test_series_tables_are_built_on_demand(fresh_run):
         assert len(tables[step]["rows"]) == 3, step
         assert 0 < max(tables[step]["rows"]) <= sfun._SERIES_MAX_TERMS // 8, step
         assert tables[step]["coefficient_sets"] == 1, step
+
+
+def test_import_loads_only_what_commands_use(fresh_run):
+    loaded = fresh_run["loaded"]
+    # none of these is imported by `import fdrelay, fdrelay.cli`
+    assert loaded["import"] == []
+    # at one worker no thread pool starts, and no series was clamped
+    for step in ("figure 4", "optimize-joint --p-db", "ser --p-db", "outage --p-db",
+                 "figure 2"):
+        assert loaded[step] == [], step
