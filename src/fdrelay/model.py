@@ -8,6 +8,7 @@ source-destination path length defaults to 1.
 from __future__ import annotations
 
 import math
+
 from .errors import DomainError, FrozenInstanceError
 
 __all__ = [

@@ -149,7 +149,6 @@ class TestImmutability:
                 setattr(obj, name, 1.0)
             with pytest.raises(AttributeError):
                 delattr(obj, name)
-        assert fields(obj) == fields(copy.copy(obj))
 
 
 class TestPickleAndCopy:
