@@ -52,8 +52,12 @@ __all__ = [
 DEFAULT_N_TERMS = 3
 # The exact coefficient denominators triple in bits per term: 10 pairs take
 # ~12 ms, 12 take ~0.6 s, 14 take ~47 s. Past ~10 terms the series gains
-# nothing that ser_quadrature cannot give.
+# nothing that ser_quadrature cannot give. It also bounds the 2F1's error,
+# which grows with a (at w = 0.5, 3.3e-10 at term 9 and 4.7e-7 at term 14):
+# tests/test_sfun.py checks every term below the cap against mpmath.
 MAX_N_TERMS = 10
+
+_W_FINITE = 1e-150  # below it w^-2, and so each SER term's 2F1, passes 1e300
 
 # bounds on the quadrature error estimates of the two oracles; a larger
 # estimate raises QuadratureError
@@ -268,6 +272,9 @@ def ser_series_terms(stats: LinkStats, cfg: SystemConfig,
 
     with C_i = Gamma(2i + 5/2) Gamma(2i + 1/2) / (2i + 1)! and
     X_i, Y_i = beta/2 + eta B_i + (1/sqrt(l_sr) +- 1/sqrt(l_rd))^2.
+
+    A term of weight eta^(2i) = 0 (i >= 1 at eps = 0) skips its 2F1 where
+    that is finite and > 0, which leaves the term's signed zero unchanged.
     """
     alpha = cfg.alpha_mod
     beta = cfg.beta_mod
@@ -289,7 +296,11 @@ def ser_series_terms(stats: LinkStats, cfg: SystemConfig,
     try:
         for i, (a_i, b_i, c_i) in enumerate(_series_coeffs(n_terms)):
             x_i = beta / 2.0 + eta * b_i + s_plus
-            hyp = hyp2f1_complement(2 * i + 2.5, 1.5, 2.0 * i + 2.0, delta / x_i)
+            w = delta / x_i
+            if eta ** (2 * i) == 0.0 and _W_FINITE <= w <= 1.0:
+                hyp = 1.0
+            else:
+                hyp = hyp2f1_complement(2 * i + 2.5, 1.5, 2.0 * i + 2.0, w)
             out.append(c_i * pref * a_i * eta ** (2 * i) / x_i ** (2 * i + 2.5) * hyp)
     except OverflowError:
         # far below 0 dB X_i ~ 4 / l_sr, and X_i^(2i + 5/2) overflows

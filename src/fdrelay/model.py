@@ -227,8 +227,14 @@ def link_stats(cfg: SystemConfig, alloc: Allocation) -> LinkStats:
     p_s, p_r = alloc.powers(cfg)
     d_sr, d_rd = alloc.distances(cfg)
     v = cfg.pathloss_exp
-    lam_sr = p_s * d_sr ** (-v)
-    lam_rd = p_r * d_rd ** (-v)
-    lam_li = cfg.rsi_level * p_r
-    return LinkStats(lambda_sr=lam_sr, lambda_rd=lam_rd, lambda_li=lam_li,
+    return _link_stats(p_s, p_r, d_sr ** (-v), d_rd ** (-v), cfg.rsi_level)
+
+
+def _link_stats(p_s: float, p_r: float, gain_sr: float, gain_rd: float,
+                rsi_level: float) -> LinkStats:
+    # link_stats from the powers and the path gains D^-v; the 1-D solves
+    # call it with the half that their fixed ratio sets computed once
+    lam_sr = p_s * gain_sr
+    lam_li = rsi_level * p_r
+    return LinkStats(lambda_sr=lam_sr, lambda_rd=p_r * gain_rd, lambda_li=lam_li,
                      eta=lam_li / lam_sr)

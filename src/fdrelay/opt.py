@@ -13,7 +13,8 @@ import math
 
 from . import analytic
 from .errors import DomainError
-from .model import RATIO_FLOOR, Allocation, SystemConfig, _Record, _setattr, link_stats
+from .model import (RATIO_FLOOR, _RATIO_CEIL, Allocation, SystemConfig, _exact_split,
+                    _link_stats, _Record, _setattr, link_stats)
 
 __all__ = [
     "OptResult",
@@ -176,17 +177,31 @@ def minimize_1d(objective: str, cfg: SystemConfig, fixed_ratio: float,
     """
     if not 1e-10 <= tol <= 1e-2:
         raise DomainError(f"tol must be in [1e-10, 1e-2], got {tol}")
+    v = cfg.pathloss_exp
+    # the fixed ratio sets the powers or the path gains once per solve; each
+    # evaluation clamps its ratio as Allocation does and forms the other half
     if objective == "location":
         def make(x):
             return Allocation(rho_lambda=fixed_ratio, rho_d=x)
+        powers = make(0.5).powers(cfg)
+
+        def stats_at(x: float):
+            d_sr, d_rd = _exact_split(min(max(x, RATIO_FLOOR), _RATIO_CEIL), cfg.sum_distance)
+            return _link_stats(*powers, d_sr ** (-v), d_rd ** (-v), cfg.rsi_level)
     elif objective == "power":
         def make(x):
             return Allocation(rho_lambda=x, rho_d=fixed_ratio)
+        d_sr, d_rd = make(0.5).distances(cfg)
+        gains = (d_sr ** (-v), d_rd ** (-v))
+
+        def stats_at(x: float):
+            powers = _exact_split(min(max(x, RATIO_FLOOR), _RATIO_CEIL), cfg.total_power)
+            return _link_stats(*powers, *gains, cfg.rsi_level)
     else:
         raise DomainError(f"objective must be 'location' or 'power', got {objective!r}")
 
     def ser_at(x: float) -> float:
-        val = analytic.ser_series(link_stats(cfg, make(x)), cfg, n_terms)
+        val = analytic.ser_series(stats_at(x), cfg, n_terms)
         if not math.isfinite(val):
             raise DomainError(f"SER objective non-finite at ratio {x}")
         return val
@@ -203,22 +218,23 @@ def minimize_1d(objective: str, cfg: SystemConfig, fixed_ratio: float,
     )
 
 
-def _foc_log(rbar: float, eps_p: float, v: float) -> float:
+def _foc_log(rbar: float, eps_p: float, v: float, tail: float) -> float:
     # log-form of the stationarity equation in rbar = 1 - rho_lambda:
-    # v ln(1 + eps P rbar) + (v-2) ln(1/rbar - 1) - (v-1) ln(1 + eps P) = 0
+    # v ln(1 + eps P rbar) + (v-2) ln(1/rbar - 1) - (v-1) ln(1 + eps P) = 0,
+    # given its constant tail (v-1) ln(1 + eps P)
     return (
         v * math.log1p(eps_p * rbar)
         + (v - 2.0) * math.log(1.0 / rbar - 1.0)
-        - (v - 1.0) * math.log1p(eps_p)
+        - tail
     )
 
 
-def _foc_log_noise(rbar: float, eps_p: float, v: float) -> float:
+def _foc_log_noise(rbar: float, eps_p: float, v: float, tail: float) -> float:
     # rounding-error bound of _foc_log: a few ulps of its largest term
     return 8.0 * math.ulp(1.0) * (
         abs(v * math.log1p(eps_p * rbar))
         + abs((v - 2.0) * math.log(1.0 / rbar - 1.0))
-        + abs((v - 1.0) * math.log1p(eps_p))
+        + abs(tail)
     )
 
 
@@ -274,8 +290,10 @@ def joint_foc_roots(cfg: SystemConfig) -> list[Allocation]:
         # symmetric particular solution stands in through selection
         return []
 
+    tail = (v - 1.0) * math.log1p(eps_p)
+
     def foc(rbar: float) -> float:
-        return _foc_log(rbar, eps_p, v)
+        return _foc_log(rbar, eps_p, v, tail)
 
     lo = RATIO_FLOOR
     hi = 1.0 - RATIO_FLOOR
@@ -283,7 +301,7 @@ def joint_foc_roots(cfg: SystemConfig) -> list[Allocation]:
     vals = []
     for i, r in enumerate(marks):
         fr = foc(r)
-        if 0 < i < len(marks) - 1 and abs(fr) <= _foc_log_noise(r, eps_p, v):
+        if 0 < i < len(marks) - 1 and abs(fr) <= _foc_log_noise(r, eps_p, v, tail):
             fr = 0.0
         vals.append(fr)
     roots: list[float] = []

@@ -5,16 +5,18 @@ a Chebyshev economization for the scaled Bessel tail, and a continued
 fraction for the exponential integral. No scipy/mpmath imports here; the
 test suite checks every function against independent high-precision oracles.
 
-All functions are pure and reentrant. The logarithmic 2F1 series keeps one
-table per parameter set of the factors that do not depend on its argument;
-tables fill on demand under a lock and return the bits a per-call
-evaluation would.
+All functions are pure and reentrant. Near z = 1 the 2F1 picks its
+connection formula once per parameter set, and the logarithmic series keeps
+one table per parameter set of the factors that do not depend on its
+argument; tables fill on demand under a lock. Both return the bits a
+per-call evaluation would.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from functools import lru_cache
 
 from .errors import DomainError, NonConvergenceError
 
@@ -354,24 +356,30 @@ def _hyp_log_series(a: float, b: float, m: int, w: float) -> float:
     s = 0.0
     comp = 0.0
     rows = table.rows
+    last = len(rows) - 1
     # rows appended by extend_to during the loop are read by the same loop
     for n, (coef, psi_1, psi_m1, psi_a, psi_b,
             abs_1, abs_m1, abs_a, abs_b) in enumerate(rows):
-        bracket = lw - psi_1 - psi_m1 + psi_a + psi_b
         coef_wn = coef * wn
-        term = coef_wn * bracket
+        term = coef_wn * (lw - psi_1 - psi_m1 + psi_a + psi_b)
         y = term - comp
         t = s + y
         comp = (t - s) - y
         s = t
         # termination keyed to a sign-free envelope; the bracket itself can
-        # pass through zero at one index without the tail being done
-        if n > 3 and (abs(coef_wn) * (abs_lw + abs_1 + abs_m1 + abs_a + abs_b)
-                      <= 1e-17 * max(abs(s), 1e-300)):
-            return part1 - pref2 * s
+        # pass through zero at one index without the tail being done. Its
+        # first part |coef w^n| |ln w| alone rules out most indices, and
+        # bound is 1e-17 max(|s|, 1e-300), NaN where max() gives NaN
+        if n > 3:
+            size = abs(coef_wn)
+            bound = 1e-17 * (1e-300 if (abs_s := abs(s)) < 1e-300 else abs_s)
+            if (size * abs_lw <= bound
+                    and size * (abs_lw + abs_1 + abs_m1 + abs_a + abs_b) <= bound):
+                return part1 - pref2 * s
         wn *= w
-        if n + 1 == len(rows) < _SERIES_MAX_TERMS:
+        if n == last and last + 1 < _SERIES_MAX_TERMS:
             table.extend_to(n + 1)
+            last = len(rows) - 1
     raise NonConvergenceError(f"hyp2f1: log series stalled (a={a}, b={b}, m={m}, w={w})")
 
 
@@ -408,25 +416,35 @@ def _hyp_log_series_m0(a: float, b: float, w: float) -> float:
     raise NonConvergenceError(f"hyp2f1: balanced log series stalled (a={a}, b={b}, w={w})")
 
 
-def _hyp_near_one(a: float, b: float, c: float, w: float) -> float:
-    """Connection formulas in the complement w = 1 - z, for 0 < w <= 0.5."""
+@lru_cache(maxsize=_LOG_TABLES_MAX, typed=True)
+def _near_one_branch(a: float, b: float, c: float):
+    # _hyp_near_one's branch, once per (a, b, c): (m, c - a, c - b) where
+    # c - a - b is within 1e-8 of the integer m, else None (generic)
     s = c - a - b
     s_round = round(s)
-    if abs(s - s_round) < 1e-8:
-        m = int(s_round)
+    return (int(s_round), c - a, c - b) if abs(s - s_round) < 1e-8 else None
+
+
+def _hyp_near_one(a: float, b: float, c: float, w: float) -> float:
+    """Connection formulas in the complement w = 1 - z, for 0 < w <= 0.5;
+    every SER term has c - a - b = -2 and takes the Euler transform."""
+    branch = _near_one_branch(a, b, c)
+    if branch is not None:
+        m, c_a, c_b = branch
         if m > 0:
             return _hyp_log_series(a, b, m, w)
         if m == 0:
             return _hyp_log_series_m0(a, b, w)
         # c - a - b = -|m|: Euler transform first, then the logarithmic form.
         # F(a,b;c;z) = w^(c-a-b) F(c-a, c-b; c; z)
-        g = _hyp_log_series(c - a, c - b, -m, w)
+        g = _hyp_log_series(c_a, c_b, -m, w)
         try:
             scale = w ** float(m)
         except OverflowError:
             # the function value itself exceeds double range; saturate
             return math.copysign(math.inf, g)
         return scale * g
+    s = c - a - b
     # generic two-term connection (DLMF 15.8.4)
     t1 = (
         math.gamma(c)

@@ -12,8 +12,8 @@ from numpy.random import Generator, Philox
 from scipy import special
 
 from fdrelay import RATIO_FLOOR, Allocation, McEstimate, SystemConfig, link_stats
-from fdrelay import analytic, mc, sfun
-from fdrelay.errors import NonConvergenceError
+from fdrelay import analytic, mc, opt, sfun
+from fdrelay.errors import DomainError, NonConvergenceError
 from fdrelay.mc import CHUNK_SAMPLES
 
 CANONICAL_P_DB = 20.0
@@ -148,6 +148,32 @@ def golden_section_oracle(fn, lo: float, hi: float, tol: float):
             d = lo + inv_golden * (hi - lo)
             fd = fn(d)
     return 0.5 * (lo + hi), iterations, hi - lo
+
+
+def minimize_1d_oracle(objective: str, cfg: SystemConfig, fixed_ratio: float,
+                       tol: float, n_terms: int = 3):
+    """minimize_1d with each evaluation building its Allocation and the whole
+    link_stats: the reference that the solve, which computes the fixed half
+    of the link statistics once, must match field for field. Same Brent
+    loop, objective, result and diagnostics."""
+    if objective == "location":
+        def make(x):
+            return Allocation(rho_lambda=fixed_ratio, rho_d=x)
+    else:
+        def make(x):
+            return Allocation(rho_lambda=x, rho_d=fixed_ratio)
+
+    def ser_at(x):
+        val = analytic.ser_series(link_stats(cfg, make(x)), cfg, n_terms)
+        if not math.isfinite(val):
+            raise DomainError(f"SER objective non-finite at ratio {x}")
+        return val
+
+    x, ser, evals, width = opt._brent(ser_at, RATIO_FLOOR, 1.0 - RATIO_FLOOR, tol)
+    alloc = make(x)
+    return opt.OptResult(allocation=alloc, ser=ser, method="brent",
+                         foc_residual=opt._residual(alloc, cfg), iterations=evals,
+                         bracket_width=width)
 
 
 def outage_indicator_oracle(stats, threshold: float, n: int, seed: int) -> McEstimate:
@@ -415,27 +441,68 @@ def hyp_log_series_oracle(a: float, b: float, m: int, w: float) -> float:
     raise NonConvergenceError(f"hyp2f1: log series stalled (a={a}, b={b}, m={m}, w={w})")
 
 
+def hyp_near_one_oracle(a: float, b: float, c: float, w: float) -> float:
+    """sfun._hyp_near_one with the branch classified on every call: the
+    reference that the cached classification must match bit for bit. Same
+    branches, Euler transform and saturation, through the same sfun series."""
+    s = c - a - b
+    s_round = round(s)
+    if abs(s - s_round) < 1e-8:
+        m = int(s_round)
+        if m > 0:
+            return sfun._hyp_log_series(a, b, m, w)
+        if m == 0:
+            return sfun._hyp_log_series_m0(a, b, w)
+        g = sfun._hyp_log_series(c - a, c - b, -m, w)
+        try:
+            scale = w ** float(m)
+        except OverflowError:
+            return math.copysign(math.inf, g)
+        return scale * g
+    t1 = (
+        math.gamma(c)
+        * math.gamma(s)
+        / (math.gamma(c - a) * math.gamma(c - b))
+        * sfun._hyp_series(a, b, a + b - c + 1.0, w)
+    )
+    t2 = (
+        w**s
+        * math.gamma(c)
+        * math.gamma(-s)
+        / (math.gamma(a) * math.gamma(b))
+        * sfun._hyp_series(c - a, c - b, s + 1.0, w)
+    )
+    return t1 + t2
+
+
 def ser_series_terms_oracle(stats, cfg: SystemConfig, n_terms: int = 3) -> list[float]:
     """ser_series_terms with the float (A_i, B_i, C_i) converted and computed
-    per call: the reference that the cached coefficients must match bit for
-    bit. The hypergeometric goes through sfun.hyp2f1_complement, so under
-    per_call_series it is the per-call log series too."""
+    per call and every term's hypergeometric evaluated, whatever its weight:
+    the reference that the cached coefficients and the skipped zero-weight
+    terms must match bit for bit, exceptions included. The hypergeometric
+    goes through sfun.hyp2f1_complement, so under per_call_series it is the
+    per-call log series too."""
     coeffs = analytic.approx_coeffs(n_terms).pairs
     alpha = cfg.alpha_mod
     beta = cfg.beta_mod
     lsr = stats.lambda_sr
     lrd = stats.lambda_rd
     eta = stats.eta
+    if not 0.0 < lsr * lrd < math.inf:
+        raise DomainError(f"l_sr * l_rd out of range: l_sr={lsr}, l_rd={lrd}")
     s_plus = (1.0 / math.sqrt(lsr) + 1.0 / math.sqrt(lrd)) ** 2
     delta = 4.0 / math.sqrt(lsr * lrd)
     pref = 2.0 * alpha * math.sqrt(2.0 * beta) / (lsr * lrd)
     out = []
-    for i, (a_i, b_i) in enumerate(coeffs):
-        c_i = (sfun.gamma_fn(2 * i + 2.5) * sfun.gamma_fn(2 * i + 0.5)
-               / math.factorial(2 * i + 1))
-        x_i = beta / 2.0 + eta * b_i + s_plus
-        hyp = sfun.hyp2f1_complement(2 * i + 2.5, 1.5, 2.0 * i + 2.0, delta / x_i)
-        out.append(c_i * pref * a_i * eta ** (2 * i) / x_i ** (2 * i + 2.5) * hyp)
+    try:
+        for i, (a_i, b_i) in enumerate(coeffs):
+            c_i = (sfun.gamma_fn(2 * i + 2.5) * sfun.gamma_fn(2 * i + 0.5)
+                   / math.factorial(2 * i + 1))
+            x_i = beta / 2.0 + eta * b_i + s_plus
+            hyp = sfun.hyp2f1_complement(2 * i + 2.5, 1.5, 2.0 * i + 2.0, delta / x_i)
+            out.append(c_i * pref * a_i * eta ** (2 * i) / x_i ** (2 * i + 2.5) * hyp)
+    except OverflowError:
+        raise DomainError(f"series terms overflow: l_sr={lsr}, l_rd={lrd}") from None
     return out
 
 
@@ -450,12 +517,14 @@ def outcome(fn, *args):
 @pytest.fixture
 def per_call_series(monkeypatch):
     """per_call_series(fn, *args) is outcome(fn, *args) with the per-call
-    oracles in place of the tabulated log series and the cached series
-    coefficients, i.e. what the library returned before tabulation."""
+    oracles in place of the tabulated log series, the cached branch
+    classification and the cached series coefficients, i.e. what the library
+    returned before tabulation."""
 
     def run(fn, *args):
         with monkeypatch.context() as patch:
             patch.setattr(sfun, "_hyp_log_series", hyp_log_series_oracle)
+            patch.setattr(sfun, "_hyp_near_one", hyp_near_one_oracle)
             patch.setattr(analytic, "ser_series_terms", ser_series_terms_oracle)
             return outcome(fn, *args)
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fdrelay import (
     Allocation,
     DomainError,
+    LinkStats,
     NonConvergenceError,
     SystemConfig,
     approx_coeffs,
@@ -270,6 +271,53 @@ class TestSeriesAgainstPerCallOracle:
         assert math.isfinite(val)
         assert 0.0 <= val <= cfg.alpha_mod / 2.0
         assert repr(val) == per_call_series(ser_series, stats, cfg, 3)
+
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-170])
+    def test_zero_weight_terms(self, per_call_series, eps):
+        # at eps = 0, and where eta^2 underflows, every term i >= 1 has
+        # weight 0 and skips its 2F1: the signed zeros and values are the
+        # per-call ones, and so are the exceptions far below 0 dB (X_i^(2i +
+        # 5/2) overflows, or the 2F1 argument rounds past 1) and past
+        # ~1535 dB (l_sr l_rd overflows)
+        p_dbs = [-20.0 + 5.0 * k for k in range(35)]
+        p_dbs += [-1600.0, -1602.0, -700.0, -300.0, -160.0, -158.5, -155.0,
+                  -151.0, -150.0, 1535.0, 1535.5, 1600.0, 3000.0]
+        allocs = [(0.5, 0.5), (1e-7, 1.0 - 1e-7), (1.0, 0.0), (0.3, 1e-7)]
+        outcomes = set()
+        for p_db in p_dbs:
+            for mod in ("bpsk", "qpsk"):
+                cfg = _modulated(p_db, eps, mod)
+                for rl, rd in allocs:
+                    try:
+                        stats = link_stats(cfg, Allocation(rl, rd))
+                    except DomainError:  # a link SNR overflowed
+                        continue
+                    assert stats.eta ** 2 == 0.0
+                    for n_terms in (1, 3, 10):
+                        got = outcome(ser_series_terms, stats, cfg, n_terms)
+                        want = per_call_series(ser_series_terms_oracle, stats, cfg,
+                                               n_terms)
+                        assert got == want, (p_db, mod, rl, rd, n_terms)
+                        assert (outcome(ser_series, stats, cfg, n_terms)
+                                == per_call_series(ser_series, stats, cfg, n_terms))
+                        outcomes.add(got.split(":")[0] if "Error" in got else "list")
+        assert outcomes == {"list", "DomainError"}
+
+    def test_zero_weight_terms_at_extreme_links(self, per_call_series):
+        # a zero weight skips the 2F1 only where that is finite and > 0:
+        # at w = 4e-160 it is inf, and the term NaN, as before
+        cases = [(LinkStats(1e-60, 1e260, 0.0, 0.0), SystemConfig.bpsk(1.0, 0.0)),
+                 (LinkStats(1e-40, 1e200, 0.0, 0.0), SystemConfig.bpsk(1.0, 0.0)),
+                 (LinkStats(1e-320, 1e10, 0.0, 0.0), SystemConfig.bpsk(1.0, 0.0)),
+                 (LinkStats(1e150, 1e150, 0.0, 0.0),
+                  SystemConfig(1.0, 0.0, 3.0, beta_mod=1e-300))]
+        for stats, cfg in cases:
+            for n_terms in (1, 2, 3, 10):
+                assert (outcome(ser_series_terms, stats, cfg, n_terms)
+                        == per_call_series(ser_series_terms_oracle, stats, cfg,
+                                           n_terms)), (stats, n_terms)
+        assert outcome(ser_series_terms, *cases[0], 2) == "[nan, nan]"
 
 
 class TestQpsk:

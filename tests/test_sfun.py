@@ -372,6 +372,33 @@ class TestHyp2f1:
             hyp2f1(2.5, 1.5, 2.0, -0.1)
 
 
+class TestSerTermsAgainstMpmath:
+    """Every SER term --n-terms can reach, against live mpmath.
+
+    The log series behind the Euler transform cancels for large a: term 14
+    (a = 30.5) is off by 4.7e-7 at w = 0.5. At w = 0.5 terms 5...9 are
+    already off by 1.1e-12...3.3e-10, so there they are held to 1e-9, the
+    bound of test_near_unit_argument. Raising MAX_N_TERMS fails here first.
+    """
+
+    @pytest.mark.parametrize("i", range(MAX_N_TERMS))
+    @pytest.mark.parametrize("w", [1e-300, 1e-12, 1e-3, 0.1, 0.3, 0.5])
+    def test_term(self, i, w):
+        a, b, c = _ser_family(i)
+        tol = 1e-9 if w == 0.5 and i >= 5 else 1e-12
+        # the transformed F(c - a, c - b; c; 1 - w), where the cancellation
+        # is; at w = 1e-300 it is its value at 1 to within 1e-297
+        z = 1 if w < 1e-100 else 1 - mp.mpf(w)
+        g = mp.hyp2f1(c - a, c - b, c, z)
+        assert rel_err(sfun._hyp_log_series(c - a, c - b, 2, w), float(g)) < tol
+        got = hyp2f1_complement(a, b, c, w)
+        if w < 1e-100:
+            # the term's 2F1, about g / w^2, exceeds the double range
+            assert got == math.inf
+        else:
+            assert rel_err(got, float(mp.hyp2f1(a, b, c, 1 - mp.mpf(w)))) < tol
+
+
 def _ser_family(i):
     # the hypergeometric of SER series term i; c - a - b = -2
     return 2 * i + 2.5, 1.5, 2.0 * i + 2.0
@@ -400,6 +427,43 @@ class TestLogSeriesTables:
         assert mismatches == []
         # i = 5 reads the most, 106 rows at w = 0.5
         assert max(len(t.rows) for t in sfun._log_tables.values()) < 120
+
+    def test_every_ser_term_bit_identical(self, per_call_series):
+        # every term --n-terms can reach, log-spaced over 1e-300...1, with
+        # 0.5 and its two neighbours, so the direct series for w > 0.5 too
+        ws = [10.0 ** (-300.0 * k / 299) for k in range(300)]
+        ws += [math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0)]
+        mismatches = [
+            (i, w) for w in ws for i in range(MAX_N_TERMS)
+            if outcome(hyp2f1_complement, *_ser_family(i), w)
+            != per_call_series(hyp2f1_complement, *_ser_family(i), w)
+        ]
+        assert mismatches == []
+
+    def test_hyp2f1_upper_half_bit_identical(self, per_call_series):
+        # z >= 0.5 goes through the same classification as the complement
+        zs = [0.5 + 0.5 * k / 200 for k in range(200)]
+        zs += [1.0 - 10.0 ** -k for k in range(2, 17)] + [math.nextafter(1.0, 0.0)]
+        params = [_ser_family(i) for i in range(MAX_N_TERMS)]
+        params += [args[:3] for args, _ in HYP2F1_TABLE]
+        params += [(1.5, 2.5, 5.0), (0.25, 0.75, 0.0 + 1e-3), (2.5, 1.5, 2.25)]
+        mismatches = [
+            (abc, z) for z in zs for abc in params
+            if outcome(hyp2f1, *abc, z) != per_call_series(hyp2f1, *abc, z)
+        ]
+        assert mismatches == []
+
+    def test_branch_classified_once(self, monkeypatch):
+        calls = []
+        real = round
+        monkeypatch.setattr(sfun, "round", lambda x: calls.append(x) or real(x),
+                            raising=False)
+        sfun._near_one_branch.cache_clear()
+        for w in (1e-9, 1e-3, 0.25, 0.5):
+            hyp2f1_complement(*_ser_family(3), w)
+            hyp2f1(*_ser_family(3), 1.0 - w)
+        assert len(calls) == 1
+        assert sfun._near_one_branch(*_ser_family(3)) == (-2, -0.5, 6.5)
 
     def test_hyp2f1_log_branch_parameter_sets(self, per_call_series):
         cases = [args for args, _ in HYP2F1_TABLE if args[3] >= 0.5]
