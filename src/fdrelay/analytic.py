@@ -25,7 +25,8 @@ from operator import itemgetter
 
 from .errors import DomainError, NonConvergenceError, QuadratureError
 from .model import Allocation, LinkStats, SystemConfig, _Record, _setattr
-from .sfun import bessel_k1, exp_integral_e1, gamma_fn, hyp2f1_complement
+from .sfun import (MAX_N_TERMS, _e1_scaled_cf, bessel_k1, exp_integral_e1, gamma_fn,
+                   hyp2f1_complement)
 
 __all__ = [
     "ApproxCoeffs",
@@ -50,12 +51,9 @@ __all__ = [
 ]
 
 DEFAULT_N_TERMS = 3
-# The exact coefficient denominators triple in bits per term: 10 pairs take
-# ~12 ms, 12 take ~0.6 s, 14 take ~47 s. Past ~10 terms the series gains
-# nothing that ser_quadrature cannot give. It also bounds the 2F1's error,
-# which grows with a (at w = 0.5, 3.3e-10 at term 9 and 4.7e-7 at term 14):
-# tests/test_sfun.py checks every term below the cap against mpmath.
-MAX_N_TERMS = 10
+# MAX_N_TERMS, the cap on n_terms, is sfun's: hyp2f1_complement serves the
+# terms below it and no others. Past ~10 terms the series gains nothing that
+# ser_quadrature cannot give.
 
 _W_FINITE = 1e-150  # below it w^-2, and so each SER term's 2F1, passes 1e300
 
@@ -237,7 +235,10 @@ def cdf_truncation_bound(x: float, stats: LinkStats) -> float:
         return 0.0
     g = stats.eta * x * x / (stats.lambda_rd * (1.0 + stats.eta * x))
     c = math.exp(-(1.0 / stats.lambda_sr + 1.0 / stats.lambda_rd) * x)
-    return c * g * math.exp(g) * exp_integral_e1(g)
+    if g <= 1.0:
+        return c * g * math.exp(g) * exp_integral_e1(g)
+    # e^g E1(g) without e^g, which overflows past g ~ 709
+    return c * g * _e1_scaled_cf(g)
 
 
 def outage(threshold: float, stats: LinkStats, mode: str = "asymptotic") -> float:
@@ -297,7 +298,12 @@ def ser_series_terms(stats: LinkStats, cfg: SystemConfig,
         for i, (a_i, b_i, c_i) in enumerate(_series_coeffs(n_terms)):
             x_i = beta / 2.0 + eta * b_i + s_plus
             w = delta / x_i
-            if eta ** (2 * i) == 0.0 and _W_FINITE <= w <= 1.0:
+            if w > 1.0:
+                # far below 0 dB beta/2 is lost against s_plus, and delta / x_i
+                # can round past 1, where the 2F1 argument 1 - w turns negative
+                raise DomainError(f"series terms out of range: 2F1 argument 1 - w < 0 "
+                                  f"with w={w!r} at l_sr={lsr}, l_rd={lrd}")
+            if eta ** (2 * i) == 0.0 and _W_FINITE <= w:
                 hyp = 1.0
             else:
                 hyp = hyp2f1_complement(2 * i + 2.5, 1.5, 2.0 * i + 2.0, w)

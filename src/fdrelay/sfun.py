@@ -5,18 +5,20 @@ a Chebyshev economization for the scaled Bessel tail, and a continued
 fraction for the exponential integral. No scipy/mpmath imports here; the
 test suite checks every function against independent high-precision oracles.
 
-All functions are pure and reentrant. Near z = 1 the 2F1 picks its
-connection formula once per parameter set, and the logarithmic series keeps
-one table per parameter set of the factors that do not depend on its
-argument; tables fill on demand under a lock. Both return the bits a
-per-call evaluation would.
+The hypergeometric function is the one the SER series needs and no more:
+hyp2f1_complement evaluates 2F1(2i + 5/2, 3/2; 2i + 2; 1 - w) of series term
+i < MAX_N_TERMS and refuses any other parameter set. Its logarithmic series
+keeps one table per term of the factors that do not depend on w; tables
+fill on demand under a lock and return the bits a per-call evaluation
+would.
+
+All functions are pure and reentrant.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from functools import lru_cache
 
 from .errors import DomainError, NonConvergenceError
 
@@ -25,9 +27,16 @@ __all__ = [
     "exp_integral_e1",
     "gamma_fn",
     "digamma",
-    "hyp2f1",
     "hyp2f1_complement",
 ]
+
+# Terms of the SER series, and so of the 2F1 family that hyp2f1_complement
+# serves (analytic.MAX_N_TERMS is this constant). The exact coefficient
+# denominators triple in bits per term: 10 pairs take ~12 ms, 12 take ~0.6 s,
+# 14 take ~47 s. It also bounds the log series' error, which grows with a
+# (at w = 0.5, 3.3e-10 at term 9 and 4.7e-7 at term 14): tests/test_sfun.py
+# checks every term below the cap against mpmath.
+MAX_N_TERMS = 10
 
 _EULER_GAMMA = 0.5772156649015328606065120900824024310421593359399
 
@@ -169,7 +178,12 @@ def exp_integral_e1(x: float) -> float:
             s = t
             if abs(d) <= 1e-18 * max(abs(s), 1e-300):
                 return s
-    # continued fraction e^-x / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...)))
+    return _e1_scaled_cf(x) * math.exp(-x)
+
+
+def _e1_scaled_cf(x: float) -> float:
+    """e^x E1(x) for x > 1, finite where e^x alone overflows: the continued
+    fraction 1 / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...)))."""
     tiny = 1e-300
     b = x + 1.0
     c = 1.0 / tiny
@@ -183,7 +197,7 @@ def exp_integral_e1(x: float) -> float:
         delta = c * d
         h *= delta
         if abs(delta - 1.0) < 1e-16:
-            return h * math.exp(-x)
+            return h
     raise NonConvergenceError(f"exp_integral_e1: continued fraction stalled at x={x}")
 
 
@@ -241,14 +255,6 @@ def _hyp_series(a: float, b: float, c: float, z: float) -> float:
     )
 
 
-def _gamma_ratio_or_zero(c: float, a: float, b: float) -> float:
-    # Gamma(c) / (Gamma(a) Gamma(b)); a pole in the denominator kills the term.
-    for v in (a, b):
-        if v <= 0.0 and v == math.floor(v):
-            return 0.0
-    return math.gamma(c) / (math.gamma(a) * math.gamma(b))
-
-
 class _LogSeriesTable:
     """The part of _hyp_log_series that depends on (a, b, m) but not on w.
 
@@ -269,7 +275,7 @@ class _LogSeriesTable:
         c = a + b + m
         # finite part: Gamma(m)Gamma(c)/(Gamma(a+m)Gamma(b+m)) *
         #              sum_{n<m} (a)_n (b)_n / (n! (1-m)_n) w^n
-        self.pref1 = math.gamma(m) * _gamma_ratio_or_zero(c, a + m, b + m)
+        self.pref1 = math.gamma(m) * (math.gamma(c) / (math.gamma(a + m) * math.gamma(b + m)))
         self.fin_coefs = []
         pa = 1.0
         pb = 1.0
@@ -284,11 +290,9 @@ class _LogSeriesTable:
         # log part: -(-1)^m Gamma(c)/(Gamma(a)Gamma(b)) w^m *
         #           sum_n (a+m)_n (b+m)_n / (n! (n+m)!) w^n *
         #           [ln w - psi(n+1) - psi(n+m+1) + psi(a+m+n) + psi(b+m+n)]
-        self.pref2 = ((-1.0) ** m) * _gamma_ratio_or_zero(c, a, b)
-        self.rows = []
-        if self.pref2 != 0.0:
-            psi = (digamma(1.0), digamma(m + 1.0), digamma(a + m), digamma(b + m))
-            self.rows.append(_log_row(1.0 / math.gamma(m + 1.0), *psi))
+        self.pref2 = ((-1.0) ** m) * (math.gamma(c) / (math.gamma(a) * math.gamma(b)))
+        psi = (digamma(1.0), digamma(m + 1.0), digamma(a + m), digamma(b + m))
+        self.rows = [_log_row(1.0 / math.gamma(m + 1.0), *psi)]
 
     def extend_to(self, n: int) -> None:
         """Append rows up to index n, unless another thread already has."""
@@ -313,9 +317,8 @@ def _log_row(coef, psi_1, psi_m1, psi_a, psi_b):
             abs(psi_1), abs(psi_m1), abs(psi_a), abs(psi_b))
 
 
-# One table per (a, b, m) seen, built on first use. The SER series needs
-# n_terms of them; the bound keeps arbitrary hyp2f1 parameters from piling up.
-_LOG_TABLES_MAX = 64
+# One table per (a, b, m) seen, built on first use: at most MAX_N_TERMS,
+# since hyp2f1_complement refuses every parameter set outside the family
 _log_tables: dict[tuple[float, float, int], _LogSeriesTable] = {}
 _log_tables_lock = threading.Lock()
 
@@ -327,10 +330,7 @@ def _log_table(a: float, b: float, m: int) -> _LogSeriesTable:
         with _log_tables_lock:
             table = _log_tables.get(key)
             if table is None:
-                table = _LogSeriesTable(a, b, m)
-                if len(_log_tables) >= _LOG_TABLES_MAX:
-                    del _log_tables[next(iter(_log_tables))]
-                _log_tables[key] = table
+                table = _log_tables[key] = _LogSeriesTable(a, b, m)
     return table
 
 
@@ -348,8 +348,6 @@ def _hyp_log_series(a: float, b: float, m: int, w: float) -> float:
         wn *= w
     part1 = table.pref1 * fin
     pref2 = table.pref2
-    if pref2 == 0.0:
-        return part1
     lw = math.log(w)
     abs_lw = abs(lw)
     wn = w**m
@@ -383,122 +381,27 @@ def _hyp_log_series(a: float, b: float, m: int, w: float) -> float:
     raise NonConvergenceError(f"hyp2f1: log series stalled (a={a}, b={b}, m={m}, w={w})")
 
 
-def _hyp_log_series_m0(a: float, b: float, w: float) -> float:
-    """F(a, b; a+b; 1-w): balanced case of the logarithmic connection."""
-    pref = _gamma_ratio_or_zero(a + b, a, b)
-    if pref == 0.0:
-        return 0.0
-    lw = math.log(w)
-    psi_n = digamma(1.0)
-    psi_a = digamma(a)
-    psi_b = digamma(b)
-    coef = 1.0
-    wn = 1.0
-    s = 0.0
-    comp = 0.0
-    n = 0
-    while n < _SERIES_MAX_TERMS:
-        term = coef * wn * (2.0 * psi_n - psi_a - psi_b - lw)
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        envelope = abs(coef * wn) * (2.0 * abs(psi_n) + abs(psi_a)
-                                     + abs(psi_b) + abs(lw))
-        if n > 3 and envelope <= 1e-17 * max(abs(s), 1e-300):
-            return pref * s
-        n += 1
-        coef *= (a + n - 1) * (b + n - 1) / (n * n)
-        wn *= w
-        psi_n += 1.0 / n
-        psi_a += 1.0 / (a + n - 1)
-        psi_b += 1.0 / (b + n - 1)
-    raise NonConvergenceError(f"hyp2f1: balanced log series stalled (a={a}, b={b}, w={w})")
-
-
-@lru_cache(maxsize=_LOG_TABLES_MAX, typed=True)
-def _near_one_branch(a: float, b: float, c: float):
-    # _hyp_near_one's branch, once per (a, b, c): (m, c - a, c - b) where
-    # c - a - b is within 1e-8 of the integer m, else None (generic)
-    s = c - a - b
-    s_round = round(s)
-    return (int(s_round), c - a, c - b) if abs(s - s_round) < 1e-8 else None
-
-
-def _hyp_near_one(a: float, b: float, c: float, w: float) -> float:
-    """Connection formulas in the complement w = 1 - z, for 0 < w <= 0.5;
-    every SER term has c - a - b = -2 and takes the Euler transform."""
-    branch = _near_one_branch(a, b, c)
-    if branch is not None:
-        m, c_a, c_b = branch
-        if m > 0:
-            return _hyp_log_series(a, b, m, w)
-        if m == 0:
-            return _hyp_log_series_m0(a, b, w)
-        # c - a - b = -|m|: Euler transform first, then the logarithmic form.
-        # F(a,b;c;z) = w^(c-a-b) F(c-a, c-b; c; z)
-        g = _hyp_log_series(c_a, c_b, -m, w)
-        try:
-            scale = w ** float(m)
-        except OverflowError:
-            # the function value itself exceeds double range; saturate
-            return math.copysign(math.inf, g)
-        return scale * g
-    s = c - a - b
-    # generic two-term connection (DLMF 15.8.4)
-    t1 = (
-        math.gamma(c)
-        * math.gamma(s)
-        / (math.gamma(c - a) * math.gamma(c - b))
-        * _hyp_series(a, b, a + b - c + 1.0, w)
-    )
-    t2 = (
-        w**s
-        * math.gamma(c)
-        * math.gamma(-s)
-        / (math.gamma(a) * math.gamma(b))
-        * _hyp_series(c - a, c - b, s + 1.0, w)
-    )
-    return t1 + t2
-
-
-def _validate_hyp_params(a: float, b: float, c: float) -> None:
-    if math.isnan(a) or math.isnan(b) or math.isnan(c):
-        raise DomainError("hyp2f1: NaN parameter")
-    if c <= 0.0 and c == math.floor(c):
-        raise DomainError(f"hyp2f1: c must not be a non-positive integer, got c={c}")
-
-
-def hyp2f1(a: float, b: float, c: float, z: float) -> float:
-    """Gauss hypergeometric function 2F1(a, b; c; z) on 0 <= z < 1.
-
-    Direct series for z < 0.5; connection formulas in 1 - z otherwise. When
-    c - a - b is a non-positive integer the degenerate logarithmic branch is
-    taken, which stays accurate arbitrarily close to z = 1. Callers that know
-    the complement 1 - z to full precision should use hyp2f1_complement to
-    avoid the cancellation in forming it here.
-    """
-    _validate_hyp_params(a, b, c)
-    if math.isnan(z):
-        raise DomainError("hyp2f1: NaN argument")
-    if z >= 1.0:
-        raise NonConvergenceError(f"hyp2f1: series diverges for z={z} >= 1")
-    if z < 0.0:
-        raise DomainError(f"hyp2f1: only 0 <= z < 1 is supported, got z={z}")
-    if z == 0.0:
-        return 1.0
-    if z < 0.5:
-        return _hyp_series(a, b, c, z)
-    return _hyp_near_one(a, b, c, 1.0 - z)
+# (a, b, c) of SER term i -> (c - a, c - b), the Euler-transformed parameters;
+# every term has c - a - b = -2
+_SER_FAMILY = {(2 * i + 2.5, 1.5, 2.0 * i + 2.0): (-0.5, 2 * i + 0.5)
+               for i in range(MAX_N_TERMS)}
 
 
 def hyp2f1_complement(a: float, b: float, c: float, w: float) -> float:
-    """2F1(a, b; c; 1 - w) for 0 < w <= 1, taking the complement directly.
+    """2F1(a, b; c; 1 - w) of SER series term i, (a, b, c) = (2i + 5/2, 3/2,
+    2i + 2) with 0 <= i < MAX_N_TERMS, for 0 < w <= 1.
 
-    Equivalent to hyp2f1(a, b, c, 1 - w) but keeps full relative accuracy
-    when w underflows the spacing of doubles near 1 (w down to ~1e-300).
+    Taking the complement w keeps full relative accuracy when w underflows
+    the spacing of doubles near 1 (w down to ~1e-300). The direct series
+    serves w > 1/2; at or below 1/2 the Euler transform
+    F(a, b; c; 1 - w) = w^-2 F(c - a, c - b; c; 1 - w) and the logarithmic
+    series of the latter. Any other (a, b, c) raises DomainError.
     """
-    _validate_hyp_params(a, b, c)
+    euler = _SER_FAMILY.get((a, b, c))
+    if euler is None:
+        raise DomainError(
+            f"hyp2f1_complement: (a, b, c) = ({a}, {b}, {c}) is not "
+            f"(2i + 5/2, 3/2, 2i + 2) for 0 <= i < {MAX_N_TERMS}")
     if math.isnan(w):
         raise DomainError("hyp2f1_complement: NaN argument")
     if w <= 0.0:
@@ -509,4 +412,10 @@ def hyp2f1_complement(a: float, b: float, c: float, w: float) -> float:
         return 1.0
     if w > 0.5:
         return _hyp_series(a, b, c, 1.0 - w)
-    return _hyp_near_one(a, b, c, w)
+    g = _hyp_log_series(*euler, 2, w)
+    try:
+        scale = w ** -2.0
+    except OverflowError:
+        # the function value itself exceeds double range; saturate
+        return math.copysign(math.inf, g)
+    return scale * g

@@ -389,10 +389,12 @@ def hyp_log_series_oracle(a: float, b: float, m: int, w: float) -> float:
     w-independent factors per (a, b, m), must match bit for bit.
 
     Same prefactors, coefficient and psi recurrences, Kahan sum and envelope
-    test, in the same order; it also stalls at sfun._SERIES_MAX_TERMS.
+    test, in the same order; it also stalls at sfun._SERIES_MAX_TERMS. The
+    Gamma ratios are its own, for the SER family's parameters, which put no
+    pole in a denominator.
     """
     c = a + b + m
-    pref1 = math.gamma(m) * sfun._gamma_ratio_or_zero(c, a + m, b + m)
+    pref1 = math.gamma(m) * (math.gamma(c) / (math.gamma(a + m) * math.gamma(b + m)))
     fin = 0.0
     pa = 1.0
     pb = 1.0
@@ -407,9 +409,7 @@ def hyp_log_series_oracle(a: float, b: float, m: int, w: float) -> float:
         p1m *= 1 - m + n
         wn *= w
     part1 = pref1 * fin
-    pref2 = ((-1.0) ** m) * sfun._gamma_ratio_or_zero(c, a, b)
-    if pref2 == 0.0:
-        return part1
+    pref2 = ((-1.0) ** m) * (math.gamma(c) / (math.gamma(a) * math.gamma(b)))
     lw = math.log(w)
     psi_1 = sfun.digamma(1.0)
     psi_m1 = sfun.digamma(m + 1.0)
@@ -441,40 +441,6 @@ def hyp_log_series_oracle(a: float, b: float, m: int, w: float) -> float:
     raise NonConvergenceError(f"hyp2f1: log series stalled (a={a}, b={b}, m={m}, w={w})")
 
 
-def hyp_near_one_oracle(a: float, b: float, c: float, w: float) -> float:
-    """sfun._hyp_near_one with the branch classified on every call: the
-    reference that the cached classification must match bit for bit. Same
-    branches, Euler transform and saturation, through the same sfun series."""
-    s = c - a - b
-    s_round = round(s)
-    if abs(s - s_round) < 1e-8:
-        m = int(s_round)
-        if m > 0:
-            return sfun._hyp_log_series(a, b, m, w)
-        if m == 0:
-            return sfun._hyp_log_series_m0(a, b, w)
-        g = sfun._hyp_log_series(c - a, c - b, -m, w)
-        try:
-            scale = w ** float(m)
-        except OverflowError:
-            return math.copysign(math.inf, g)
-        return scale * g
-    t1 = (
-        math.gamma(c)
-        * math.gamma(s)
-        / (math.gamma(c - a) * math.gamma(c - b))
-        * sfun._hyp_series(a, b, a + b - c + 1.0, w)
-    )
-    t2 = (
-        w**s
-        * math.gamma(c)
-        * math.gamma(-s)
-        / (math.gamma(a) * math.gamma(b))
-        * sfun._hyp_series(c - a, c - b, s + 1.0, w)
-    )
-    return t1 + t2
-
-
 def ser_series_terms_oracle(stats, cfg: SystemConfig, n_terms: int = 3) -> list[float]:
     """ser_series_terms with the float (A_i, B_i, C_i) converted and computed
     per call and every term's hypergeometric evaluated, whatever its weight:
@@ -499,7 +465,11 @@ def ser_series_terms_oracle(stats, cfg: SystemConfig, n_terms: int = 3) -> list[
             c_i = (sfun.gamma_fn(2 * i + 2.5) * sfun.gamma_fn(2 * i + 0.5)
                    / math.factorial(2 * i + 1))
             x_i = beta / 2.0 + eta * b_i + s_plus
-            hyp = sfun.hyp2f1_complement(2 * i + 2.5, 1.5, 2.0 * i + 2.0, delta / x_i)
+            w = delta / x_i
+            if w > 1.0:
+                raise DomainError(f"series terms out of range: 2F1 argument 1 - w < 0 "
+                                  f"with w={w!r} at l_sr={lsr}, l_rd={lrd}")
+            hyp = sfun.hyp2f1_complement(2 * i + 2.5, 1.5, 2.0 * i + 2.0, w)
             out.append(c_i * pref * a_i * eta ** (2 * i) / x_i ** (2 * i + 2.5) * hyp)
     except OverflowError:
         raise DomainError(f"series terms overflow: l_sr={lsr}, l_rd={lrd}") from None
@@ -517,14 +487,12 @@ def outcome(fn, *args):
 @pytest.fixture
 def per_call_series(monkeypatch):
     """per_call_series(fn, *args) is outcome(fn, *args) with the per-call
-    oracles in place of the tabulated log series, the cached branch
-    classification and the cached series coefficients, i.e. what the library
-    returned before tabulation."""
+    oracles in place of the tabulated log series and the cached series
+    coefficients, i.e. what the library returned before tabulation."""
 
     def run(fn, *args):
         with monkeypatch.context() as patch:
             patch.setattr(sfun, "_hyp_log_series", hyp_log_series_oracle)
-            patch.setattr(sfun, "_hyp_near_one", hyp_near_one_oracle)
             patch.setattr(analytic, "ser_series_terms", ser_series_terms_oracle)
             return outcome(fn, *args)
 

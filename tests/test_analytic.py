@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -34,7 +35,6 @@ from fdrelay import (
     sinr_cdf_exact_numeric,
 )
 from fdrelay.analytic import cdf_truncation_bound, ser_from_cdf
-from fdrelay.sfun import hyp2f1_complement
 
 from conftest import cfg_at, outcome, ser_series_terms_oracle, stats_at
 
@@ -168,6 +168,20 @@ class TestSinrCdf:
             assert asym <= exact + 1e-12
             assert exact - asym <= bound + 1e-12
 
+    def test_truncation_bound_past_exp_overflow(self):
+        # g = 810 > 709, where e^g overflows; C = e^-9100 underflows to 0
+        _, stats = stats_at(0.0, 0.1, v=2.0, rho_lambda=0.1, rho_d=0.1)
+        assert cdf_truncation_bound(1000.0, stats) == 0.0
+        # g = 711.0 and C ~ e^-712 > 0, against 30-digit mpmath
+        stats = LinkStats(lambda_sr=1e10, lambda_rd=1.0, lambda_li=1e10, eta=1.0)
+        x = 712.0
+        with mpmath.workdps(30):
+            g = stats.eta * mpmath.mpf(x) ** 2 / (stats.lambda_rd * (1 + stats.eta * x))
+            c = mpmath.exp(-(1 / mpmath.mpf(stats.lambda_sr) + 1 / mpmath.mpf(stats.lambda_rd)) * x)
+            want = float(c * g * mpmath.exp(g) * mpmath.e1(g))
+        assert 709.0 < float(g) < 745.0 and want > 0.0
+        assert cdf_truncation_bound(x, stats) == pytest.approx(want, rel=1e-12)
+
     def test_high_power_gap_small(self):
         # the truncation vanishes with growing power: < 5% relative by 30 dB
         _, stats = stats_at(30.0, 0.1)
@@ -254,10 +268,6 @@ class TestSeriesAgainstPerCallOracle:
                 got = outcome(ser_series_terms, stats, cfg, n_terms)
                 want = per_call_series(ser_series_terms_oracle, stats, cfg, n_terms)
                 assert got == want, (p_db, eps, mod, rl, rd, n_terms)
-                # a neighbouring (a, b, m) between series reads: (-0.5, 1.5, 2)
-                # sits between the keys of terms 0 and 1
-                assert (outcome(hyp2f1_complement, 3.5, 1.5, 3.0, 0.3)
-                        == per_call_series(hyp2f1_complement, 3.5, 1.5, 3.0, 0.3))
 
     @pytest.mark.parametrize("modulation", ["bpsk", "qpsk"])
     @pytest.mark.parametrize("eps", [0.0, 0.1, 1.0])

@@ -272,6 +272,14 @@ class TestValidateAndExitCodes:
         assert main(["ser", "--n-terms", "30"]) == EXIT_USAGE
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p_db", ["-300", "-1600", "-1622"])
+    def test_below_series_range_names_the_series(self, capsys, p_db):
+        # the 2F1 argument 1 - delta / X_0 rounds below 0 here
+        assert main(["ser", f"--p-db={p_db}", "--rsi-level", "0"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: series terms out of range: ")
+        assert "hyp2f1_complement" not in err
+
     def test_unknown_command_exit(self):
         assert main(["frobnicate"]) == EXIT_USAGE
 

@@ -17,13 +17,11 @@ from hypothesis import strategies as st
 from fdrelay import DomainError, NonConvergenceError, sfun
 from fdrelay.analytic import MAX_N_TERMS
 from fdrelay.sfun import (
-    _hyp_near_one,
     _hyp_series,
     bessel_k1,
     digamma,
     exp_integral_e1,
     gamma_fn,
-    hyp2f1,
     hyp2f1_complement,
 )
 
@@ -103,7 +101,8 @@ GAMMA_TABLE = [
     (150.5, 4.66107262709737792e+261),
 ]
 
-# mpmath hyp2f1(a, b, c, z), 50 dps; (a, b, c) runs over the SER family
+# mpmath hyp2f1(a, b, c, z), 50 dps; (a, b, c) runs over the SER family, and
+# hyp2f1_complement takes w = 1 - z (exact for these z)
 HYP2F1_TABLE = [
     ((2.5, 1.5, 2.0, 0.05), 1.10106405920870257),
     ((2.5, 1.5, 2.0, 0.35), 2.25819424247007163),
@@ -283,6 +282,19 @@ class TestExpIntegral:
         with pytest.raises(DomainError):
             exp_integral_e1(x)
 
+    def test_scaled_fraction_changes_no_bit(self):
+        # reprs taken before the continued fraction's e^x E1(x) became its own
+        # function for cdf_truncation_bound
+        want = ["13.23829589306249", "12.170272385802093", "11.10225252520885",
+                "10.034243274984927", "8.966264896338723", "7.8983763369665345",
+                "6.830749071344992", "5.763881675984024", "4.699221859697611",
+                "3.640956921917224", "2.6010610442967637", "1.6126581038568075",
+                "0.7588659620345567", "0.1949373441289285", "0.011251269376742841",
+                "1.1535562035678825e-05", "1.2675834864124673e-13",
+                "5.8188492006186746e-36", "4.25842844220928e-100",
+                "7.852479222733942e-286"]
+        assert [repr(exp_integral_e1(x)) for x, _ in E1_TABLE] == want
+
 
 class TestGamma:
     def test_half(self):
@@ -321,55 +333,77 @@ class TestDigamma:
             digamma(0.0)
 
 
+def _ser_family(i):
+    # the hypergeometric of SER series term i; c - a - b = -2
+    return 2 * i + 2.5, 1.5, 2.0 * i + 2.0
+
+
 class TestHyp2f1:
+    """hyp2f1_complement(a, b, c, 1 - z), the 2F1 of the SER family."""
+
     def test_unit_at_zero(self):
-        assert hyp2f1(2.5, 1.5, 2.0, 0.0) == 1.0
-        assert hyp2f1(-0.3, 4.0, 1.7, 0.0) == 1.0
+        assert hyp2f1_complement(2.5, 1.5, 2.0, 1.0) == 1.0
+        assert hyp2f1_complement(*_ser_family(MAX_N_TERMS - 1), 1.0) == 1.0
 
     def test_spec_points(self):
-        assert rel_err(hyp2f1(2.5, 1.5, 2.0, 0.5), 3.7311978701083123947) < 1e-12
-        assert rel_err(hyp2f1(4.5, 1.5, 4.0, 0.9), 64.410023407461525113) < 1e-12
+        assert rel_err(hyp2f1_complement(2.5, 1.5, 2.0, 1 - 0.5),
+                       3.7311978701083123947) < 1e-12
+        assert rel_err(hyp2f1_complement(4.5, 1.5, 4.0, 1 - 0.9),
+                       64.410023407461525113) < 1e-12
 
     @pytest.mark.parametrize("args,expected", HYP2F1_TABLE)
     def test_against_oracle(self, args, expected):
-        assert rel_err(hyp2f1(*args), expected) < 1e-11
+        a, b, c, z = args
+        assert rel_err(hyp2f1_complement(a, b, c, 1 - z), expected) < 1e-11
 
     # every term of the SER series that --n-terms can reach, from the
     # crossover of the two evaluation paths (z = 0.5) to z -> 1
     @pytest.mark.parametrize("i", range(MAX_N_TERMS))
     @pytest.mark.parametrize("z", [0.5, 0.9999, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])
     def test_near_unit_argument(self, i, z):
-        a, b, c = 2 * i + 2.5, 1.5, 2.0 * i + 2.0
+        a, b, c = _ser_family(i)
         want = float(mp.hyp2f1(a, b, c, z))
-        assert rel_err(hyp2f1(a, b, c, z), want) < 1e-9
+        assert rel_err(hyp2f1_complement(a, b, c, 1 - z), want) < 1e-9
 
     @pytest.mark.parametrize("abc", [(2.5, 1.5, 2.25), (4.5, 1.5, 4.3), (2.5, 1.5, 2.001)])
     @pytest.mark.parametrize("z", [0.55, 0.9, 0.9999])
     def test_perturbed_family_nondegenerate_branch(self, abc, z):
-        a, b, c = abc
-        want = float(mp.hyp2f1(a, b, c, z))
-        assert rel_err(hyp2f1(a, b, c, z), want) < 1e-9
+        # c - a - b off -2 is no SER term: refused, not evaluated
+        with pytest.raises(DomainError, match="is not"):
+            hyp2f1_complement(*abc, 1 - z)
 
     @given(st.integers(0, 3), st.floats(0.4, 0.6))
     @settings(max_examples=80, deadline=None)
     def test_series_and_transformation_agree(self, i, z):
         # the two evaluation paths must match through the crossover band
-        a, b, c = 2 * i + 2.5, 1.5, 2.0 * i + 2.0
+        a, b, c = _ser_family(i)
+        w = 1.0 - z
         direct = _hyp_series(a, b, c, z)
-        transformed = _hyp_near_one(a, b, c, 1.0 - z)
+        transformed = w ** -2.0 * sfun._hyp_log_series(c - a, c - b, 2, w)
         assert rel_err(transformed, direct) < 1e-8
 
     def test_divergent_argument(self):
         with pytest.raises(NonConvergenceError):
-            hyp2f1(2.5, 1.5, 2.0, 1.0)
+            hyp2f1_complement(2.5, 1.5, 2.0, 0.0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            hyp2f1(2.5, 1.5, 0.0, 0.5)
+            hyp2f1_complement(2.5, 1.5, 0.0, 0.5)
         with pytest.raises(DomainError):
-            hyp2f1(2.5, 1.5, -3.0, 0.5)
+            hyp2f1_complement(2.5, 1.5, -3.0, 0.5)
         with pytest.raises(DomainError):
-            hyp2f1(2.5, 1.5, 2.0, -0.1)
+            hyp2f1_complement(2.5, 1.5, 2.0, 1.1)
+
+    @pytest.mark.parametrize("args", [
+        (60.0, 1.5, 59.5, 0.5),  # c - a - b = -2 but no term: it returned 965, not 2.86
+        (*_ser_family(MAX_N_TERMS), 0.3),  # (22.5, 1.5, 22.0), past the term cap
+        (2.5, 1.5, 2.25, 0.3),
+        (1.5, 2.5, 2.0, 0.3),  # a and b swapped
+        (math.nan, 1.5, 2.0, 0.3),
+    ])
+    def test_outside_the_family(self, args):
+        with pytest.raises(DomainError, match="is not"):
+            hyp2f1_complement(*args)
 
 
 class TestSerTermsAgainstMpmath:
@@ -397,11 +431,6 @@ class TestSerTermsAgainstMpmath:
             assert got == math.inf
         else:
             assert rel_err(got, float(mp.hyp2f1(a, b, c, 1 - mp.mpf(w)))) < tol
-
-
-def _ser_family(i):
-    # the hypergeometric of SER series term i; c - a - b = -2
-    return 2 * i + 2.5, 1.5, 2.0 * i + 2.0
 
 
 class TestLogSeriesTables:
@@ -440,50 +469,17 @@ class TestLogSeriesTables:
         ]
         assert mismatches == []
 
-    def test_hyp2f1_upper_half_bit_identical(self, per_call_series):
-        # z >= 0.5 goes through the same classification as the complement
-        zs = [0.5 + 0.5 * k / 200 for k in range(200)]
-        zs += [1.0 - 10.0 ** -k for k in range(2, 17)] + [math.nextafter(1.0, 0.0)]
-        params = [_ser_family(i) for i in range(MAX_N_TERMS)]
-        params += [args[:3] for args, _ in HYP2F1_TABLE]
-        params += [(1.5, 2.5, 5.0), (0.25, 0.75, 0.0 + 1e-3), (2.5, 1.5, 2.25)]
-        mismatches = [
-            (abc, z) for z in zs for abc in params
-            if outcome(hyp2f1, *abc, z) != per_call_series(hyp2f1, *abc, z)
-        ]
-        assert mismatches == []
-
-    def test_branch_classified_once(self, monkeypatch):
-        calls = []
-        real = round
-        monkeypatch.setattr(sfun, "round", lambda x: calls.append(x) or real(x),
-                            raising=False)
-        sfun._near_one_branch.cache_clear()
-        for w in (1e-9, 1e-3, 0.25, 0.5):
-            hyp2f1_complement(*_ser_family(3), w)
-            hyp2f1(*_ser_family(3), 1.0 - w)
-        assert len(calls) == 1
-        assert sfun._near_one_branch(*_ser_family(3)) == (-2, -0.5, 6.5)
-
-    def test_hyp2f1_log_branch_parameter_sets(self, per_call_series):
-        cases = [args for args, _ in HYP2F1_TABLE if args[3] >= 0.5]
-        cases += [(2.5, 1.5, 2.0, 0.5), (4.5, 1.5, 4.0, 0.9)]
-        cases += [(*_ser_family(i), z) for i in range(4)
-                  for z in (0.9999, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12)]
-        for args in cases:
-            assert outcome(hyp2f1, *args) == per_call_series(hyp2f1, *args), args
-
     @pytest.mark.parametrize("w", [1e-12, 1e-3, 0.2, 0.5])
-    def test_other_degenerate_families(self, per_call_series, w):
-        # m = 1 and 3 direct, m = -1 and -3 through the Euler transform, a
-        # swapped (a, b), a pole that drops the log part (b = -1) and a
-        # digamma domain error (a + m = -0.5); neighbouring keys back to back
+    def test_other_degenerate_families(self, w):
+        # m = 1 and 3, m = -1 and -3, a swapped (a, b), a pole (b = -1) and
+        # a + m = -0.5: none is a SER term, so each is refused and builds
+        # no table
         abms = [(1.5, 2.5, 1), (2.5, 1.5, 1), (1.5, 2.5, 3), (0.25, 0.75, -1),
                 (3.5, 1.5, -3), (2.5, -1.0, 2), (-2.5, 0.5, 2), (-0.5, 1.5, 2)]
-        for a, b, m in abms + abms[::-1]:
-            c = a + b + m
-            assert (outcome(hyp2f1_complement, a, b, c, w)
-                    == per_call_series(hyp2f1_complement, a, b, c, w)), (a, b, m)
+        for a, b, m in abms:
+            with pytest.raises(DomainError, match="is not"):
+                hyp2f1_complement(a, b, a + b + m, w)
+        assert sfun._log_tables == {}
 
     def test_stall_is_bit_identical(self, monkeypatch):
         # the SER family converges far inside the term cap, so lower the cap
@@ -509,11 +505,12 @@ class TestLogSeriesTables:
         assert list(sfun._log_tables) == [key]
 
     def test_table_count_is_bounded(self):
-        # key of family k: (c - a, c - b, 2) = (-0.5, 0.5 + k/64, 2)
-        n = sfun._LOG_TABLES_MAX + 5
-        for k in range(n):
-            hyp2f1_complement(2.5 + k / 64.0, 1.5, 2.0 + k / 64.0, 0.25)
-        assert list(sfun._log_tables) == [(-0.5, 0.5 + k / 64.0, 2) for k in range(5, n)]
+        # one table per SER term and none for any other parameter set, so
+        # the family bounds the tables without eviction
+        for k in range(70):
+            for abc in (_ser_family(k % MAX_N_TERMS), (2.5 + k / 64.0, 1.5, 2.0 + k / 64.0)):
+                outcome(hyp2f1_complement, *abc, 0.25)
+        assert sorted(sfun._log_tables) == [(-0.5, 2 * i + 0.5, 2) for i in range(MAX_N_TERMS)]
 
     def test_threads_growing_one_table(self):
         # four threads start together and read and extend the same fresh
