@@ -87,6 +87,62 @@ def _ser_terms_pool() -> bytes:
     return "\n".join(lines).encode()
 
 
+def _oracle_pool():
+    """512 seeded scenarios (P -20...80 dB, eps 0 or log-uniform 1e-4...10,
+    v 1.5...6, ratios 1e-6...1 - 1e-6, BPSK and QPSK): (cfg, alloc, stats)."""
+    from fdrelay import Allocation, SystemConfig, link_stats
+
+    rng = random.Random(20172)
+    pool = []
+    for _ in range(512):
+        p_db = rng.uniform(-20.0, 80.0)
+        eps = 0.0 if rng.random() < 0.25 else 10.0 ** rng.uniform(-4.0, 1.0)
+        alpha, beta = rng.choice(((1.0, 2.0), (2.0, 1.0)))
+        cfg = SystemConfig(total_power=10.0 ** (p_db / 10.0), rsi_level=eps,
+                           pathloss_exp=rng.uniform(1.5, 6.0),
+                           alpha_mod=alpha, beta_mod=beta)
+        alloc = Allocation(rng.uniform(1e-6, 1.0 - 1e-6), rng.uniform(1e-6, 1.0 - 1e-6))
+        pool.append((cfg, alloc, link_stats(cfg, alloc)))
+    return pool
+
+
+def _pool_outcomes(case) -> bytes:
+    """The lines case(cfg, alloc, stats) gives over the oracle pool."""
+    return "\n".join(line for scenario in _oracle_pool()
+                     for line in case(*scenario)).encode()
+
+
+def _ser_quadrature(cfg, alloc, stats):
+    from fdrelay.analytic import ser_quadrature
+
+    return [_outcome(ser_quadrature, stats, cfg)]
+
+
+def _outage_exact(cfg, alloc, stats):
+    from fdrelay.analytic import outage
+
+    return [_outcome(outage, x, stats, "exact") for x in (0.5, 1.0, 2.0, 4.0)]
+
+
+def _ser_series(cfg, alloc, stats):
+    from fdrelay.analytic import ser_series
+
+    return [_outcome(ser_series, stats, cfg)]
+
+
+def _minimize_1d(cfg, alloc, stats):
+    from fdrelay.opt import minimize_1d
+
+    return [_outcome(minimize_1d, "location", cfg, alloc.rho_lambda),
+            _outcome(minimize_1d, "power", cfg, alloc.rho_d)]
+
+
+def _select_joint_optimum(cfg, alloc, stats):
+    from fdrelay.opt import select_joint_optimum
+
+    return [_outcome(select_joint_optimum, cfg)]
+
+
 def _cases() -> dict:
     cases = {f"figure-{n}": (lambda n=n: _cli_csv("figure", str(n)))
              for n in range(2, 10)}
@@ -104,6 +160,10 @@ def _cases() -> dict:
     cases["validate"] = lambda: _cli_csv("validate", "--mc-samples", "100000")
     cases["hyp2f1_complement-grid"] = _hyp_grid
     cases["ser_series_terms-pool"] = _ser_terms_pool
+    for name, case in (("ser_quadrature", _ser_quadrature), ("outage-exact", _outage_exact),
+                       ("ser_series", _ser_series), ("minimize_1d", _minimize_1d),
+                       ("select_joint_optimum", _select_joint_optimum)):
+        cases[f"{name}-pool"] = lambda case=case: _pool_outcomes(case)
     return cases
 
 
