@@ -4,7 +4,9 @@ Oracles here deliberately avoid the library's own code paths: scipy.special
 for vectorized closed-form surfaces, mpmath for high-precision point values.
 """
 
+import heapq
 import math
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from scipy import special
 
 from fdrelay import RATIO_FLOOR, Allocation, McEstimate, SystemConfig, link_stats
 from fdrelay import analytic, mc, opt, sfun
-from fdrelay.errors import DomainError, NonConvergenceError
+from fdrelay.errors import DomainError, NonConvergenceError, QuadratureError
 from fdrelay.mc import CHUNK_SAMPLES
 
 CANONICAL_P_DB = 20.0
@@ -476,12 +478,105 @@ def ser_series_terms_oracle(stats, cfg: SystemConfig, n_terms: int = 3) -> list[
     return out
 
 
+def _qk21_scalar_oracle(f, a: float, b: float) -> tuple[float, float]:
+    """analytic._qk21 as it was before integrands took a whole panel: one
+    scalar call of f per abscissa, the same arithmetic otherwise."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    fc = f(centr)
+    fv1 = [f(centr - hlgth * x) for x in analytic._XK21]
+    fv2 = [f(centr + hlgth * x) for x in analytic._XK21]
+    resk = analytic._WK21_CENTRE * fc
+    resabs = abs(resk)
+    for j, w in analytic._KRONROD21:
+        f1 = fv1[j]
+        f2 = fv2[j]
+        resk = resk + w * (f1 + f2)
+        resabs = resabs + w * (abs(f1) + abs(f2))
+    resg = 0.0
+    for j, w in analytic._GAUSS21:
+        resg = resg + w * (fv1[j] + fv2[j])
+    reskh = resk * 0.5
+    resasc = analytic._WK21_CENTRE * abs(fc - reskh)
+    for w, v1, v2 in zip(analytic._WGK21, fv1, fv2):
+        resasc = resasc + w * (abs(v1 - reskh) + abs(v2 - reskh))
+    resabs = resabs * hlgth
+    resasc = resasc * hlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        r = 200.0 * abserr / resasc
+        abserr = resasc * (1.0 if r >= 1.0 else r ** 1.5)
+    if resabs > analytic._UFLOW / (50.0 * analytic._EPMACH):
+        abserr = max((analytic._EPMACH * 50.0) * resabs, abserr)
+    return resk * hlgth, abserr
+
+
+def _adaptive_oracle(f, edges, epsabs: float, epsrel: float) -> tuple[float, float]:
+    """analytic._adaptive on the scalar-call rule: global bisection of the
+    panel with the largest error, the value and error summed by fsum."""
+    heap = []
+    for a, b in zip(edges, edges[1:]):
+        value, error = _qk21_scalar_oracle(f, a, b)
+        heap.append((-error, a, b, value))
+    heapq.heapify(heap)
+    while True:
+        value = math.fsum(map(itemgetter(3), heap))
+        error = -math.fsum(map(itemgetter(0), heap))
+        if not error > max(epsabs, epsrel * abs(value)) or len(heap) >= analytic._QUAD_LIMIT:
+            return value, error
+        _, a, b, _ = heap[0]
+        mid = 0.5 * (a + b)
+        if max(abs(a), abs(b)) <= ((1.0 + 100.0 * analytic._EPMACH)
+                                   * (abs(mid) + 1000.0 * analytic._UFLOW)):
+            return value, error
+        v1, e1 = _qk21_scalar_oracle(f, a, mid)
+        v2, e2 = _qk21_scalar_oracle(f, mid, b)
+        heapq.heapreplace(heap, (-e1, a, mid, v1))
+        heapq.heappush(heap, (-e2, mid, b, v2))
+
+
+def quad_checked_oracle(fn, lo, hi, abs_tol: float, label: str, points=()):
+    """analytic._quad_checked as it was before integrands took a whole panel
+    and the [lo, inf) map started from [0, 1/4, 1/2, 1]: the reference that
+    both quadrature oracles must match bit for bit. fn takes a list of
+    abscissae, as the library's integrands do, and is called with one at a
+    time. The map starts from [0, 1] and ignores points, as it did."""
+    def scalar(x):
+        return fn([x])[0]
+
+    if hi == math.inf:
+        def f(t):
+            return (scalar(lo + (1.0 - t) / t) / t) / t
+
+        edges = [0.0, 1.0]
+    else:
+        f = scalar
+        edges = [lo, *(p for p in points if lo < p < hi), hi]
+    val, err = _adaptive_oracle(f, edges, min(abs_tol * 1e-2, 1e-12), 1e-11)
+    if math.isnan(err) or err > abs_tol:
+        raise QuadratureError(
+            f"{label}: quadrature error estimate {err:.3e} exceeds {abs_tol:.1e}",
+            achieved_error=err,
+        )
+    return val, err
+
+
 def outcome(fn, *args):
     """fn(*args) by repr, or the type and message of what it raised."""
     try:
         return repr(fn(*args))
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome
         return f"{type(exc).__name__}: {exc}"
+
+
+def reference_quadrature(fn, *args):
+    """outcome(fn, *args) with quad_checked_oracle in place of the library's
+    integrator, and an empty node cache of its own, so that every node's
+    geometry is computed afresh and the library's cache stays as it was."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analytic, "_quad_checked", quad_checked_oracle)
+        patch.setattr(analytic, "_SER_NODES", {})
+        return outcome(fn, *args)
 
 
 @pytest.fixture

@@ -2,8 +2,9 @@
 `sinr_cdf_exact_numeric` and `ser_quadrature`.
 
 Its references: scipy's QUADPACK on the same integrands, the closed form the
-exact CDF reduces to at eps = 0, 30-digit `mpmath` integrals, and integrals
-with known values.
+exact CDF reduces to at eps = 0, 30-digit `mpmath` integrals, integrals
+with known values, and, bit for bit, the integrator as it was before
+integrands took a whole panel (conftest.quad_checked_oracle).
 """
 
 import math
@@ -23,7 +24,7 @@ from fdrelay.analytic import (
 )
 from fdrelay.model import Allocation, SystemConfig, link_stats
 
-from conftest import stats_at
+from conftest import outcome, reference_quadrature, stats_at
 
 # 30 significant digits by mpmath.quad at 40 digits (the same at 50), split at
 # every power of ten so that no scale of the integrand is skipped. The exact
@@ -79,25 +80,38 @@ def _scenarios(seed, n):
         yield cfg, link_stats(cfg, alloc), 10.0 ** rng.uniform(-3.0, 2.0)
 
 
-def _scipy_quad_checked(fn, lo, hi, abs_tol, label, points=()):
-    # scipy's QUADPACK with the tolerances, interval limit and break points
-    # of analytic._quad_checked
-    val, err, *_ = quad(fn, lo, hi, epsabs=min(abs_tol * 1e-2, 1e-12), epsrel=1e-11,
-                        limit=300, points=points or None, full_output=1)
-    return val, err
+def _panel(f):
+    """A scalar integrand as the integrator calls it: a list of abscissae in,
+    the list of values out."""
+    return lambda xs: [f(x) for x in xs]
 
 
 def test_oracles_agree_with_scipy(monkeypatch):
     """Both oracles on seeded scenarios over P -10..80 dB, eps 0 or
     1e-4..10, v 2..5, BPSK and QPSK, each within its route's error bound of
     scipy's QUADPACK on the same integrand."""
+    scipy_calls = []
+
+    def scipy_quad_checked(fn, lo, hi, abs_tol, label, points=()):
+        # scipy's QUADPACK, one abscissa at a time, with the tolerances,
+        # interval limit and break points of analytic._quad_checked
+        scipy_calls.append(label)
+        val, err, *_ = quad(lambda x: fn([x])[0], lo, hi,
+                            epsabs=min(abs_tol * 1e-2, 1e-12), epsrel=1e-11,
+                            limit=300, points=points or None, full_output=1)
+        return val, err
+
     def oracles():
         return [(ser_quadrature(stats, cfg), sinr_cdf_exact_numeric(x, stats))
                 for cfg, stats, x in _scenarios(7, 150)]
 
     got = oracles()
-    monkeypatch.setattr(analytic, "_quad_checked", _scipy_quad_checked)
-    for (ser, cdf), (ser_ref, cdf_ref) in zip(got, oracles()):
+    monkeypatch.setattr(analytic, "_quad_checked", scipy_quad_checked)
+    want = oracles()
+    # every reference value came from QUADPACK, none from the integrator
+    assert scipy_calls.count("ser_from_cdf") == 150
+    assert scipy_calls.count("sinr_cdf_exact_numeric") == 150
+    for (ser, cdf), (ser_ref, cdf_ref) in zip(got, want):
         assert abs(ser - ser_ref) <= analytic._SER_ABS_TOL
         assert abs(cdf - cdf_ref) <= analytic._CDF_ABS_TOL
 
@@ -148,7 +162,7 @@ CLOSED_FORMS = [
 @pytest.mark.parametrize("name, f, a, b, points, want", CLOSED_FORMS,
                          ids=[case[0] for case in CLOSED_FORMS])
 def test_closed_form_integrals(name, f, a, b, points, want):
-    value, err = analytic._quad_checked(f, a, b, 1e-9, name, points)
+    value, err = analytic._quad_checked(_panel(f), a, b, 1e-9, name, points)
     assert value == pytest.approx(want, rel=1e-11, abs=1e-15)
     assert err <= 1e-11
 
@@ -160,7 +174,46 @@ def test_closed_form_integrals(name, f, a, b, points, want):
 ], ids=["divergent", "nan_finite", "nan_semi_infinite"])
 def test_unmet_bound_raises(f, a, b):
     with pytest.raises(QuadratureError):
-        analytic._quad_checked(f, a, b, 1e-9, "test")
+        analytic._quad_checked(_panel(f), a, b, 1e-9, "test")
+
+
+def test_break_points_on_a_semi_infinite_range():
+    """A kink at x = 4 in e^-|x - 4| over [-1, inf): its break point lands on
+    an edge of the (0, 1] map, t = 1/(1 + 4 + 1), and the integrator meets
+    the bound with fewer evaluations than without it."""
+    calls = []
+
+    def f(xs):
+        calls.append(len(xs))
+        return [math.exp(-abs(x - 4.0)) for x in xs]
+
+    want = 2.0 - math.exp(-5.0)
+    value, err = analytic._quad_checked(f, -1.0, math.inf, 1e-9, "kink", [4.0])
+    with_point = sum(calls)
+    assert value == pytest.approx(want, rel=1e-12)
+    assert err <= 1e-11
+    calls.clear()
+    value, err = analytic._quad_checked(f, -1.0, math.inf, 1e-9, "kink")
+    assert value == pytest.approx(want, rel=1e-11)
+    assert with_point < sum(calls)
+
+
+@given(st.floats(-20.0, 80.0), st.floats(0.0, 1e3), st.floats(1.5, 6.0),
+       st.sampled_from([1e-6, 0.02, 0.5, 0.98, 1.0 - 1e-6]),
+       st.sampled_from([1e-6, 0.02, 0.5, 0.98, 1.0 - 1e-6]),
+       st.sampled_from(["bpsk", "qpsk"]), st.sampled_from([1e-3, 0.5, 1.0, 4.0, 100.0]))
+@example(-20.0, 0.0, 1.5, 1e-6, 0.5, "bpsk", 1.0)  # the CDF is 1 almost everywhere
+@seed(20170322)
+@settings(max_examples=150, deadline=None)
+def test_oracles_bit_identical_to_reference(p_db, eps, v, rho_lambda, rho_d, modulation, x):
+    """Both oracles, and what they raise, are the reference integrator's bit
+    for bit: panel calls, the cached SER node geometry and the [0, 1/4, 1/2,
+    1] start of the [0, inf) map move no bit up to 80 dB."""
+    cfg, stats = stats_at(p_db, eps, v, rho_lambda, rho_d, modulation=modulation)
+    assert outcome(ser_quadrature, stats, cfg) == reference_quadrature(ser_quadrature,
+                                                                       stats, cfg)
+    assert outcome(sinr_cdf_exact_numeric, x, stats) == reference_quadrature(
+        sinr_cdf_exact_numeric, x, stats)
 
 
 @given(st.floats(-20.0, 150.0), st.floats(0.0, 1e3), st.floats(1.5, 6.0),
