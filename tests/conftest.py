@@ -239,79 +239,158 @@ def ser_fading_oracle(stats, cfg: SystemConfig, n: int, seed: int) -> McEstimate
     return McEstimate(value=mean, std_error=math.sqrt(var / n), n_samples=n, seed=seed)
 
 
-def outage_conditional_pair_means(stats, threshold: float, n: int, seed: int) -> np.ndarray:
-    """The pair means of estimate_outage, written out from the derivation on
-    its stream (Philox key seed + 2**64, one uniform per antithetic pair, so
-    one stream from counter 0 covers every chunk): ceil(n / 2) of them.
+def _conditional_outage(stats, x, u):
+    # estimate_outage's kernel from its derivation: given the relay-destination
+    # excess E = -lambda_rd log1p(-u) over x, outage is g_sr < (g_li + 1) k with
+    # k = x (x + 1 + E) / E, and integrating g_sr and g_li leaves
+    # 1 - e^-s / (1 + d), c = k / lambda_sr, d = c lambda_li,
+    # s = x / lambda_rd + c. Meant for 0 < u < 1
+    e = -stats.lambda_rd * np.log1p(-u)
+    c = x * (x + 1.0 + e) / e / stats.lambda_sr
+    d = c * stats.lambda_li
+    return (d - np.expm1(-(x / stats.lambda_rd + c))) / (1.0 + d)
 
-    The relay-destination excess over x is E = -lambda_rd log1p(-u); given
-    it, outage is g_sr < (g_li + 1) k with k = x (x + 1 + E) / E, and
-    integrating g_sr and g_li leaves 1 - e^-s / (1 + d), c = k / lambda_sr,
-    d = c lambda_li, s = x / lambda_rd + c. Each pair averages that value at
-    u and at 1 - u, whose excess is -lambda_rd log(u). Meant for thresholds
-    > 0 and uniforms > 0.
-    """
+
+def tail_stretch(v):
+    """The balanced tail stretch piece by piece, as (T(v), T'(v)): v^2 / (2 d)
+    and v / d below d = mc._STRETCH, v - d / 2 and 1 up to 1 - d, and
+    v - d / 2 + t^2 / (2 d) and 1 + t / d above, with t = v - 1 + d."""
+    d = mc._STRETCH
+    t = v - 1.0 + d
+    u = np.where(v < d, v * v / (2.0 * d),
+                 np.where(t > 0.0, v - 0.5 * d + t * t / (2.0 * d), v - 0.5 * d))
+    w = np.where(v < d, v / d, np.where(t > 0.0, 1.0 + t / d, 1.0))
+    return u, w
+
+
+def outage_group_pairs(stats, threshold: float, v) -> np.ndarray:
+    """estimate_outage's pair means at lattice points v, written out from
+    the derivation: the mean of the kernel at T(v) with weight T'(v) and at
+    T(1 - v) with weight T'(1 - v). Meant for thresholds > 0 and 0 < v < 1."""
+    (u, w), (u_m, w_m) = tail_stretch(v), tail_stretch(1.0 - v)
+    return 0.5 * (w * _conditional_outage(stats, threshold, u)
+                  + w_m * _conditional_outage(stats, threshold, u_m))
+
+
+def ser_group_pairs(stats, cfg: SystemConfig, u0, v) -> np.ndarray:
+    """estimate_ser_semianalytic's pair means at lattice points (u0, v),
+    written out from the derivation: alpha / 2 times the mean of the kernel
+    at threshold X = ndtri(u0 / 2)^2 / beta and excess coordinate T(v),
+    weight T'(v), and at the mirror (1 - u0, 1 - v). Meant for points
+    strictly inside the unit square."""
+    (u, w), (u_m, w_m) = tail_stretch(v), tail_stretch(1.0 - v)
+
+    def threshold(p):
+        return special.ndtri(0.5 * p) ** 2 / cfg.beta_mod
+
+    return 0.25 * cfg.alpha_mod * (
+        w * _conditional_outage(stats, threshold(u0), u)
+        + w_m * _conditional_outage(stats, threshold(1.0 - u0), u_m))
+
+
+def _group_count(n: int) -> int:
+    return -(-n // (2 * mc._GROUP))
+
+
+def outage_conditional_group_means(stats, threshold: float, n: int, seed: int) -> np.ndarray:
+    """The group means of estimate_outage, written out from the derivation
+    on its stream (Philox key seed + 2**64, one shift uniform s per group, so
+    one stream from counter 0 covers every chunk): the mean of
+    outage_group_pairs over the points (j + s) / 233, j < 233."""
     key = (int(seed) & 0xFFFFFFFFFFFFFFFF) + (1 << 64)
-    x = threshold
-    u = Generator(Philox(key=key)).random(-(-n // 2))
+    s = Generator(Philox(key=key)).random(_group_count(n))
+    v = (np.arange(mc._GROUP) + s[:, None]) / mc._GROUP
+    return outage_group_pairs(stats, threshold, v).mean(axis=1)
 
-    def value(e):
-        c = x * (x + 1.0 + e) / e / stats.lambda_sr
-        d = c * stats.lambda_li
-        return (d - np.expm1(-(x / stats.lambda_rd + c))) / (1.0 + d)
 
-    return 0.5 * (value(-stats.lambda_rd * np.log1p(-u))
-                  + value(-stats.lambda_rd * np.log(u)))
+def ser_conditional_group_means(stats, cfg: SystemConfig, n: int, seed: int) -> np.ndarray:
+    """The group means of estimate_ser_semianalytic, written out from the
+    derivation on its stream (Philox key seed + 2 * 2**64, shift uniforms
+    (s0, s1) per group): the mean of ser_group_pairs over the Fibonacci
+    lattice frac((j, 144 j) / 233 + (s0, s1 / 233)), j < 233, which is the
+    estimator's lattice in another order."""
+    key = (int(seed) & 0xFFFFFFFFFFFFFFFF) + (2 << 64)
+    s = Generator(Philox(key=key)).random(2 * _group_count(n)).reshape(-1, 2)
+    j = np.arange(mc._GROUP)
+    u0 = np.mod(j / mc._GROUP + s[:, :1], 1.0)
+    v = np.mod(144 * j / mc._GROUP + s[:, 1:] / mc._GROUP, 1.0)
+    return ser_group_pairs(stats, cfg, u0, v).mean(axis=1)
 
 
 def _whole_chunks(chunk, n: int, seed: int) -> McEstimate:
-    # chunk(lo, hi) over the CHUNK_SAMPLES // 2 slices of the ceil(n / 2)
-    # pairs, serially; the estimate does not depend on the order the chunks
+    # chunk(lo, hi) over the _CHUNK_GROUPS slices of the ceil(n / 466)
+    # groups, serially; the estimate does not depend on the order the chunks
     # run in
-    pairs = -(-n // 2)
-    size = CHUNK_SAMPLES // 2
-    parts = [chunk(lo, min(pairs, lo + size)) for lo in range(0, pairs, size)]
+    groups = _group_count(n)
+    size = mc._CHUNK_GROUPS
+    parts = [chunk(lo, min(groups, lo + size)) for lo in range(0, groups, size)]
     return mc._mean_estimate(parts, seed)
 
 
 def outage_chunk_oracle(stats, threshold: float, n: int, seed: int) -> McEstimate:
-    """estimate_outage with each chunk drawn and evaluated whole, as before
-    the estimators worked in blocks: the reference that the blocked
-    estimator must match bit for bit. Same stream, kernel, antithetic
-    pairs, moments and merge: the chunk of pairs lo .. hi - 1 draws its
-    uniforms u from stream offset lo and reduces the means of the values at
-    u and at 1 - u. Meant for thresholds > 0."""
+    """estimate_outage with each chunk drawn and evaluated whole, not block
+    by block: the reference that the blocked estimator must match bit for
+    bit. Same stream, lattice, stretch, kernel, moments and merge: the chunk
+    of groups lo .. hi - 1 draws its shifts from stream offset lo. Meant for
+    thresholds > 0."""
     x = float(threshold)
+    cols = mc._columns()
 
     def chunk(lo, hi):
-        u = mc.stream(seed, mc._TAG_OUTAGE, lo).random(hi - lo)
-        antithetic = mc._outage_given_excess(1.0 - u, x, stats)
-        pair_sums = mc._outage_given_excess(u, x, stats) + antithetic
-        return mc._moments(pair_sums * 0.5)
+        s = mc.stream(seed, mc._TAG_OUTAGE, lo).random(hi - lo)
+        return mc._moments(mc._group_means(mc._lattice(s, cols), x, stats))
 
     return _whole_chunks(chunk, n, seed)
 
 
 def ser_chunk_oracle(stats, cfg: SystemConfig, n: int, seed: int) -> McEstimate:
     """estimate_ser_semianalytic with each chunk drawn and evaluated whole,
-    as before the estimators worked in blocks: the reference that the
-    blocked estimator must match bit for bit. The chunk of pairs lo .. hi - 1
-    draws its rows (u0, u1) from stream offset 2 lo and reduces the means of
-    the values at (u0, u1) and at (1 - u0, 1 - u1)."""
-    beta = cfg.beta_mod
-
-    def value(u0, u1):
-        x = special.ndtri(u0 * 0.5) ** 2 / beta     # X = Z^2 / beta
-        return mc._outage_given_excess(u1, x, stats)
+    not block by block: the reference that the blocked estimator must match
+    bit for bit. The chunk of groups lo .. hi - 1 draws its shifts (s0, s1)
+    from stream offset 2 lo; the thresholds come from the points
+    u0 = frac(89 j / 233 + s0) and their mirrors 1 - u0."""
+    cols = mc._columns()
+    rows = mc._GEN * cols % mc._GROUP / mc._GROUP
 
     def chunk(lo, hi):
-        u = mc.stream(seed, mc._TAG_SER, 2 * lo).random(2 * (hi - lo)).reshape(hi - lo, 2)
-        u0, u1 = u[:, 0].copy(), u[:, 1].copy()
-        antithetic = value(1.0 - u0, 1.0 - u1)
-        pair_sums = value(u0, u1) + antithetic       # the kernel overwrites u1
-        return mc._moments(pair_sums * (0.25 * cfg.alpha_mod))
+        s = mc.stream(seed, mc._TAG_SER, 2 * lo).random(2 * (hi - lo)).reshape(hi - lo, 2)
+        u0 = rows + s[:, :1]
+        np.subtract(u0, 1.0, out=u0, where=u0 >= 1.0)
+        x = special.ndtri(np.stack([u0, 1.0 - u0]) * 0.5) ** 2 / cfg.beta_mod
+        g = mc._group_means(mc._lattice(s[:, 1].copy(), cols), x, stats)
+        return mc._moments(g * (0.5 * cfg.alpha_mod))
 
     return _whole_chunks(chunk, n, seed)
+
+
+def _pair_estimate(pair_means, seed: int) -> McEstimate:
+    return McEstimate(value=float(pair_means.mean()),
+                      std_error=float(pair_means.std(ddof=1)) / math.sqrt(pair_means.size),
+                      n_samples=2 * pair_means.size, seed=seed)
+
+
+def outage_pair_oracle(stats, threshold: float, n: int, seed: int) -> McEstimate:
+    """The antithetic-pair outage estimator that lattice groups replaced:
+    ceil(n / 2) uniforms u of stream (seed, outage tag), each evaluated by
+    the kernel at u and at 1 - u, the pair mean the unit of std_error. Kept
+    as the reference the groups must beat. Meant for thresholds > 0."""
+    u = mc.stream(seed, mc._TAG_OUTAGE).random(-(-n // 2))
+    return _pair_estimate(0.5 * (_conditional_outage(stats, threshold, u)
+                                 + _conditional_outage(stats, threshold, 1.0 - u)), seed)
+
+
+def ser_pair_oracle(stats, cfg: SystemConfig, n: int, seed: int) -> McEstimate:
+    """The antithetic-pair semi-analytic SER that lattice groups replaced:
+    ceil(n / 2) rows (u0, u1) of stream (seed, SER tag), each evaluated at
+    threshold X = ndtri(u0 / 2)^2 / beta and excess coordinate u1, and at
+    (1 - u0, 1 - u1). Kept as the reference the groups must beat."""
+    u0, u1 = mc.stream(seed, mc._TAG_SER).random(2 * -(-n // 2)).reshape(-1, 2).T
+
+    def value(p0, p1):
+        return _conditional_outage(stats, special.ndtri(0.5 * p0) ** 2 / cfg.beta_mod, p1)
+
+    return _pair_estimate(0.25 * cfg.alpha_mod * (value(u0, u1) + value(1.0 - u0, 1.0 - u1)),
+                          seed)
 
 
 def symbol_level_complex_oracle(stats, n_symbols: int, seed: int) -> McEstimate:

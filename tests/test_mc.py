@@ -29,12 +29,18 @@ from fdrelay.mc import CHUNK_SAMPLES, stream
 
 from conftest import (
     outage_chunk_oracle,
-    outage_conditional_pair_means,
+    outage_conditional_group_means,
+    outage_group_pairs,
     outage_indicator_oracle,
+    outage_pair_oracle,
     ser_chunk_oracle,
+    ser_conditional_group_means,
     ser_fading_oracle,
+    ser_group_pairs,
+    ser_pair_oracle,
     stats_at,
     symbol_level_complex_oracle,
+    tail_stretch,
 )
 
 # mpmath, 30 digits: the SER alpha E[Q(sqrt(beta ab / (a + b + 1)))] at the
@@ -51,6 +57,22 @@ SER_TABLE = [
     (25.0, 0.3, 2.5, "qpsk", 4.93336831006898598204949165702e-02),
     (0.0, 0.1, 3.0, "bpsk", 1.31536147463494632112826419125e-01),
 ]
+
+# the outage at threshold 1, symmetric allocation, v = 3, by 30-digit
+# quadrature of the kernel over the relay-destination excess
+OUTAGE_EXACT = [
+    # p_db, eps, outage
+    (40.0, 0.0, 5.00241808630e-5),
+    (60.0, 0.1, 0.0123462845678),
+]
+
+# evaluations per lattice group, and sizes that cut the groups into one
+# block; a chunk, an outage block (two SER blocks) and a ragged 4-group tail;
+# and three chunks with a partial one
+GROUP = 2 * mc._GROUP
+BLOCK_SIZES = (10_000,
+               GROUP * (mc._CHUNK_GROUPS + mc._BLOCK_UNIFORMS // mc._GROUP + 4),
+               2 * CHUNK_SAMPLES + 12_345)
 
 
 class RepeatedRow:
@@ -162,11 +184,9 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_outage_blocks_change_no_bit(self, eps):
-        # one block, a chunk plus an outage block (two SER blocks) and a
-        # ragged 4-row tail, and three chunks with a partial one, against
-        # chunks drawn and evaluated whole
+        # BLOCK_SIZES against chunks drawn and evaluated whole
         _, stats = stats_at(20.0, eps)
-        for n in (10_000, CHUNK_SAMPLES + mc._BLOCK_UNIFORMS + 4, 2 * CHUNK_SAMPLES + 12_345):
+        for n in BLOCK_SIZES:
             want = outage_chunk_oracle(stats, 1.0, n, seed=19)
             for workers in (1, 2, 4):
                 got = estimate_outage(stats, 1.0, n, seed=19, workers=workers)
@@ -177,7 +197,7 @@ class TestReproducibility:
     @pytest.mark.parametrize("modulation", ["bpsk", "qpsk"])
     def test_ser_blocks_change_no_bit(self, eps, modulation):
         cfg, stats = stats_at(20.0, eps, modulation=modulation)
-        for n in (10_000, CHUNK_SAMPLES + mc._BLOCK_UNIFORMS + 4, 2 * CHUNK_SAMPLES + 12_345):
+        for n in BLOCK_SIZES:
             want = ser_chunk_oracle(stats, cfg, n, seed=23)
             for workers in (1, 2, 4):
                 got = estimate_ser_semianalytic(stats, cfg, n, seed=23, workers=workers)
@@ -185,16 +205,18 @@ class TestReproducibility:
                     (want.value, want.std_error, want.n_samples), (n, workers)
 
     @pytest.mark.parametrize("n", [10_001, 2 * CHUNK_SAMPLES + 12_345])
-    def test_odd_n_runs_whole_pairs(self, n):
-        # an odd n runs ceil(n / 2) antithetic pairs, so it is the estimate
-        # at n + 1 bit for bit, at any worker count
+    def test_n_rounds_up_to_whole_groups(self, n):
+        # n runs ceil(n / 466) lattice groups, so it is the estimate at the
+        # next multiple of 466 bit for bit, at any worker count
         cfg, stats = stats_at(20.0, 0.1)
+        whole = -(-n // GROUP) * GROUP
+        assert whole > n
         for fn in (
             lambda m, w: estimate_outage(stats, 1.0, m, seed=37, workers=w),
             lambda m, w: estimate_ser_semianalytic(stats, cfg, m, seed=37, workers=w),
         ):
-            want = fn(n + 1, 1)
-            assert want.n_samples == n + 1
+            want = fn(whole, 1)
+            assert want.n_samples == whole
             for workers in (1, 2, 4):
                 assert fn(n, workers) == want, workers
 
@@ -252,12 +274,12 @@ class TestAntitheticPairs:
             margin = 6.0 * float(products.std()) / math.sqrt(m)
             assert float(products.mean()) <= margin
 
-    @pytest.mark.parametrize("p_db, eps", [(20.0, 0.1), (0.0, 0.1)])
+    @pytest.mark.parametrize("p_db, eps", [(20.0, 0.1), (0.0, 0.1), (40.0, 0.0), (60.0, 0.1)])
     def test_reported_error_is_honest(self, p_db, eps):
         # the seed-to-seed spread of 200 estimates of 1e4 evaluations
         # against their RMS std_error: the ratio of the variances lies in
         # the two-sided 0.1 % band of chi^2 with 199 degrees of freedom over
-        # 199. The 40 dB, eps = 0 tail, which std_error misses, is left out
+        # 199, also where the kernel's tail near u = 0 carries the variance
         cfg, stats = stats_at(p_db, eps)
         seeds = range(3000, 3200)
         lo, hi = sps.chi2.ppf([0.0005, 0.9995], len(seeds) - 1) / (len(seeds) - 1)
@@ -267,6 +289,61 @@ class TestAntitheticPairs:
             spread = float(np.var([e.value for e in ests], ddof=1))
             reported = float(np.mean([e.std_error ** 2 for e in ests]))
             assert lo <= spread / reported <= hi
+
+    @pytest.mark.parametrize("p_db, eps, want", OUTAGE_EXACT)
+    def test_error_bars_cover_the_exact_outage(self, p_db, eps, want):
+        # 40 estimates of 1e6 evaluations: with an honest std_error each lies
+        # more than 3 sigma off with probability 2 Q(3) = 0.27 %, so more
+        # misses than the binomial law's 0.1 % upper tail (2) fail. Antithetic
+        # pairs missed 12 and 17 of these 40
+        _, stats = stats_at(p_db, eps)
+        seeds = range(2000, 2040)
+        bound = sps.binom.isf(1e-3, len(seeds), 2.0 * sps.norm.sf(3.0))
+        ests = [estimate_outage(stats, 1.0, 1_000_000, seed=s) for s in seeds]
+        misses = sum(abs(e.value - want) > 3.0 * e.std_error for e in ests)
+        assert misses <= bound, misses
+
+    def test_pair_weights_sum_to_two(self):
+        # the stretch's weights are T'(v) of the points and 2 - T'(v) of the
+        # mirrors, which is T'(1 - v): each pair's weights sum to exactly 2,
+        # so a pair mean stays within its values' range and a certain event
+        # averages to exactly 1. The coordinates become T(v), within [0, 1]
+        s = np.concatenate([[0.0, 0.5, 1.0 - 2.0**-53], stream(5, mc._TAG_OUTAGE).random(997)])
+        v = mc._lattice(s, mc._columns())
+        points, mirrors = v[0].copy(), v[1].copy()
+        w = mc._stretch(v)
+        assert w.shape == (s.size, 2 * mc._EDGE)
+        assert np.all((0.0 <= w) & (w <= 2.0))
+        assert np.all(w + (2.0 - w) == 2.0)
+        edge = points[:, :2 * mc._EDGE]
+        np.testing.assert_allclose(w, tail_stretch(edge)[1], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(2.0 - w, tail_stretch(1.0 - edge)[1], rtol=1e-12, atol=1e-15)
+        assert np.all(tail_stretch(points[:, 2 * mc._EDGE:])[1] == 1.0)
+        assert np.all(tail_stretch(mirrors[:, 2 * mc._EDGE:])[1] == 1.0)
+        for stretched, raw in ((v[0], points), (v[1], mirrors)):
+            np.testing.assert_allclose(stretched, tail_stretch(raw)[0], rtol=1e-12, atol=1e-15)
+        assert np.all((0.0 <= v) & (v <= 1.0))
+        zero = int(np.flatnonzero(mc._columns() == 0)[0])     # point 0 at shift 0
+        assert (v[0, 0, zero], v[1, 0, zero], w[0, zero]) == (0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("p_db, eps, v, modulation", [
+        (0.0, 0.1, 3.0, "bpsk"), (20.0, 0.1, 3.0, "bpsk"), (25.0, 0.3, 2.5, "qpsk"),
+    ])
+    def test_groups_beat_pairs(self, p_db, eps, v, modulation):
+        # at equal evaluations, the lattice groups report at least 10x less
+        # variance than the antithetic pairs they replaced, away from the
+        # tail that made the pairs' std_error understate their spread
+        cfg, stats = stats_at(p_db, eps, v, modulation=modulation)
+        n = 1_000_000
+        for group, pair in (
+            (estimate_outage(stats, 1.0, n, seed=61), outage_pair_oracle(stats, 1.0, n, seed=61)),
+            (estimate_ser_semianalytic(stats, cfg, n, seed=62),
+             ser_pair_oracle(stats, cfg, n, seed=62)),
+        ):
+            assert abs(group.value - pair.value) <= 3.0 * math.hypot(group.std_error,
+                                                                      pair.std_error)
+            assert group.n_samples * group.std_error ** 2 \
+                <= 0.1 * pair.n_samples * pair.std_error ** 2
 
 
 class TestEstimateOutage:
@@ -335,23 +412,39 @@ class TestEstimateOutage:
             assert (crude.std_error / est.std_error) ** 2 >= 100.0
 
     def test_std_error_is_two_pass(self):
-        # near-constant pair means (outage ~0.992, spread ~1e-7): s2/n -
-        # mean^2 from raw sums cancels to rounding noise here
-        _, stats = stats_at(100.0, 1e3)
+        # near-constant group means (outage ~0.992, spread ~9e-9 relative):
+        # s2/n - mean^2 from raw sums cancels to rounding noise here
+        _, stats = stats_at(60.0, 1e3)
         n = 2 * CHUNK_SAMPLES + 12_345
         est = estimate_outage(stats, 1.0, n, seed=13, workers=2)
-        pairs = outage_conditional_pair_means(stats, 1.0, n, seed=13)
-        assert est.n_samples == 2 * pairs.size
-        assert est.value == pytest.approx(float(pairs.mean()), rel=1e-12)
-        want = float(np.std(pairs, ddof=1)) / math.sqrt(pairs.size)
+        groups = outage_conditional_group_means(stats, 1.0, n, seed=13)
+        assert est.n_samples == GROUP * groups.size
+        assert est.value == pytest.approx(float(groups.mean()), rel=1e-12)
+        want = float(np.std(groups, ddof=1)) / math.sqrt(groups.size)
         assert want > 0.0
+        assert est.std_error == pytest.approx(want, rel=1e-6)
+        raw = max(float(np.mean(groups * groups)) - float(groups.mean()) ** 2, 0.0)
+        assert raw == 0.0 or not 0.5 < raw / np.var(groups) < 2.0
+
+    def test_ser_follows_the_derivation(self):
+        # the SER's group means, from the Fibonacci lattice in the order of
+        # its definition, on the estimator's stream
+        cfg, stats = stats_at(20.0, 0.1, modulation="qpsk")
+        n = CHUNK_SAMPLES + 12_345
+        est = estimate_ser_semianalytic(stats, cfg, n, seed=17, workers=2)
+        groups = ser_conditional_group_means(stats, cfg, n, seed=17)
+        assert est.n_samples == GROUP * groups.size
+        assert est.value == pytest.approx(float(groups.mean()), rel=1e-12)
+        want = float(np.std(groups, ddof=1)) / math.sqrt(groups.size)
         assert est.std_error == pytest.approx(want, rel=1e-6)
 
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_zero_uniform_is_certain_outage(self, monkeypatch, eps):
-        # u = 0 gives a relay-destination excess E = 0: k = x (x + 1 + E) / E
-        # is infinite and the evaluation is an outage, whatever lambda_li.
-        # Its antithetic partner 1 gives E = inf, where k is its limit x
+        # a zero shift puts lattice point 0 at v = 0, a relay-destination
+        # excess E = 0: k = x (x + 1 + E) / E is infinite and the evaluation
+        # is an outage, whatever lambda_li, at weight T'(0) = 0. Its mirror 1
+        # gives E = inf, where k is its limit x, at weight 2, so that pair's
+        # mean is the limit. Every group has the zero shift
         monkeypatch.setattr(mc, "stream", lambda *args: RepeatedRow([0.0]))
         _, stats = stats_at(20.0, eps)
         x = 1.0
@@ -361,7 +454,9 @@ class TestEstimateOutage:
             est = estimate_outage(stats, x, 20_000, seed=1)
         assert own == 1.0
         assert partner == pytest.approx(excess_limit(x, stats), rel=1e-14)
-        assert est.value == pytest.approx(0.5 * (1.0 + partner), rel=1e-14)
+        rest = outage_group_pairs(stats, x, np.arange(1, mc._GROUP) / mc._GROUP)
+        want = (math.fsum(rest) + excess_limit(x, stats)) / mc._GROUP
+        assert est.value == pytest.approx(want, rel=1e-14)
         assert est.std_error <= 1e-15 * est.value
 
     @given(st.floats(-20.0, 150.0), st.floats(0.0, 1e3), st.floats(1.5, 6.0),
@@ -477,11 +572,12 @@ class TestEstimateSerSemianalytic:
     @pytest.mark.parametrize("column", [0, 1])
     @pytest.mark.parametrize("eps, modulation", [(0.0, "bpsk"), (0.1, "qpsk")])
     def test_zero_uniform_gives_half_alpha(self, monkeypatch, column, eps, modulation):
-        # u0 = 0 makes X infinite, u1 = 0 makes the excess E = 0: either way
-        # the conditional outage is 1 and the evaluation is alpha / 2. The
-        # antithetic partner 1 - 0 = 1 gives X = 0, where outage is
-        # impossible, or E = inf, the finite limit at k = X with X from
-        # u0 = 1/2
+        # shifts (0, 1/2) or (1/2, 0) put lattice point 0 at u0 = 0, where X
+        # is infinite, or at v = 0, where the excess E = 0: either way the
+        # conditional outage is 1 and the evaluation alpha / 2, at weight
+        # T'(v) (1/466 / 0.05) or 0. The mirror 1 - 0 = 1 gives X = 0, where
+        # outage is impossible, or E = inf, the finite limit at k = X with X
+        # from u0 = 1/2, at weight 2 - T'(v) or 2. Every group has that shift
         row = [0.5, 0.5]
         row[column] = 0.0
         monkeypatch.setattr(mc, "stream", lambda *args: RepeatedRow(row))
@@ -489,9 +585,17 @@ class TestEstimateSerSemianalytic:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = estimate_ser_semianalytic(stats, cfg, 20_000, seed=1)
+        j = np.arange(mc._GROUP)
+        u0 = np.mod(mc._GEN * j / mc._GROUP + row[0], 1.0)
+        v = (j + row[1]) / mc._GROUP
         x_half = special.ndtri(0.25) ** 2 / cfg.beta_mod
-        partner = 0.0 if column == 0 else excess_limit(x_half, stats)
-        assert est.value == pytest.approx(cfg.alpha_mod / 4.0 * (1.0 + partner), rel=1e-14)
+        if column == 0:
+            limit = tail_stretch(v[0])[1] * 1.0 + 0.0
+        else:
+            limit = 0.0 * 1.0 + 2.0 * excess_limit(x_half, stats)
+        rest = ser_group_pairs(stats, cfg, u0[1:], v[1:])
+        want = (math.fsum(rest) + cfg.alpha_mod / 4.0 * limit) / mc._GROUP
+        assert est.value == pytest.approx(want, rel=1e-14)
         assert est.std_error <= 1e-15 * est.value
 
     @given(st.floats(-20.0, 150.0), st.floats(0.0, 1e3), st.floats(1.5, 6.0),
