@@ -11,20 +11,20 @@ variances are merged pairwise in chunk order, which no worker count changes.
 A chunk of lattice groups (below) is one pool task of the outage and
 semi-analytic SER: it fixes a Philox stream offset and a moment boundary,
 so it is part of what an estimate's bits depend on. A task draws and
-evaluates one cache-sized block at a time from one stream; every step acts
-on single values or single groups, so blocks change no bit. The
-symbol-level SER is an integer count; its pool tasks split it evenly.
+evaluates one cache-sized block at a time from one stream, in one buffer
+that every block reuses, so the allocator neither frees nor re-faults it per
+block; every step acts on single values or groups, so blocks change no bit.
+The symbol-level SER is an integer count; its pool tasks split it evenly.
 
 The outage and semi-analytic SER estimators are conditional Monte Carlo
 (Asmussen & Glynn, *Stochastic Simulation*, 2007, ch. V) on the simulated
 SINR ab / (a + b + 1), through one kernel: the outage probability at a
 threshold x given the relay-destination fade's excess over x, with the other
 two fades integrated in closed form. The outage integrates it over the
-excess at its fixed threshold, and its variance is at most that of the
-indicator count it replaces. The SER writes alpha Q(sqrt(beta gamma)) as
-(alpha / 2) P(Z^2 > beta gamma | gamma) with Z ~ N(0, 1) independent of the
-fades, so it is alpha / 2 times the outage at the random threshold
-X = Z^2 / beta, a second coordinate.
+excess, with at most the variance of the indicator count. The SER writes
+alpha Q(sqrt(beta gamma)) as (alpha / 2) P(Z^2 > beta gamma | gamma) with
+Z ~ N(0, 1) independent of the fades: alpha / 2 times the outage at the
+random threshold X = Z^2 / beta, a second coordinate.
 
 Both average groups of 233 points of a randomly shifted rank-1 lattice
 (Cranley & Patterson 1976; L'Ecuyer & Lemieux 2000), each evaluated at
@@ -252,11 +252,10 @@ def _columns():
     return (np.arange(_GROUP) - _EDGE) % _GROUP     # the 2 _EDGE columns j near 0 or 1 first
 
 
-def _lattice(s, cols):
-    # (2, m, _GROUP): the coordinates (cols + s) / _GROUP at m shifts s, then their mirrors
+def _lattice(s, cols, v):
+    # v (2, m, _GROUP) becomes (cols + s) / _GROUP at the m shifts s, then the mirrors
     import numpy as np
 
-    v = np.empty((2, s.size, _GROUP))
     np.add(cols, s[:, None], out=v[0])
     v[0] /= _GROUP
     np.subtract(1.0, v[0], out=v[1])
@@ -282,13 +281,11 @@ def _stretch(v):
 
 def _group_means(v, x, stats: LinkStats):
     # the group means at threshold x (scalar or shaped like v) from _lattice's v, overwritten
-    import numpy as np
-
     w = _stretch(v)
     _outage_given_excess(v, x, stats)
     v[0, :, :2 * _EDGE] *= w
     v[1, :, :2 * _EDGE] *= 2.0 - w              # the mirrors' weights T'(1 - v)
-    np.add(v[0], v[1], out=v[0])                # each pair's sum, at most 2
+    v[0] += v[1]                                # each pair's sum, at most 2
     return v[0].sum(axis=1) / (2 * _GROUP)
 
 
@@ -333,8 +330,10 @@ def estimate_outage(stats: LinkStats, threshold: float, n: int, seed: int,
         # groups lo .. hi - 1, one shift uniform each from stream offset lo
         gen = stream(seed, _TAG_OUTAGE, lo)
         g = np.empty(hi - lo)
+        buf = np.empty((2, min(hi - lo, _BLOCK_UNIFORMS // _GROUP), _GROUP))
         for b, e in _blocks(hi - lo, _GROUP):
-            g[b:e] = _group_means(_lattice(gen.random(e - b), cols), x, stats)
+            v = _lattice(gen.random(e - b), cols, buf[:, :e - b])
+            g[b:e] = _group_means(v, x, stats)
         return _moments(g)
 
     return _mean_estimate(_map_chunks(chunk, groups, workers, _CHUNK_GROUPS), seed)
@@ -378,10 +377,11 @@ def estimate_ser_semianalytic(stats: LinkStats, cfg: SystemConfig, n: int,
         # groups lo .. hi - 1, two shift uniforms each from stream offset 2 lo
         gen = stream(seed, _TAG_SER, 2 * lo)
         g = np.empty(hi - lo)
+        buf = np.empty((2, 2, min(hi - lo, _BLOCK_UNIFORMS // (2 * _GROUP)), _GROUP))
         for b, e in _blocks(hi - lo, 2 * _GROUP):
             s0, s1 = gen.random(2 * (e - b)).reshape(e - b, 2).T
-            v = _lattice(s1, cols)
-            x = np.empty_like(v)
+            v, x = buf[:, :, :e - b]
+            _lattice(s1, cols, v)
             np.add(rows, s0[:, None], out=x[0])
             np.subtract(x[0], 1.0, out=x[0], where=x[0] >= 1.0)  # frac(89 j / 233 + s0)
             np.subtract(1.0, x[0], out=x[1])

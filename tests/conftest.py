@@ -338,7 +338,8 @@ def outage_chunk_oracle(stats, threshold: float, n: int, seed: int) -> McEstimat
 
     def chunk(lo, hi):
         s = mc.stream(seed, mc._TAG_OUTAGE, lo).random(hi - lo)
-        return mc._moments(mc._group_means(mc._lattice(s, cols), x, stats))
+        v = mc._lattice(s, cols, np.empty((2, s.size, mc._GROUP)))
+        return mc._moments(mc._group_means(v, x, stats))
 
     return _whole_chunks(chunk, n, seed)
 
@@ -357,7 +358,8 @@ def ser_chunk_oracle(stats, cfg: SystemConfig, n: int, seed: int) -> McEstimate:
         u0 = rows + s[:, :1]
         np.subtract(u0, 1.0, out=u0, where=u0 >= 1.0)
         x = special.ndtri(np.stack([u0, 1.0 - u0]) * 0.5) ** 2 / cfg.beta_mod
-        g = mc._group_means(mc._lattice(s[:, 1].copy(), cols), x, stats)
+        v = mc._lattice(s[:, 1].copy(), cols, np.empty((2, hi - lo, mc._GROUP)))
+        g = mc._group_means(v, x, stats)
         return mc._moments(g * (0.5 * cfg.alpha_mod))
 
     return _whole_chunks(chunk, n, seed)

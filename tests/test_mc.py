@@ -309,7 +309,7 @@ class TestAntitheticPairs:
         # so a pair mean stays within its values' range and a certain event
         # averages to exactly 1. The coordinates become T(v), within [0, 1]
         s = np.concatenate([[0.0, 0.5, 1.0 - 2.0**-53], stream(5, mc._TAG_OUTAGE).random(997)])
-        v = mc._lattice(s, mc._columns())
+        v = mc._lattice(s, mc._columns(), np.empty((2, s.size, mc._GROUP)))
         points, mirrors = v[0].copy(), v[1].copy()
         w = mc._stretch(v)
         assert w.shape == (s.size, 2 * mc._EDGE)
@@ -589,12 +589,11 @@ class TestEstimateSerSemianalytic:
         u0 = np.mod(mc._GEN * j / mc._GROUP + row[0], 1.0)
         v = (j + row[1]) / mc._GROUP
         x_half = special.ndtri(0.25) ** 2 / cfg.beta_mod
-        if column == 0:
-            limit = tail_stretch(v[0])[1] * 1.0 + 0.0
-        else:
-            limit = 0.0 * 1.0 + 2.0 * excess_limit(x_half, stats)
+        mirror = 0.0 if column == 0 else excess_limit(x_half, stats)
+        w = tail_stretch(v[0])[1]
         rest = ser_group_pairs(stats, cfg, u0[1:], v[1:])
-        want = (math.fsum(rest) + cfg.alpha_mod / 4.0 * limit) / mc._GROUP
+        want = (math.fsum(rest) + cfg.alpha_mod / 4.0 * (w * 1.0 + (2.0 - w) * mirror)) \
+            / mc._GROUP
         assert est.value == pytest.approx(want, rel=1e-14)
         assert est.std_error <= 1e-15 * est.value
 
