@@ -295,7 +295,7 @@ class TestAntitheticPairs:
         # 40 estimates of 1e6 evaluations: with an honest std_error each lies
         # more than 3 sigma off with probability 2 Q(3) = 0.27 %, so more
         # misses than the binomial law's 0.1 % upper tail (2) fail. Antithetic
-        # pairs missed 12 and 17 of these 40
+        # pairs missed 18 and 14 of these 40
         _, stats = stats_at(p_db, eps)
         seeds = range(2000, 2040)
         bound = sps.binom.isf(1e-3, len(seeds), 2.0 * sps.norm.sf(3.0))

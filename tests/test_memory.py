@@ -21,10 +21,10 @@ import fdrelay
 pytest.importorskip("resource")
 
 # the outage and SER hold one array of 856 group means per worker, 7 kB,
-# plus a block's coordinates and temporaries, and raised the mark by 3.4,
-# 5.7 and 6.0 MB in this order (cumulative; 5-6, 7-8 and 7-8 MB with a
-# 1.6 MB array of antithetic pair means per chunk); drawing and evaluating
-# whole chunks raised it by 5, 23-29 and 96-124 MB
+# plus one block buffer (1 MB) and the kernel's temporaries, and raised the
+# mark by 3.9-4.3, 4.3-5.1 and 5.1-6.8 MB in this order (cumulative; 5-6,
+# 7-8 and 7-8 MB with a 1.6 MB array of antithetic pair means per chunk);
+# drawing and evaluating whole chunks raised it by 5, 23-29 and 96-124 MB
 MAX_RISE_MB = 32.0
 
 _SCRIPT = """
