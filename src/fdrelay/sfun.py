@@ -8,8 +8,8 @@ test suite checks every function against independent high-precision oracles.
 The hypergeometric function is the one the SER series needs and no more:
 hyp2f1_complement evaluates 2F1(2i + 5/2, 3/2; 2i + 2; 1 - w) of series term
 i < MAX_N_TERMS and refuses any other parameter set. Its logarithmic series
-keeps one table per term of the factors that do not depend on w; tables
-fill on demand under a lock and return the bits a per-call evaluation
+keeps one table per term of the factors that do not depend on w, built
+whole on the term's first call, and returns the bits a per-call evaluation
 would.
 
 All functions are pure and reentrant.
@@ -18,7 +18,6 @@ All functions are pure and reentrant.
 from __future__ import annotations
 
 import math
-import threading
 
 from .errors import DomainError, NonConvergenceError
 
@@ -255,23 +254,24 @@ def _hyp_series(a: float, b: float, c: float, z: float) -> float:
     )
 
 
+# Rows of each log-series table. At w <= 1/2 the SER family reads at most 136
+# (term 9 at w = 1/2; term 0 reads 63), so no call reaches the end of a table
+_LOG_ROWS = 160
+
+
 class _LogSeriesTable:
     """The part of _hyp_log_series that depends on (a, b, m) but not on w.
 
     pref1 and the finite-part coefficients fin_coefs of the first term,
-    pref2 of the log term, and the log term's rows: rows[n] holds
+    pref2 of the log term, and the log term's _LOG_ROWS rows: rows[n] holds
     (coef, psi_1, psi_m1, psi_a, psi_b, |psi_1|, |psi_m1|, |psi_a|, |psi_b|)
     of index n. Each row comes from the same recurrence, in the same order,
-    as a per-call evaluation takes, so a call returns the same bits. Rows are
-    appended only when a call reads past the last one.
+    as a per-call evaluation takes, so a call returns the same bits.
     """
 
-    __slots__ = ("a", "b", "m", "pref1", "fin_coefs", "pref2", "rows")
+    __slots__ = ("pref1", "fin_coefs", "pref2", "rows")
 
     def __init__(self, a: float, b: float, m: int) -> None:
-        self.a = a
-        self.b = b
-        self.m = m
         c = a + b + m
         # finite part: Gamma(m)Gamma(c)/(Gamma(a+m)Gamma(b+m)) *
         #              sum_{n<m} (a)_n (b)_n / (n! (1-m)_n) w^n
@@ -291,47 +291,25 @@ class _LogSeriesTable:
         #           sum_n (a+m)_n (b+m)_n / (n! (n+m)!) w^n *
         #           [ln w - psi(n+1) - psi(n+m+1) + psi(a+m+n) + psi(b+m+n)]
         self.pref2 = ((-1.0) ** m) * (math.gamma(c) / (math.gamma(a) * math.gamma(b)))
-        psi = (digamma(1.0), digamma(m + 1.0), digamma(a + m), digamma(b + m))
-        self.rows = [_log_row(1.0 / math.gamma(m + 1.0), *psi)]
-
-    def extend_to(self, n: int) -> None:
-        """Append rows up to index n, unless another thread already has."""
-        a = self.a
-        b = self.b
-        m = self.m
-        rows = self.rows
-        with _log_tables_lock:
-            while len(rows) <= n:
-                coef, psi_1, psi_m1, psi_a, psi_b = rows[-1][:5]
-                k = len(rows)
-                coef *= (a + m + k - 1) * (b + m + k - 1) / (k * (k + m))
-                psi_1 += 1.0 / k
-                psi_m1 += 1.0 / (k + m)
-                psi_a += 1.0 / (a + m + k - 1)
-                psi_b += 1.0 / (b + m + k - 1)
-                rows.append(_log_row(coef, psi_1, psi_m1, psi_a, psi_b))
+        coef = 1.0 / math.gamma(m + 1.0)
+        psi_1, psi_m1 = digamma(1.0), digamma(m + 1.0)
+        psi_a, psi_b = digamma(a + m), digamma(b + m)
+        rows = []
+        for k in range(1, _LOG_ROWS + 1):
+            rows.append((coef, psi_1, psi_m1, psi_a, psi_b,
+                         abs(psi_1), abs(psi_m1), abs(psi_a), abs(psi_b)))
+            coef *= (a + m + k - 1) * (b + m + k - 1) / (k * (k + m))
+            psi_1 += 1.0 / k
+            psi_m1 += 1.0 / (k + m)
+            psi_a += 1.0 / (a + m + k - 1)
+            psi_b += 1.0 / (b + m + k - 1)
+        self.rows = tuple(rows)
 
 
-def _log_row(coef, psi_1, psi_m1, psi_a, psi_b):
-    return (coef, psi_1, psi_m1, psi_a, psi_b,
-            abs(psi_1), abs(psi_m1), abs(psi_a), abs(psi_b))
-
-
-# One table per (a, b, m) seen, built on first use: at most MAX_N_TERMS,
-# since hyp2f1_complement refuses every parameter set outside the family
+# One table per (a, b, m) seen, built whole on first use: at most MAX_N_TERMS,
+# since hyp2f1_complement refuses every parameter set outside the family.
+# Threads racing on a fresh term build equal tables; the first stored is kept
 _log_tables: dict[tuple[float, float, int], _LogSeriesTable] = {}
-_log_tables_lock = threading.Lock()
-
-
-def _log_table(a: float, b: float, m: int) -> _LogSeriesTable:
-    key = (a, b, m)
-    table = _log_tables.get(key)
-    if table is None:
-        with _log_tables_lock:
-            table = _log_tables.get(key)
-            if table is None:
-                table = _log_tables[key] = _LogSeriesTable(a, b, m)
-    return table
 
 
 def _hyp_log_series(a: float, b: float, m: int, w: float) -> float:
@@ -340,7 +318,10 @@ def _hyp_log_series(a: float, b: float, m: int, w: float) -> float:
 
     The w-independent factors come from the (a, b, m) table; the loop does
     only the w-dependent work."""
-    table = _log_table(a, b, m)
+    key = (a, b, m)
+    table = _log_tables.get(key)
+    if table is None:
+        table = _log_tables.setdefault(key, _LogSeriesTable(a, b, m))
     fin = 0.0
     wn = 1.0
     for fin_coef in table.fin_coefs:
@@ -353,11 +334,8 @@ def _hyp_log_series(a: float, b: float, m: int, w: float) -> float:
     wn = w**m
     s = 0.0
     comp = 0.0
-    rows = table.rows
-    last = len(rows) - 1
-    # rows appended by extend_to during the loop are read by the same loop
     for n, (coef, psi_1, psi_m1, psi_a, psi_b,
-            abs_1, abs_m1, abs_a, abs_b) in enumerate(rows):
+            abs_1, abs_m1, abs_a, abs_b) in enumerate(table.rows):
         coef_wn = coef * wn
         term = coef_wn * (lw - psi_1 - psi_m1 + psi_a + psi_b)
         y = term - comp
@@ -375,9 +353,6 @@ def _hyp_log_series(a: float, b: float, m: int, w: float) -> float:
                     and size * (abs_lw + abs_1 + abs_m1 + abs_a + abs_b) <= bound):
                 return part1 - pref2 * s
         wn *= w
-        if n == last and last + 1 < _SERIES_MAX_TERMS:
-            table.extend_to(n + 1)
-            last = len(rows) - 1
     raise NonConvergenceError(f"hyp2f1: log series stalled (a={a}, b={b}, m={m}, w={w})")
 
 

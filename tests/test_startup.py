@@ -92,11 +92,10 @@ def test_series_tables_are_built_on_demand(fresh_run):
     tables = fresh_run["tables"]
     # importing builds nothing
     assert tables["import"] == {"rows": [], "coefficient_sets": 0}
-    # the three default terms each have one table, extended only as far as
-    # the series was read: the log branch needs at most ~80 rows at w <= 0.5
+    # the three default terms each have one table, built whole on first use
     for step in ("figure 4", "ser --p-db"):
         assert len(tables[step]["rows"]) == 3, step
-        assert 0 < max(tables[step]["rows"]) <= sfun._SERIES_MAX_TERMS // 8, step
+        assert all(n == sfun._LOG_ROWS for n in tables[step]["rows"]), step
         assert tables[step]["coefficient_sets"] == 1, step
 
 
