@@ -41,10 +41,19 @@ _MODULATIONS = {
     "qpsk": (2.0, 1.0),
 }
 
-_CONFIG_KEYS = (
-    "total_power_db", "rsi_level", "pathloss_exp", "sum_distance",
-    "rho_lambda", "rho_d", "modulation", "mc_samples", "seed",
-)
+# config key -> (type, default). Every key but total_power_db has a flag,
+# --key-with-dashes, which overrides it; --p-db overrides total_power_db
+_KEYS = {
+    "total_power_db": (float, 20.0),
+    "rsi_level": (float, 0.1),
+    "pathloss_exp": (float, 3.0),
+    "sum_distance": (float, 1.0),
+    "rho_lambda": (float, 0.5),
+    "rho_d": (float, 0.5),
+    "modulation": (str, "bpsk"),
+    "mc_samples": (int, 1_000_000),
+    "seed": (int, 12345),
+}
 
 # RSI grid used by figure sweeps when a caption-style "different levels"
 # spread is needed.
@@ -69,7 +78,8 @@ class ExperimentSpec:
     """Everything one run needs: command, sweep, scenario, and output."""
 
     def __init__(self, command: str, p_db_values: list[float], config: SystemConfig,
-                 allocation: Allocation, mc_samples: int = 1_000_000, seed: int = 12345,
+                 allocation: Allocation, mc_samples: int = _KEYS["mc_samples"][1],
+                 seed: int = _KEYS["seed"][1],
                  output_path: str | None = None, mode: str = "analytic",
                  workers: int = 1, threshold: float = 1.0,
                  n_terms: int = analytic.DEFAULT_N_TERMS, figure: int | None = None):
@@ -99,20 +109,14 @@ def load_config(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _KEYS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        if key == "modulation":
-            out[key] = value.lower()
-        elif key in ("mc_samples", "seed"):
-            try:
-                out[key] = int(value)
-            except ValueError:
-                raise UsageError(f"{path}:{lineno}: field {key!r} needs an integer, got {value!r}")
-        else:
-            try:
-                out[key] = float(value)
-            except ValueError:
-                raise UsageError(f"{path}:{lineno}: field {key!r} needs a number, got {value!r}")
+        kind = _KEYS[key][0]
+        try:
+            out[key] = value.lower() if kind is str else kind(value)
+        except ValueError:
+            need = "an integer" if kind is int else "a number"
+            raise UsageError(f"{path}:{lineno}: field {key!r} needs {need}, got {value!r}")
     return out
 
 
@@ -156,14 +160,10 @@ def build_parser() -> _Parser:
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--p-db", help="total power in dB: value or start:stop:step; "
                        "write a negative start as --p-db=-10:0:5")
-        p.add_argument("--rsi-level", type=float)
-        p.add_argument("--pathloss-exp", type=float)
-        p.add_argument("--sum-distance", type=float)
-        p.add_argument("--rho-lambda", type=float)
-        p.add_argument("--rho-d", type=float)
-        p.add_argument("--modulation", choices=sorted(_MODULATIONS))
-        p.add_argument("--mc-samples", type=int)
-        p.add_argument("--seed", type=int)
+        for key, (kind, _) in _KEYS.items():
+            if key != "total_power_db":
+                p.add_argument("--" + key.replace("_", "-"), type=kind,
+                               choices=sorted(_MODULATIONS) if kind is str else None)
         p.add_argument("--output", help="CSV output path (default: stdout)")
         p.add_argument("--mode", choices=("analytic", "mc", "both"), default="analytic")
         p.add_argument("--workers", type=int, default=1,
@@ -190,37 +190,33 @@ def build_parser() -> _Parser:
 
 def _spec_from_args(args) -> ExperimentSpec:
     file_cfg = load_config(args.config) if args.config else {}
+    # a flag overrides its key, and the key its default
+    val = {}
+    for key, (_, default) in _KEYS.items():
+        flag = getattr(args, key, None)
+        val[key] = file_cfg.get(key, default) if flag is None else flag
 
-    def pick(flag_name, key, default):
-        flag = getattr(args, flag_name, None)
-        if flag is not None:
-            return flag
-        return file_cfg.get(key, default)
-
-    modulation = pick("modulation", "modulation", "bpsk")
+    modulation = val["modulation"]
     if modulation not in _MODULATIONS:
         raise UsageError(f"unknown modulation {modulation!r}")
     alpha, beta = _MODULATIONS[modulation]
 
-    if args.p_db is not None:
-        p_db_values = _parse_p_db(args.p_db)
-    else:
-        p_db_values = [float(file_cfg.get("total_power_db", 20.0))]
+    p_db_values = [val["total_power_db"]] if args.p_db is None else _parse_p_db(args.p_db)
     if not p_db_values:
         raise UsageError("empty --p-db sweep")
 
     try:
         config = SystemConfig(
             total_power=db_to_linear(p_db_values[0]),
-            rsi_level=float(pick("rsi_level", "rsi_level", 0.1)),
-            pathloss_exp=float(pick("pathloss_exp", "pathloss_exp", 3.0)),
-            sum_distance=float(pick("sum_distance", "sum_distance", 1.0)),
+            rsi_level=val["rsi_level"],
+            pathloss_exp=val["pathloss_exp"],
+            sum_distance=val["sum_distance"],
             alpha_mod=alpha,
             beta_mod=beta,
         )
         allocation = Allocation(
-            rho_lambda=float(pick("rho_lambda", "rho_lambda", 0.5)),
-            rho_d=float(pick("rho_d", "rho_d", 0.5)),
+            rho_lambda=val["rho_lambda"],
+            rho_d=val["rho_d"],
         )
     except DomainError as exc:
         raise UsageError(str(exc))
@@ -230,8 +226,8 @@ def _spec_from_args(args) -> ExperimentSpec:
         p_db_values=p_db_values,
         config=config,
         allocation=allocation,
-        mc_samples=int(pick("mc_samples", "mc_samples", 1_000_000)),
-        seed=int(pick("seed", "seed", 12345)),
+        mc_samples=val["mc_samples"],
+        seed=val["seed"],
         output_path=args.output,
         mode=args.mode,
         workers=max(1, args.workers),
@@ -456,13 +452,13 @@ def _figure(spec: ExperimentSpec):
 # ---------------------------------------------------------------------------
 
 def _validate(spec: ExperimentSpec):
-    """Each check returns (name, value, reference, tolerance, passed); the
-    checks run on the pool whatever the mode."""
+    """Each check returns (name, value, tolerance) and passes when value <=
+    tolerance, against a reference of 0; the checks run on the pool whatever
+    the mode."""
     base = spec.config
     alloc = spec.allocation
     n_mc = spec.mc_samples
     seed = spec.seed
-    checks = []
 
     def cdf_gap(p_db: float, band: float):
         def run():
@@ -473,7 +469,7 @@ def _validate(spec: ExperimentSpec):
                 asym = analytic.outage(x, stats, "asymptotic")
                 exact = analytic.outage(x, stats, "exact")
                 worst = max(worst, abs(asym - exact) / exact)
-            return f"cdf_asym_vs_exact_{int(p_db)}db", worst, 0.0, band, worst <= band
+            return f"cdf_asym_vs_exact_{int(p_db)}db", worst, band
         return run
 
     def cdf_mc(threshold: float):
@@ -483,9 +479,8 @@ def _validate(spec: ExperimentSpec):
             est = mc.estimate_outage(stats, threshold, n_mc, seed,
                                      workers=1)
             asym = analytic.outage(threshold, stats, "asymptotic")
-            tol = 3.0 * est.std_error + 0.12 * est.value
-            gap = abs(asym - est.value)
-            return f"cdf_asym_vs_mc_x{threshold:g}", gap, 0.0, tol, gap <= tol
+            return (f"cdf_asym_vs_mc_x{threshold:g}", abs(asym - est.value),
+                    3.0 * est.std_error + 0.12 * est.value)
         return run
 
     def series_vs_quadrature():
@@ -496,24 +491,21 @@ def _validate(spec: ExperimentSpec):
             s = analytic.ser_series(stats, cfg, spec.n_terms)
             q = analytic.ser_quadrature(stats, cfg)
             worst = max(worst, abs(s - q) / q)
-        return "ser_series_vs_quadrature", worst, 0.0, 0.01, worst <= 0.01
+        return "ser_series_vs_quadrature", worst, 0.01
 
     def series_vs_mc():
         cfg = base.replace(total_power=db_to_linear(20.0))
         stats = link_stats(cfg, alloc)
         est = mc.estimate_ser_semianalytic(stats, cfg, n_mc, seed, workers=1)
         s = analytic.ser_series(stats, cfg, spec.n_terms)
-        tol = 3.0 * est.std_error + 0.05 * est.value
-        gap = abs(s - est.value)
-        return "ser_series_vs_mc", gap, 0.0, tol, gap <= tol
+        return "ser_series_vs_mc", abs(s - est.value), 3.0 * est.std_error + 0.05 * est.value
 
     def high_power_vs_quadrature():
         cfg = base.replace(total_power=db_to_linear(40.0))
         stats = link_stats(cfg, alloc)
         hp = analytic.ser_high_power(stats, cfg)
         q = analytic.ser_quadrature(stats, cfg)
-        gap = abs(hp - q) / q
-        return "ser_high_power_vs_quadrature", gap, 0.0, 0.02, gap <= 0.02
+        return "ser_high_power_vs_quadrature", abs(hp - q) / q, 0.02
 
     def floor_vs_mc():
         cfg = base.replace(total_power=db_to_linear(60.0))
@@ -521,7 +513,7 @@ def _validate(spec: ExperimentSpec):
         est = mc.estimate_ser_semianalytic(stats, cfg, n_mc, seed, workers=1)
         floor = analytic.ser_floor(alloc, cfg)
         gap = abs(est.value - floor) / floor if floor > 0 else abs(est.value)
-        return "ser_floor_vs_mc", gap, 0.0, 0.10, gap <= 0.10
+        return "ser_floor_vs_mc", gap, 0.10
 
     def coeff_taylor():
         cs = analytic.approx_coeffs(3)
@@ -531,7 +523,7 @@ def _validate(spec: ExperimentSpec):
             worst = max(worst, resid / x**5)
         # three pairs match the Taylor series through x^5; the x^5 envelope
         # also absorbs double-precision noise at x = 1e-3
-        return "coeff_taylor_residual", worst, 0.0, 1.0, worst <= 1.0
+        return "coeff_taylor_residual", worst, 1.0
 
     def optimizer_agreement(kind: str):
         def run():
@@ -544,34 +536,23 @@ def _validate(spec: ExperimentSpec):
                 closed = opt.optimal_power_closed(cfg, alloc.rho_d)
                 res = opt.minimize_1d("power", cfg, alloc.rho_d, tol=1e-6)
                 brent = res.allocation.rho_lambda
-            gap = abs(closed - brent)
-            return f"optimizer_{kind}_closed_vs_golden", gap, 0.0, 0.02, gap <= 0.02
+            return f"optimizer_{kind}_closed_vs_golden", abs(closed - brent), 0.02
         return run
 
     def particular_foc():
         # the symmetric particular solution must be stationary
         cfg = base.replace(total_power=db_to_linear(20.0))
-        s = math.sqrt(1.0 + cfg.rsi_level * cfg.total_power)
-        g = analytic.f_gradient(Allocation(s / (s + 1.0), 0.5), cfg)
-        resid = max(abs(g[0]), abs(g[1]))
-        return "joint_particular_foc_residual", resid, 0.0, 1e-9, resid <= 1e-9
+        resid = opt._residual(opt._particular_solution(cfg), cfg)
+        return "joint_particular_foc_residual", resid, 1e-9
 
-    checks.append(cdf_gap(20.0, 0.12))
-    checks.append(cdf_gap(30.0, 0.05))
-    checks.append(cdf_mc(1.0))
-    checks.append(cdf_mc(4.0))
-    checks.append(series_vs_quadrature)
-    checks.append(series_vs_mc)
-    checks.append(high_power_vs_quadrature)
-    checks.append(floor_vs_mc)
-    checks.append(coeff_taylor)
-    checks.append(optimizer_agreement("location"))
-    checks.append(optimizer_agreement("power"))
-    checks.append(particular_foc)
+    checks = [cdf_gap(20.0, 0.12), cdf_gap(30.0, 0.05), cdf_mc(1.0), cdf_mc(4.0),
+              series_vs_quadrature, series_vs_mc, high_power_vs_quadrature, floor_vs_mc,
+              coeff_taylor, optimizer_agreement("location"), optimizer_agreement("power"),
+              particular_foc]
 
     def row(check):
-        name, value, ref, tol, ok = check()
-        return [name, value, ref, tol, "pass" if ok else "fail"]
+        name, value, tol = check()
+        return [name, value, 0.0, tol, "pass" if value <= tol else "fail"]
 
     return ["check", "value", "reference", "tolerance", "status"], checks, row, True
 
@@ -605,18 +586,12 @@ def main(argv=None) -> int:
         if spec.command == "validate" and any(r[-1] == "fail" for r in rows):
             return EXIT_VALIDATION
         return EXIT_OK
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DomainError, UnsupportedModulationError) as exc:
+    except (UsageError, DomainError, UnsupportedModulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonConvergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def entrypoint():  # console_scripts hook

@@ -86,6 +86,41 @@ class TestConfigParsing:
         assert float(row_flag[5]) == 0.0
         assert float(row_cfg[5]) > 0.0
 
+    # key, its flag, a value other than the default, and a third value
+    @pytest.mark.parametrize("key, flag, value, other", [
+        ("total_power_db", "--p-db", "25", "15"),
+        ("rsi_level", "--rsi-level", "0.2", "0.05"),
+        ("pathloss_exp", "--pathloss-exp", "2.5", "4"),
+        ("sum_distance", "--sum-distance", "2", "0.5"),
+        ("rho_lambda", "--rho-lambda", "0.3", "0.7"),
+        ("rho_d", "--rho-d", "0.6", "0.4"),
+        ("modulation", "--modulation", "qpsk", "bpsk"),
+        ("mc_samples", "--mc-samples", "20000", "10000"),
+        ("seed", "--seed", "7", "8"),
+    ])
+    def test_every_key_and_its_flag(self, tmp_path, key, flag, value, other):
+        # a key read from a file gives the CSV its flag gives, and the flag
+        # overrides the key; the other keys stay at their defaults, but for
+        # a cheaper sample count
+        base = "" if key == "mc_samples" else "mc_samples = 20000\n"
+        plain = tmp_path / "plain.cfg"
+        plain.write_text(base)
+        keyed = tmp_path / "keyed.cfg"
+        keyed.write_text(f"{base}{key} = {value}\n")
+
+        def csv_of(cfg, *args):
+            out = tmp_path / "out.csv"
+            assert main(["ser", "--mode", "both", "--config", str(cfg), *args,
+                         "--output", str(out)]) == EXIT_OK
+            return out.read_text()
+
+        from_key = csv_of(keyed)
+        assert from_key != csv_of(plain)
+        assert from_key == csv_of(plain, f"{flag}={value}")
+        overridden = csv_of(keyed, f"{flag}={other}")
+        assert overridden != from_key
+        assert overridden == csv_of(plain, f"{flag}={other}")
+
 
 class TestCommands:
     def test_ser_columns(self, tmp_path):

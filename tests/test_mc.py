@@ -24,7 +24,7 @@ from fdrelay import (
     sinr_cdf_exact_numeric,
     sinr_exact,
 )
-from fdrelay import mc
+from fdrelay import mc, sfun
 from fdrelay.mc import CHUNK_SAMPLES, stream
 
 from conftest import (
@@ -87,6 +87,16 @@ class RepeatedRow:
             return np.resize(self.row, size)
         out[...] = np.resize(self.row, out.size)
         return out
+
+
+def zero_rsi_outage(x: float, stats) -> float:
+    """P(ab / (a + b + 1) <= x) for independent exponential SNRs a and b of
+    means lambda_sr and lambda_rd, the SINR the MC samples at eps = 0:
+    1 - k K1(k) e^(-x (1/lambda_sr + 1/lambda_rd)), k = 2 sqrt(x (x + 1) /
+    (lambda_sr lambda_rd)) (Hasna & Alouini, IEEE TWC 2003)."""
+    lsr, lrd = stats.lambda_sr, stats.lambda_rd
+    k = 2.0 * math.sqrt(x * (x + 1.0) / (lsr * lrd))
+    return 1.0 - k * sfun.bessel_k1(k) * math.exp(-x * (1.0 / lsr + 1.0 / lrd))
 
 
 def excess_limit(x: float, stats) -> float:
@@ -365,6 +375,17 @@ class TestEstimateOutage:
             est = estimate_outage(stats, x, n, seed=42)
             want = sinr_cdf_exact_numeric(x, stats)
             assert abs(est.value - want) <= 3.0 * est.std_error + 0.05 * want
+
+    def test_zero_rsi_closed_form(self):
+        # the closed form gives OUTAGE_EXACT's 30-digit quadrature at 40 dB
+        # and lies within 4 sigma of 1e6 samples at each power
+        (p_db, eps, want), = [row for row in OUTAGE_EXACT if row[1] == 0.0]
+        got = zero_rsi_outage(1.0, stats_at(p_db, eps)[1])
+        assert abs(got - want) <= 1e-10 * want
+        for p_db in (0.0, 20.0, 40.0, 60.0):
+            _, stats = stats_at(p_db, 0.0)
+            est = estimate_outage(stats, 1.0, 1_000_000, seed=7)
+            assert abs(est.value - zero_rsi_outage(1.0, stats)) <= 4.0 * est.std_error, p_db
 
     def test_indicator_stderr_bound(self):
         # a conditional probability varies less than the indicator it averages
