@@ -110,6 +110,28 @@ class ApproxCoeffs(_Record):
         )
 
 
+# approx_coeffs(MAX_N_TERMS).pairs, the (A_i, B_i) that the SER series
+# evaluates, so that it imports no fractions; a test pins them bit for bit
+_COEFF_PAIRS = (
+    (1.0, 1.0),
+    (0.5, 1.6666666666666667),
+    (0.2638888888888889, 2.295906432748538),
+    (0.14235632806295576, 2.9078257511320547),
+    (0.07773656967697727, 3.509500581520534),
+    (0.04278490378955477, 4.104327576659633),
+    (0.023678862860090393, 4.694222151659988),
+    (0.013159038762172849, 5.280379110370489),
+    (0.007336350558475495, 5.8635975980469395),
+    (0.004100636697776902, 6.444440273934541),
+)
+
+
+def _check_n_terms(n_terms: int) -> None:
+    if not 1 <= n_terms <= MAX_N_TERMS:
+        raise DomainError(
+            f"approx_coeffs: n_terms must be in 1..{MAX_N_TERMS}, got {n_terms}")
+
+
 @lru_cache(maxsize=32)
 def approx_coeffs(n_terms: int) -> ApproxCoeffs:
     """Generate the first n_terms coefficient pairs by the sequential
@@ -120,9 +142,7 @@ def approx_coeffs(n_terms: int) -> ApproxCoeffs:
     """
     from fractions import Fraction  # ~3.5 ms of import, decimal included
 
-    if not 1 <= n_terms <= MAX_N_TERMS:
-        raise DomainError(
-            f"approx_coeffs: n_terms must be in 1..{MAX_N_TERMS}, got {n_terms}")
+    _check_n_terms(n_terms)
     a: list[Fraction] = [Fraction(1)]
     b: list[Fraction] = [Fraction(1)]
     for i in range(1, n_terms):
@@ -266,9 +286,10 @@ def outage(threshold: float, stats: LinkStats, mode: str = "asymptotic") -> floa
 @lru_cache(maxsize=32)
 def _series_coeffs(n_terms: int) -> tuple[tuple[float, float, float], ...]:
     """(A_i, B_i, C_i) of ser_series_terms as floats, one triple per term."""
+    _check_n_terms(n_terms)
     return tuple(
         (a_i, b_i, gamma_fn(2 * i + 2.5) * gamma_fn(2 * i + 0.5) / math.factorial(2 * i + 1))
-        for i, (a_i, b_i) in enumerate(approx_coeffs(n_terms).pairs)
+        for i, (a_i, b_i) in enumerate(_COEFF_PAIRS[:n_terms])
     )
 
 

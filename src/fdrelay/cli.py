@@ -55,6 +55,9 @@ _KEYS = {
     "seed": (int, 12345),
 }
 
+# flags without a config key -> default, for the parser and ExperimentSpec
+_FLAG_DEFAULTS = {"mode": "analytic", "workers": 1, "threshold": 1.0}
+
 # RSI grid used by figure sweeps when a caption-style "different levels"
 # spread is needed.
 _RSI_GRID = (0.0, 0.01, 0.1, 0.3)
@@ -80,8 +83,9 @@ class ExperimentSpec:
     def __init__(self, command: str, p_db_values: list[float], config: SystemConfig,
                  allocation: Allocation, mc_samples: int = _KEYS["mc_samples"][1],
                  seed: int = _KEYS["seed"][1],
-                 output_path: str | None = None, mode: str = "analytic",
-                 workers: int = 1, threshold: float = 1.0,
+                 output_path: str | None = None, mode: str = _FLAG_DEFAULTS["mode"],
+                 workers: int = _FLAG_DEFAULTS["workers"],
+                 threshold: float = _FLAG_DEFAULTS["threshold"],
                  n_terms: int = analytic.DEFAULT_N_TERMS, figure: int | None = None):
         self.command = command
         self.p_db_values = p_db_values
@@ -156,35 +160,34 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--p-db", help="total power in dB: value or start:stop:step; "
-                       "write a negative start as --p-db=-10:0:5")
-        for key, (kind, _) in _KEYS.items():
-            if key != "total_power_db":
-                p.add_argument("--" + key.replace("_", "-"), type=kind,
-                               choices=sorted(_MODULATIONS) if kind is str else None)
-        p.add_argument("--output", help="CSV output path (default: stdout)")
-        p.add_argument("--mode", choices=("analytic", "mc", "both"), default="analytic")
-        p.add_argument("--workers", type=int, default=1,
-                       help="threads for Monte Carlo rows and validate checks")
-        p.add_argument("--n-terms", type=int, default=analytic.DEFAULT_N_TERMS,
-                       choices=range(1, analytic.MAX_N_TERMS + 1))
+    # the options of every command
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="key=value config file")
+    common.add_argument("--p-db", help="total power in dB: value or start:stop:step; "
+                        "write a negative start as --p-db=-10:0:5")
+    for key, (kind, _) in _KEYS.items():
+        if key != "total_power_db":
+            common.add_argument("--" + key.replace("_", "-"), type=kind,
+                                choices=sorted(_MODULATIONS) if kind is str else None)
+    common.add_argument("--output", help="CSV output path (default: stdout)")
+    common.add_argument("--mode", choices=("analytic", "mc", "both"),
+                        default=_FLAG_DEFAULTS["mode"])
+    common.add_argument("--workers", type=int, default=_FLAG_DEFAULTS["workers"],
+                        help="threads for Monte Carlo rows and validate checks")
+    common.add_argument("--n-terms", type=int, default=analytic.DEFAULT_N_TERMS,
+                        choices=range(1, analytic.MAX_N_TERMS + 1))
 
-    p_outage = sub.add_parser("outage", help="outage probability vs total power")
-    add_common(p_outage)
-    p_outage.add_argument("--threshold", type=float, default=1.0,
-                          help="SINR outage threshold (linear)")
+    def command(name, **kw):
+        return sub.add_parser(name, parents=[common], **kw)
 
+    command("outage", help="outage probability vs total power").add_argument(
+        "--threshold", type=float, default=_FLAG_DEFAULTS["threshold"],
+        help="SINR outage threshold (linear)")
     for name in ("ser", "optimize-location", "optimize-power", "optimize-joint"):
-        add_common(sub.add_parser(name))
-
-    p_fig = sub.add_parser("figure", help="emit the data behind a result figure")
-    p_fig.add_argument("number", type=int, choices=range(2, 10))
-    add_common(p_fig)
-
-    p_val = sub.add_parser("validate", help="analytic-vs-oracle consistency battery")
-    add_common(p_val)
+        command(name)
+    command("figure", help="emit the data behind a result figure").add_argument(
+        "number", type=int, choices=range(2, 10))
+    command("validate", help="analytic-vs-oracle consistency battery")
     return parser
 
 
@@ -231,7 +234,7 @@ def _spec_from_args(args) -> ExperimentSpec:
         output_path=args.output,
         mode=args.mode,
         workers=max(1, args.workers),
-        threshold=getattr(args, "threshold", 1.0),
+        threshold=getattr(args, "threshold", _FLAG_DEFAULTS["threshold"]),
         n_terms=args.n_terms,
         figure=getattr(args, "number", None),
     )

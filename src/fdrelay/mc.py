@@ -11,10 +11,16 @@ variances are merged pairwise in chunk order, which no worker count changes.
 A chunk of lattice groups (below) is one pool task of the outage and
 semi-analytic SER: it fixes a Philox stream offset and a moment boundary,
 so it is part of what an estimate's bits depend on. A task draws and
-evaluates one cache-sized block at a time from one stream, in one buffer
-that every block reuses, so the allocator neither frees nor re-faults it per
-block; every step acts on single values or groups, so blocks change no bit.
-The symbol-level SER is an integer count; its pool tasks split it evenly.
+evaluates one cache-sized block at a time from one stream. It allocates its
+workspace once: the block's uniforms and lattice points, the kernel's
+scratch (half a block: points, then mirrors) and the stretch's weights, or
+the symbol level's uniforms and chain columns. Every block then runs in
+place in it, through out= with the same operations on the same operands, so
+no block allocates an array of its size, the allocator neither frees nor
+re-faults memory per block, and its dynamic thresholds do not depend on how
+estimates interleave. Every step acts on single values or groups, so blocks
+change no bit. The symbol-level SER is an integer count; its pool tasks
+split it evenly.
 
 The outage and semi-analytic SER estimators are conditional Monte Carlo
 (Asmussen & Glynn, *Stochastic Simulation*, 2007, ch. V) on the simulated
@@ -136,18 +142,22 @@ def stream(seed: int, tag: int = _TAG_DRAW, uniform_offset: int = 0) -> Generato
     return Generator(Philox(key=key, counter=uniform_offset // 4))
 
 
-def draw_gammas(stats: LinkStats, u):
+def draw_gammas(stats: LinkStats, u, out=None):
     """The exponential link SNRs (g_sr, g_rd, g_li) of each row of a uniform
     block u of shape (n, k), k >= 3, by inverse CDF from its columns 0, 1
-    and 2; further columns are left to the caller. gamma_li is identically 0
+    and 2; further columns are left to the caller. Returns them as the rows
+    of out, shape (3, n), allocated when None. gamma_li is identically 0
     when lambda_li = 0.
     """
     import numpy as np
 
-    g_sr = -stats.lambda_sr * np.log1p(-u[:, 0])
-    g_rd = -stats.lambda_rd * np.log1p(-u[:, 1])
-    g_li = -stats.lambda_li * np.log1p(-u[:, 2])
-    return g_sr, g_rd, g_li
+    if out is None:
+        out = np.empty((3, len(u)))
+    for col, (g, lam) in enumerate(zip(out, (stats.lambda_sr, stats.lambda_rd,
+                                             stats.lambda_li))):
+        np.log1p(np.negative(u[:, col], out=g), out=g)
+        g *= -lam
+    return out
 
 
 def sinr_exact(g_sr, g_rd, g_li):
@@ -220,26 +230,34 @@ def _mean_estimate(parts: list, seed: int) -> McEstimate:
     return McEstimate(mean, math.sqrt(var / n), 2 * _GROUP * n, seed)
 
 
-def _outage_given_excess(v, x, stats: LinkStats):
+def _outage_given_excess(v, x, stats: LinkStats, scratch=None):
     """In place, the uniforms v become estimate_outage's evaluations at
     threshold x, a scalar or an array shaped like v: the probability that
     the SINR falls below x given the relay-destination excess
     E = -lambda_rd log1p(-v) over x. E = 0 or x = inf makes k infinite, and
     the value is its limit 1. Returns v.
+
+    scratch, shaped like v, holds the intermediate terms; one is allocated
+    when None. An array x is spent: it ends as 1 + d.
     """
     import numpy as np
 
+    if scratch is None:
+        scratch = np.empty_like(v)
+    array = isinstance(x, np.ndarray)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.log1p(np.negative(v, out=v), out=v)
         v *= -stats.lambda_rd                   # E
-        np.divide(x + 1.0, v, out=v)
+        np.divide(np.add(x, 1.0, out=scratch) if array else x + 1.0, v, out=v)
         v += 1.0
-        v *= x / stats.lambda_sr                # c = x (1 + (x + 1) / E) / lambda_sr
-        d = v * stats.lambda_li
+        v *= (np.divide(x, stats.lambda_sr, out=scratch) if array
+              else x / stats.lambda_sr)         # c = x (1 + (x + 1) / E) / lambda_sr
+        x_rd = np.divide(x, stats.lambda_rd, out=scratch) if array else x / stats.lambda_rd
+        d = np.multiply(v, stats.lambda_li, out=x if array else scratch)
         # an infinite c makes d infinite, or NaN (inf * 0) when lambda_li = 0;
         # the largest double keeps the value at its limit 1
         np.fmin(d, sys.float_info.max, out=d)
-        v += x / stats.lambda_rd                # s
+        v += x_rd                               # s
         np.expm1(np.negative(v, out=v), out=v)
         np.subtract(d, v, out=v)
         d += 1.0
@@ -262,29 +280,57 @@ def _lattice(s, cols, v):
     return v
 
 
-def _stretch(v):
-    # in place, the coordinates v of _lattice become T(v); returns the weights
-    # T'(v) of the points' first 2 _EDGE columns (elsewhere T'(v) = 1)
+def _workspace(groups: int):
+    # what _group_means works in on blocks of up to `groups` groups: room for
+    # the kernel's scratch, shaped like one half of _lattice's v, which holds
+    # the stretch's temporaries before that; and the edge weights
     import numpy as np
 
+    return np.empty(groups * _GROUP), np.empty((groups, 2 * _EDGE))
+
+
+def _fit(work, v):
+    # the arrays of a _workspace cut to v's groups; a new one when work is None
+    m = v.shape[1]
+    return _workspace(m) if work is None else (work[0][:m * _GROUP], work[1][:m])
+
+
+def _stretch(v, work=None):
+    # in place, the coordinates v of _lattice become T(v); returns the weights
+    # T'(v) of the points' first 2 _EDGE columns (elsewhere T'(v) = 1), in work
+    import numpy as np
+
+    room, w = _fit(work, v)
     e = v[..., :2 * _EDGE]
+    m, t = room[:2 * e.size].reshape((2,) + e.shape)
     v[..., 2 * _EDGE:] -= 0.5 * _STRETCH
-    m = np.minimum(e, _STRETCH)
-    t = e - 1.0                                 # exact near 1: t <= _STRETCH, T(v) <= 1
+    np.minimum(e, _STRETCH, out=m)
+    np.subtract(e, 1.0, out=t)                  # exact near 1: t <= _STRETCH, T(v) <= 1
     t += _STRETCH
     np.maximum(t, 0.0, out=t)
-    w = (m[0] + t[0]) / _STRETCH
+    np.add(m[0], t[0], out=w)
+    w /= _STRETCH
     e -= m
-    e += (m * m + t * t) / (2.0 * _STRETCH)
+    m *= m
+    t *= t
+    m += t
+    m /= 2.0 * _STRETCH
+    e += m
     return w
 
 
-def _group_means(v, x, stats: LinkStats):
-    # the group means at threshold x (scalar or shaped like v) from _lattice's v, overwritten
-    w = _stretch(v)
-    _outage_given_excess(v, x, stats)
+def _group_means(v, x, stats: LinkStats, work=None):
+    # the group means at threshold x (scalar, or shaped like v and then spent)
+    # from _lattice's v, overwritten, in work = _workspace(k), k >= v's groups
+    import numpy as np
+
+    room, w = work = _fit(work, v)
+    _stretch(v, work)
+    scratch = room.reshape(v.shape[1:])
+    for half, x_half in zip(v, x if isinstance(x, np.ndarray) else (x, x)):
+        _outage_given_excess(half, x_half, stats, scratch)  # the points, then the mirrors
     v[0, :, :2 * _EDGE] *= w
-    v[1, :, :2 * _EDGE] *= 2.0 - w              # the mirrors' weights T'(1 - v)
+    v[1, :, :2 * _EDGE] *= np.subtract(2.0, w, out=w)  # the mirrors' weights T'(1 - v)
     v[0] += v[1]                                # each pair's sum, at most 2
     return v[0].sum(axis=1) / (2 * _GROUP)
 
@@ -329,11 +375,14 @@ def estimate_outage(stats: LinkStats, threshold: float, n: int, seed: int,
     def chunk(lo, hi):
         # groups lo .. hi - 1, one shift uniform each from stream offset lo
         gen = stream(seed, _TAG_OUTAGE, lo)
+        size = min(hi - lo, _BLOCK_UNIFORMS // _GROUP)
         g = np.empty(hi - lo)
-        buf = np.empty((2, min(hi - lo, _BLOCK_UNIFORMS // _GROUP), _GROUP))
+        shifts = np.empty(size)
+        buf = np.empty((2, size, _GROUP))
+        work = _workspace(size)
         for b, e in _blocks(hi - lo, _GROUP):
-            v = _lattice(gen.random(e - b), cols, buf[:, :e - b])
-            g[b:e] = _group_means(v, x, stats)
+            v = _lattice(gen.random(out=shifts[:e - b]), cols, buf[:, :e - b])
+            g[b:e] = _group_means(v, x, stats, work)
         return _moments(g)
 
     return _mean_estimate(_map_chunks(chunk, groups, workers, _CHUNK_GROUPS), seed)
@@ -376,20 +425,25 @@ def estimate_ser_semianalytic(stats: LinkStats, cfg: SystemConfig, n: int,
     def chunk(lo, hi):
         # groups lo .. hi - 1, two shift uniforms each from stream offset 2 lo
         gen = stream(seed, _TAG_SER, 2 * lo)
+        size = min(hi - lo, _BLOCK_UNIFORMS // (2 * _GROUP))
         g = np.empty(hi - lo)
-        buf = np.empty((2, 2, min(hi - lo, _BLOCK_UNIFORMS // (2 * _GROUP)), _GROUP))
+        shifts = np.empty((size, 2))
+        buf = np.empty((2, 2, size, _GROUP))
+        wraps = np.empty((size, _GROUP), dtype=bool)
+        work = _workspace(size)
         for b, e in _blocks(hi - lo, 2 * _GROUP):
-            s0, s1 = gen.random(2 * (e - b)).reshape(e - b, 2).T
+            s0, s1 = gen.random(out=shifts[:e - b]).T
             v, x = buf[:, :, :e - b]
             _lattice(s1, cols, v)
             np.add(rows, s0[:, None], out=x[0])
-            np.subtract(x[0], 1.0, out=x[0], where=x[0] >= 1.0)  # frac(89 j / 233 + s0)
+            wrap = np.greater_equal(x[0], 1.0, out=wraps[:e - b])
+            np.subtract(x[0], 1.0, out=x[0], where=wrap)  # frac(89 j / 233 + s0)
             np.subtract(1.0, x[0], out=x[1])
             x *= 0.5
             ndtri(x, out=x)
             np.square(x, out=x)
             x /= beta                               # X = Z^2 / beta
-            g[b:e] = _group_means(v, x, stats)
+            g[b:e] = _group_means(v, x, stats, work)
         g *= half_alpha
         return _moments(g)
 
@@ -442,21 +496,38 @@ def estimate_ser_symbol_level(stats: LinkStats, cfg: SystemConfig,
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
 
     def task(lo, hi):
+        # symbols lo .. hi - 1 from stream offset 9 lo, in one workspace that
+        # every block reuses
         gen = stream(seed, _TAG_SYMBOL, 9 * lo)
+        size = min(hi - lo, _BLOCK_UNIFORMS // 9)
+        uniforms = np.empty((size, 9))
+        chain = np.empty((7, size))
+        errs = np.empty(size, dtype=bool)
         errors = 0
         for b, e in _blocks(hi - lo, 9):
             m = e - b
-            u = gen.random(9 * m).reshape(m, 9)
-            g_sr, g_rd, g_li = draw_gammas(stats, u)
+            u = gen.random(out=uniforms[:m])
+            g_sr, g_rd, g_li = draw_gammas(stats, u, out=chain[:3, :m])
             # real parts of the interference symbol, relay and destination noise
-            x_int = ndtri(u[:, 3]) * inv_sqrt2
-            n_r = ndtri(u[:, 5]) * inv_sqrt2
-            n_d = ndtri(u[:, 7]) * inv_sqrt2
-            # transmitted symbol fixed at +1; BPSK error rate is symbol-symmetric
-            y_r = np.sqrt(g_sr) + np.sqrt(g_li) * x_int + n_r
-            gain = 1.0 / np.sqrt(g_sr + g_li + 1.0)
-            y_d = np.sqrt(g_rd) * gain * y_r + n_d
-            errors += int(np.count_nonzero(y_d < 0.0))
+            x_int, n_r, n_d, gain = chain[3:, :m]
+            for z, col in ((x_int, 3), (n_r, 5), (n_d, 7)):
+                ndtri(u[:, col], out=z)
+                z *= inv_sqrt2
+            # transmitted symbol fixed at +1; BPSK error rate is symbol-symmetric.
+            # gain = 1 / sqrt(g_sr + g_li + 1)
+            np.add(g_sr, g_li, out=gain)
+            gain += 1.0
+            np.divide(1.0, np.sqrt(gain, out=gain), out=gain)
+            # y_r = sqrt(g_sr) + sqrt(g_li) x_int + n_r, in x_int
+            x_int *= np.sqrt(g_li, out=g_li)
+            x_int += np.sqrt(g_sr, out=g_sr)
+            x_int += n_r
+            # y_d = sqrt(g_rd) gain y_r + n_d, in g_rd
+            np.sqrt(g_rd, out=g_rd)
+            g_rd *= gain
+            g_rd *= x_int
+            g_rd += n_d
+            errors += int(np.count_nonzero(np.less(g_rd, 0.0, out=errs[:m])))
         return errors
 
     # equal tasks, one per worker but no more than the other estimators have

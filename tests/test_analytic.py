@@ -34,7 +34,8 @@ from fdrelay import (
     sinr_cdf_asymptotic,
     sinr_cdf_exact_numeric,
 )
-from fdrelay.analytic import cdf_truncation_bound, ser_from_cdf
+from fdrelay import analytic
+from fdrelay.analytic import MAX_N_TERMS, cdf_truncation_bound, ser_from_cdf
 
 from conftest import cfg_at, outcome, ser_series_terms_oracle, stats_at
 
@@ -98,6 +99,17 @@ class TestApproxCoeffs:
         # above the bound the exact recurrence would take seconds per term
         with pytest.raises(DomainError):
             approx_coeffs(11)
+
+    def test_series_table_is_the_exact_pairs(self):
+        # the SER series reads (A_i, B_i) from a literal float table, so that
+        # it loads no fractions; each float is that of the exact pair, bit
+        # for bit, and the series' n_terms has approx_coeffs' range
+        table = [(a.hex(), b.hex()) for a, b in analytic._COEFF_PAIRS]
+        assert table == [(a.hex(), b.hex()) for a, b in approx_coeffs(MAX_N_TERMS).pairs]
+        stats = link_stats(cfg_at(20.0, 0.1), Allocation(0.5, 0.5))
+        for n_terms in (0, MAX_N_TERMS + 1):
+            with pytest.raises(DomainError, match="n_terms must be in"):
+                ser_series_terms(stats, cfg_at(20.0, 0.1), n_terms)
 
 
 class TestSinrCdf:

@@ -85,7 +85,7 @@ class RepeatedRow:
     def random(self, size=None, out=None):
         if out is None:
             return np.resize(self.row, size)
-        out[...] = np.resize(self.row, out.size)
+        out[...] = np.resize(self.row, out.shape)
         return out
 
 
@@ -128,6 +128,18 @@ class TestDrawGammas:
         _, stats = stats_at(20.0, 0.0)
         _, _, g_li = draw_gammas(stats, stream(1).random(3 * 10_000).reshape(10_000, 3))
         assert np.all(g_li == 0.0)
+
+    def test_inverse_cdf_into_out(self):
+        # the rows of out are -lambda log1p(-u) of columns 0, 1, 2 bit for
+        # bit, whether out is given (a block's workspace) or allocated
+        _, stats = stats_at(20.0, 0.1)
+        u = stream(4).random(9 * 1000).reshape(1000, 9)
+        want = [-lam * np.log1p(-u[:, k]) for k, lam in
+                enumerate((stats.lambda_sr, stats.lambda_rd, stats.lambda_li))]
+        out = np.full((3, 1000), np.nan)
+        assert draw_gammas(stats, u, out=out) is out
+        for got in (out, draw_gammas(stats, u)):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_sample_means(self):
         _, stats = stats_at(20.0, 0.1)
@@ -528,11 +540,15 @@ class TestEstimateSerSemianalytic:
         assert a.value > b.value
 
     def test_stderr_scales_inverse_sqrt(self):
+        # at n = 1e4 the std_error rests on 22 lattice groups, so one seed's
+        # fitted slope has sd ~0.05; the mean over 16 seeds has sd ~0.012
         cfg, stats = stats_at(20.0, 0.1)
         ns = [10_000, 100_000, 1_000_000]
-        errs = [estimate_ser_semianalytic(stats, cfg, n, seed=31).std_error for n in ns]
-        slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
-        assert abs(slope + 0.5) < 0.05
+        slopes = []
+        for seed in range(31, 47):
+            errs = [estimate_ser_semianalytic(stats, cfg, n, seed=seed).std_error for n in ns]
+            slopes.append(np.polyfit(np.log(ns), np.log(errs), 1)[0])
+        assert abs(np.mean(slopes) + 0.5) < 0.05, slopes
 
     def test_survivor_matches_exact_cdf_at_thresholds(self):
         # empirical survivor of the sampled SINR against the quadrature CDF;

@@ -512,10 +512,10 @@ class TestLogSeriesTables:
                 outcome(hyp2f1_complement, *abc, 0.25)
         assert sorted(sfun._log_tables) == [(-0.5, 2 * i + 0.5, 2) for i in range(MAX_N_TERMS)]
 
-    def test_threads_growing_one_table(self):
-        # four threads start together and read and extend the same fresh
-        # table with ascending w; a row appended twice or out of order
-        # shifts every later term
+    def test_threads_racing_on_a_fresh_term_get_the_oracle_bits(self):
+        # four threads start together on a term that has no table yet, so
+        # they race to build it and read it; each must get the oracle's bits
+        # at every w
         ws = [k / 800.0 for k in range(1, 401)]
         want = [hyp_log_series_oracle(-0.5, 4.5, 2, w) for w in ws]
         interval = sys.getswitchinterval()

@@ -42,7 +42,8 @@ def run(argv):
     assert fdrelay.cli.main(argv + ["--output", os.devnull]) in (0, 2), argv
     out[" ".join(argv[:2])] = state()
     rows[" ".join(argv[:2])] = tables()
-    loaded[" ".join(argv[:2])] = new(("concurrent.futures", "logging"))
+    loaded[" ".join(argv[:2])] = new(("concurrent.futures", "logging", "fractions",
+                                      "decimal"))
 
 for argv in (["figure", "4"], ["optimize-joint", "--p-db", "0:60:5"],
              ["ser", "--p-db", "0:60:5"], ["outage", "--p-db", "0:60:5"],
@@ -103,7 +104,8 @@ def test_import_loads_only_what_commands_use(fresh_run):
     loaded = fresh_run["loaded"]
     # none of these is imported by `import fdrelay, fdrelay.cli`
     assert loaded["import"] == []
-    # at one worker no thread pool starts, and no series was clamped
+    # at one worker no thread pool starts, no series was clamped, and the
+    # series' coefficients come from a float table, not from fractions
     for step in ("figure 4", "optimize-joint --p-db", "ser --p-db", "outage --p-db",
                  "figure 2"):
         assert loaded[step] == [], step
