@@ -64,13 +64,6 @@ _SER_ABS_TOL = 1e-9
 
 _2PI = 2.0 * math.pi
 
-# (beta, the u of a panel) -> [(u*u, e^(-beta u*u / 2))] of ser_from_cdf: the
-# panels of the [0, inf) map do not depend on the CDF, so the nodes recur from
-# call to call (16 entries of ~2 kB on a pool of 256 scenarios); cleared when
-# full
-_SER_NODES: dict = {}
-_SER_NODES_MAX = 32
-
 
 def kappa(cfg: SystemConfig) -> float:
     """Prefactor alpha sqrt(beta) Gamma(1/2) / (2 sqrt(2 pi)); equals 1/2 for BPSK."""
@@ -377,17 +370,15 @@ def ser_from_cdf(cdf: Callable[[float], float], cfg: SystemConfig) -> float:
     tolerance, so the value may move within _SER_ABS_TOL.
     """
     beta = cfg.beta_mod
+    c = -0.5 * beta
 
     def integrand(us: list[float]) -> list[float]:
-        key = (beta, tuple(us))
-        nodes = _SER_NODES.get(key)
-        if nodes is None:
-            nodes = [(u * u, math.exp(-0.5 * beta * u * u)) for u in us]
-            if len(_SER_NODES) >= _SER_NODES_MAX:
-                _SER_NODES.clear()
-            _SER_NODES[key] = nodes
-        # where the weight has underflowed the product is 0 whatever F is
-        return [cdf(uu) * weight if weight else 0.0 for uu, weight in nodes]
+        out = []
+        for u in us:
+            weight = math.exp(c * u * u)
+            # where the weight has underflowed the product is 0 whatever F is
+            out.append(cdf(u * u) * weight if weight else 0.0)
+        return out
 
     val, err = _quad_checked(integrand, 0.0, math.inf, _SER_ABS_TOL, "ser_from_cdf")
     ser = cfg.alpha_mod * math.sqrt(beta) / math.sqrt(_2PI) * val

@@ -29,7 +29,7 @@ from . import analytic, mc, opt
 from .errors import DomainError, NonConvergenceError, UnsupportedModulationError
 from .model import Allocation, SystemConfig, db_to_linear, link_stats
 
-__all__ = ["main", "entrypoint", "ExperimentSpec", "load_config"]
+__all__ = ["main", "entrypoint", "load_config"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,8 +55,11 @@ _KEYS = {
     "seed": (int, 12345),
 }
 
-# flags without a config key -> default, for the parser and ExperimentSpec
-_FLAG_DEFAULTS = {"mode": "analytic", "workers": 1, "threshold": 1.0}
+# SINR outage threshold of `outage` (its --threshold default) and of figure 2
+_THRESHOLD = 1.0
+
+# objective -> (the ratio its 1-D solve frees, the ratio it holds fixed)
+_RATIOS = {"location": ("rho_d", "rho_lambda"), "power": ("rho_lambda", "rho_d")}
 
 # RSI grid used by figure sweeps when a caption-style "different levels"
 # spread is needed.
@@ -75,30 +78,6 @@ class _Parser(argparse.ArgumentParser):
     # main() can map usage problems to exit code 1.
     def error(self, message):
         raise UsageError(message)
-
-
-class ExperimentSpec:
-    """Everything one run needs: command, sweep, scenario, and output."""
-
-    def __init__(self, command: str, p_db_values: list[float], config: SystemConfig,
-                 allocation: Allocation, mc_samples: int = _KEYS["mc_samples"][1],
-                 seed: int = _KEYS["seed"][1],
-                 output_path: str | None = None, mode: str = _FLAG_DEFAULTS["mode"],
-                 workers: int = _FLAG_DEFAULTS["workers"],
-                 threshold: float = _FLAG_DEFAULTS["threshold"],
-                 n_terms: int = analytic.DEFAULT_N_TERMS, figure: int | None = None):
-        self.command = command
-        self.p_db_values = p_db_values
-        self.config = config
-        self.allocation = allocation
-        self.mc_samples = mc_samples
-        self.seed = seed
-        self.output_path = output_path
-        self.mode = mode
-        self.workers = workers
-        self.threshold = threshold
-        self.n_terms = n_terms
-        self.figure = figure
 
 
 def load_config(path: str) -> dict:
@@ -170,9 +149,8 @@ def build_parser() -> _Parser:
             common.add_argument("--" + key.replace("_", "-"), type=kind,
                                 choices=sorted(_MODULATIONS) if kind is str else None)
     common.add_argument("--output", help="CSV output path (default: stdout)")
-    common.add_argument("--mode", choices=("analytic", "mc", "both"),
-                        default=_FLAG_DEFAULTS["mode"])
-    common.add_argument("--workers", type=int, default=_FLAG_DEFAULTS["workers"],
+    common.add_argument("--mode", choices=("analytic", "mc", "both"), default="analytic")
+    common.add_argument("--workers", type=int, default=1,
                         help="threads for Monte Carlo rows and validate checks")
     common.add_argument("--n-terms", type=int, default=analytic.DEFAULT_N_TERMS,
                         choices=range(1, analytic.MAX_N_TERMS + 1))
@@ -181,7 +159,7 @@ def build_parser() -> _Parser:
         return sub.add_parser(name, parents=[common], **kw)
 
     command("outage", help="outage probability vs total power").add_argument(
-        "--threshold", type=float, default=_FLAG_DEFAULTS["threshold"],
+        "--threshold", type=float, default=_THRESHOLD,
         help="SINR outage threshold (linear)")
     for name in ("ser", "optimize-location", "optimize-power", "optimize-joint"):
         command(name)
@@ -191,53 +169,42 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _spec_from_args(args) -> ExperimentSpec:
+def _spec_from_args(args) -> argparse.Namespace:
+    """args with what the config file, the flags and the defaults resolve to:
+    every key of _KEYS, p_db_values, scenario (the SystemConfig at the first
+    power), allocation, workers (at least 1) and threshold."""
     file_cfg = load_config(args.config) if args.config else {}
     # a flag overrides its key, and the key its default
-    val = {}
     for key, (_, default) in _KEYS.items():
-        flag = getattr(args, key, None)
-        val[key] = file_cfg.get(key, default) if flag is None else flag
+        if getattr(args, key, None) is None:
+            setattr(args, key, file_cfg.get(key, default))
 
-    modulation = val["modulation"]
-    if modulation not in _MODULATIONS:
-        raise UsageError(f"unknown modulation {modulation!r}")
-    alpha, beta = _MODULATIONS[modulation]
+    if args.modulation not in _MODULATIONS:
+        raise UsageError(f"unknown modulation {args.modulation!r}")
+    alpha, beta = _MODULATIONS[args.modulation]
 
-    p_db_values = [val["total_power_db"]] if args.p_db is None else _parse_p_db(args.p_db)
-    if not p_db_values:
+    args.p_db_values = ([args.total_power_db] if args.p_db is None
+                        else _parse_p_db(args.p_db))
+    if not args.p_db_values:
         raise UsageError("empty --p-db sweep")
 
     try:
-        config = SystemConfig(
-            total_power=db_to_linear(p_db_values[0]),
-            rsi_level=val["rsi_level"],
-            pathloss_exp=val["pathloss_exp"],
-            sum_distance=val["sum_distance"],
-            alpha_mod=alpha,
-            beta_mod=beta,
-        )
-        allocation = Allocation(
-            rho_lambda=val["rho_lambda"],
-            rho_d=val["rho_d"],
-        )
+        args.scenario = SystemConfig(db_to_linear(args.p_db_values[0]), args.rsi_level,
+                                     args.pathloss_exp, args.sum_distance, alpha, beta)
+        args.allocation = Allocation(args.rho_lambda, args.rho_d)
     except DomainError as exc:
         raise UsageError(str(exc))
 
-    return ExperimentSpec(
-        command=args.command,
-        p_db_values=p_db_values,
-        config=config,
-        allocation=allocation,
-        mc_samples=val["mc_samples"],
-        seed=val["seed"],
-        output_path=args.output,
-        mode=args.mode,
-        workers=max(1, args.workers),
-        threshold=getattr(args, "threshold", _FLAG_DEFAULTS["threshold"]),
-        n_terms=args.n_terms,
-        figure=getattr(args, "number", None),
-    )
+    args.workers = max(1, args.workers)
+    args.threshold = getattr(args, "threshold", _THRESHOLD)
+    return args
+
+
+def _at(cfg: SystemConfig, p_db: float | None = None, **changes) -> SystemConfig:
+    """cfg at total power p_db dB, when given, and with the other changes."""
+    if p_db is not None:
+        changes["total_power"] = db_to_linear(p_db)
+    return cfg.replace(**changes)
 
 
 def _fmt(value) -> str:
@@ -267,92 +234,81 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]):
 # items, on spec.workers threads when pooled
 # ---------------------------------------------------------------------------
 
-def _mc_rows(spec: ExperimentSpec):
-    """The (index, p_db) rows of `outage` and `ser`, and the threads of each
-    row's estimator: the rows share spec.workers threads, and each estimate
-    gets an equal share of them, at least 1. No estimate depends on its
-    thread count."""
+def _sweep(spec, header: list[str], columns, estimate=None):
+    """A --p-db command: row idx is [p_db, *columns(cfg, mc_cells)] at the
+    idx-th power. mc_cells(*args) is [value, std_error] of estimate(*args,
+    samples, seed + idx, threads), or two empty cells when the mode asks for
+    no Monte Carlo; the rows share spec.workers threads, and each estimate
+    gets an equal share of them, at least 1 (no estimate depends on its
+    thread count). Rows go on the pool only when they estimate."""
+    want_mc = estimate is not None and spec.mode in ("mc", "both")
     items = list(enumerate(spec.p_db_values))
-    return items, max(1, spec.workers // len(items))
-
-
-def _outage(spec: ExperimentSpec):
-    want_mc = spec.mode in ("mc", "both")
-    items, mc_workers = _mc_rows(spec)
+    mc_workers = max(1, spec.workers // len(items))
 
     def row(item):
         idx, p_db = item
-        cfg = spec.config.replace(total_power=db_to_linear(p_db))
-        stats = link_stats(cfg, spec.allocation)
-        asym = analytic.outage(spec.threshold, stats, "asymptotic")
-        exact = analytic.outage(spec.threshold, stats, "exact")
-        mc_val = mc_se = None
-        if want_mc:
-            est = mc.estimate_outage(stats, spec.threshold, spec.mc_samples,
-                                     spec.seed + idx, mc_workers)
-            mc_val, mc_se = est.value, est.std_error
-        return [p_db, spec.threshold, asym, exact, mc_val, mc_se]
 
-    header = ["p_db", "threshold", "outage_asymptotic", "outage_exact",
-              "outage_mc", "outage_mc_stderr"]
+        def mc_cells(*args):
+            if not want_mc:
+                return [None, None]
+            est = estimate(*args, spec.mc_samples, spec.seed + idx, mc_workers)
+            return [est.value, est.std_error]
+
+        return [p_db, *columns(_at(spec.scenario, p_db), mc_cells)]
+
     return header, items, row, want_mc
 
 
-def _ser(spec: ExperimentSpec):
-    want_mc = spec.mode in ("mc", "both")
-    items, mc_workers = _mc_rows(spec)
+def _outage(spec):
+    def columns(cfg, mc_cells):
+        stats = link_stats(cfg, spec.allocation)
+        return [spec.threshold, analytic.outage(spec.threshold, stats, "asymptotic"),
+                analytic.outage(spec.threshold, stats, "exact"),
+                *mc_cells(stats, spec.threshold)]
 
-    def row(item):
-        idx, p_db = item
-        cfg = spec.config.replace(total_power=db_to_linear(p_db))
+    header = ["p_db", "threshold", "outage_asymptotic", "outage_exact",
+              "outage_mc", "outage_mc_stderr"]
+    return _sweep(spec, header, columns, mc.estimate_outage)
+
+
+def _ser(spec):
+    def columns(cfg, mc_cells):
         stats = link_stats(cfg, spec.allocation)
         series = analytic.ser_series(stats, cfg, spec.n_terms)
         quadrature = analytic.ser_quadrature(stats, cfg)
         floor = analytic.ser_floor(spec.allocation, cfg)
-        mc_val = mc_se = None
-        if want_mc:
-            est = mc.estimate_ser_semianalytic(stats, cfg, spec.mc_samples,
-                                               spec.seed + idx, mc_workers)
-            mc_val, mc_se = est.value, est.std_error
-        return [p_db, series, quadrature, mc_val, mc_se, floor]
+        return [series, quadrature, *mc_cells(stats, cfg), floor]
 
     header = ["p_db", "ser_series", "ser_quadrature", "ser_mc", "ser_mc_stderr",
               "ser_floor"]
-    return header, items, row, want_mc
+    return _sweep(spec, header, columns, mc.estimate_ser_semianalytic)
 
 
-def _optimize_1d(spec: ExperimentSpec, objective: str):
-    fixed = spec.allocation.rho_lambda if objective == "location" else spec.allocation.rho_d
+def _optimize_1d(spec, objective: str):
+    free, fixed = _RATIOS[objective]
+    held = getattr(spec.allocation, fixed)
 
-    def row(p_db):
-        cfg = spec.config.replace(total_power=db_to_linear(p_db))
-        closed = opt.closed_form_result(objective, cfg, fixed, n_terms=spec.n_terms)
-        res = opt.minimize_1d(objective, cfg, fixed, tol=1e-6, n_terms=spec.n_terms)
-        if objective == "location":
-            closed_ratio, brent_ratio = closed.allocation.rho_d, res.allocation.rho_d
-        else:
-            closed_ratio, brent_ratio = (closed.allocation.rho_lambda,
-                                         res.allocation.rho_lambda)
-        return [p_db, closed_ratio, brent_ratio, closed.ser, res.ser,
-                res.foc_residual, res.iterations]
+    def columns(cfg, _):
+        closed = opt.closed_form_result(objective, cfg, held, n_terms=spec.n_terms)
+        res = opt.minimize_1d(objective, cfg, held, tol=1e-6, n_terms=spec.n_terms)
+        return [getattr(closed.allocation, free), getattr(res.allocation, free),
+                closed.ser, res.ser, res.foc_residual, res.iterations]
 
-    name = "rho_d" if objective == "location" else "rho_lambda"
     # the *_golden names predate the Brent solver and are kept for existing
     # readers of the CSV; they hold the Brent optimum
-    header = ["p_db", f"{name}_closed", f"{name}_golden", "ser_closed",
+    header = ["p_db", f"{free}_closed", f"{free}_golden", "ser_closed",
               "ser_golden", "foc_residual", "iterations"]
-    return header, spec.p_db_values, row, False
+    return _sweep(spec, header, columns)
 
 
-def _optimize_joint(spec: ExperimentSpec):
-    def row(p_db):
-        cfg = spec.config.replace(total_power=db_to_linear(p_db))
+def _optimize_joint(spec):
+    def columns(cfg, _):
         res = opt.select_joint_optimum(cfg, n_terms=spec.n_terms)
-        return [p_db, res.allocation.rho_lambda, res.allocation.rho_d, res.ser,
+        return [res.allocation.rho_lambda, res.allocation.rho_d, res.ser,
                 res.foc_residual, res.method]
 
     header = ["p_db", "rho_lambda", "rho_d", "ser", "foc_residual", "method"]
-    return header, spec.p_db_values, row, False
+    return _sweep(spec, header, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -366,19 +322,14 @@ def _points(step: float, ks: range, rsi_grid: bool = True) -> list[tuple]:
     return [(step * k, eps) for eps in _RSI_GRID for k in ks]
 
 
-def _figure(spec: ExperimentSpec):
+def _figure(spec):
     """Figure data as a table: figure number -> (header, points, columns);
     each CSV row is a point followed by columns(*point). Unstated sweep
     parameters use declared defaults: v=3, BPSK, D=1, RSI grid
     {0, 0.01, 0.1, 0.3}, threshold 1.0. Figure 2 is the only one with Monte
     Carlo columns, and the only one on the pool."""
-    nt = spec.n_terms
+    base, nt = spec.scenario, spec.n_terms
     want_mc = spec.mode in ("mc", "both")
-
-    def at(p_db=None, **changes):
-        if p_db is not None:
-            changes["total_power"] = db_to_linear(p_db)
-        return spec.config.replace(**changes)
 
     def ser(cfg, rho_lambda, rho_d):
         return analytic.ser_series(link_stats(cfg, Allocation(rho_lambda, rho_d)), cfg, nt)
@@ -387,7 +338,7 @@ def _figure(spec: ExperimentSpec):
         return opt.minimize_1d(kind, cfg, 0.5, tol=1e-6, n_terms=nt).ser
 
     def outage_and_ser(p_db, eps):
-        cfg = at(p_db, rsi_level=eps)
+        cfg = _at(base, p_db, rsi_level=eps)
         stats = link_stats(cfg, spec.allocation)
         out_mc = ser_mc = None
         if want_mc:
@@ -401,7 +352,7 @@ def _figure(spec: ExperimentSpec):
                 analytic.ser_floor(spec.allocation, cfg), out_mc, ser_mc]
 
     def schemes(p_db):
-        cfg = at(p_db, rsi_level=0.2)
+        cfg = _at(base, p_db, rsi_level=0.2)
         return [ser(cfg, 0.5, 0.5), brent("location", cfg), brent("power", cfg),
                 opt.select_joint_optimum(cfg, n_terms=nt).ser]
 
@@ -414,27 +365,30 @@ def _figure(spec: ExperimentSpec):
         3: (["ratio", "rsi_level", "opt_rho_lambda_given_rho_d",
              "opt_rho_d_given_rho_lambda"],
             _points(0.05, range(1, 20)),
-            lambda r, eps: [opt.optimal_power_closed(at(10.0, rsi_level=eps), r),
-                            opt.optimal_location_closed(at(10.0, rsi_level=eps), r)]),
+            lambda r, eps: [
+                opt.optimal_power_closed(_at(base, 10.0, rsi_level=eps), r),
+                opt.optimal_location_closed(_at(base, 10.0, rsi_level=eps), r)]),
         # SER vs one ratio, the other fixed at 1/2, at the spec's power
         # (figure 5's power split shows the U shape)
         4: (["rho_d", "rsi_level", "ser_series", "rho_d_closed"],
             _points(0.02, range(1, 50)),
-            lambda r, eps: [ser(at(rsi_level=eps), 0.5, r),
-                            opt.optimal_location_closed(at(rsi_level=eps), 0.5)]),
+            lambda r, eps: [ser(_at(base, rsi_level=eps), 0.5, r),
+                            opt.optimal_location_closed(_at(base, rsi_level=eps), 0.5)]),
         5: (["rho_lambda", "rsi_level", "ser_series", "rho_lambda_closed"],
             _points(0.02, range(1, 50)),
-            lambda r, eps: [ser(at(rsi_level=eps), r, 0.5),
-                            opt.optimal_power_closed(at(rsi_level=eps), 0.5)]),
+            lambda r, eps: [ser(_at(base, rsi_level=eps), r, 0.5),
+                            opt.optimal_power_closed(_at(base, rsi_level=eps), 0.5)]),
         # fixed vs closed-form vs Brent-optimized SER over power
         6: (["p_db", "ser_fixed", "ser_location_closed", "ser_location_golden"],
             _points(5.0, range(9), rsi_grid=False),
-            lambda p: [ser(at(p), 0.5, 0.5), analytic.ser_location_optimized(at(p), 0.5),
-                       brent("location", at(p))]),
+            lambda p: [ser(_at(base, p), 0.5, 0.5),
+                       analytic.ser_location_optimized(_at(base, p), 0.5),
+                       brent("location", _at(base, p))]),
         7: (["p_db", "ser_fixed", "ser_power_closed", "ser_power_golden"],
             _points(5.0, range(9), rsi_grid=False),
-            lambda p: [ser(at(p), 0.5, 0.5), analytic.ser_power_optimized(at(p), 0.5),
-                       brent("power", at(p))]),
+            lambda p: [ser(_at(base, p), 0.5, 0.5),
+                       analytic.ser_power_optimized(_at(base, p), 0.5),
+                       brent("power", _at(base, p))]),
         # scheme comparison at eps = 0.2
         8: (["p_db", "ser_nonoptimized", "ser_location_only", "ser_power_only",
              "ser_joint"],
@@ -442,30 +396,30 @@ def _figure(spec: ExperimentSpec):
         # SER vs each ratio at P = 10 dB for the RSI grid
         9: (["ratio", "rsi_level", "ser_vs_rho_lambda", "ser_vs_rho_d"],
             _points(0.02, range(1, 50)),
-            lambda r, eps: [ser(at(10.0, rsi_level=eps), r, 0.5),
-                            ser(at(10.0, rsi_level=eps), 0.5, r)]),
+            lambda r, eps: [ser(_at(base, 10.0, rsi_level=eps), r, 0.5),
+                            ser(_at(base, 10.0, rsi_level=eps), 0.5, r)]),
     }
-    header, points, columns = figures[spec.figure]
+    header, points, columns = figures[spec.number]
     return (header, points, lambda point: [*point, *columns(*point)],
-            spec.figure == 2 and want_mc)
+            spec.number == 2 and want_mc)
 
 
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
 
-def _validate(spec: ExperimentSpec):
+def _validate(spec):
     """Each check returns (name, value, tolerance) and passes when value <=
     tolerance, against a reference of 0; the checks run on the pool whatever
     the mode."""
-    base = spec.config
+    base = spec.scenario
     alloc = spec.allocation
     n_mc = spec.mc_samples
     seed = spec.seed
 
     def cdf_gap(p_db: float, band: float):
         def run():
-            cfg = base.replace(total_power=db_to_linear(p_db))
+            cfg = _at(base, p_db)
             stats = link_stats(cfg, alloc)
             worst = 0.0
             for x in (0.5, 1.0, 2.0, 4.0):
@@ -477,7 +431,7 @@ def _validate(spec: ExperimentSpec):
 
     def cdf_mc(threshold: float):
         def run():
-            cfg = base.replace(total_power=db_to_linear(20.0))
+            cfg = _at(base, 20.0)
             stats = link_stats(cfg, alloc)
             est = mc.estimate_outage(stats, threshold, n_mc, seed,
                                      workers=1)
@@ -489,7 +443,7 @@ def _validate(spec: ExperimentSpec):
     def series_vs_quadrature():
         worst = 0.0
         for p_db in (10.0, 20.0, 30.0):
-            cfg = base.replace(total_power=db_to_linear(p_db))
+            cfg = _at(base, p_db)
             stats = link_stats(cfg, alloc)
             s = analytic.ser_series(stats, cfg, spec.n_terms)
             q = analytic.ser_quadrature(stats, cfg)
@@ -497,21 +451,21 @@ def _validate(spec: ExperimentSpec):
         return "ser_series_vs_quadrature", worst, 0.01
 
     def series_vs_mc():
-        cfg = base.replace(total_power=db_to_linear(20.0))
+        cfg = _at(base, 20.0)
         stats = link_stats(cfg, alloc)
         est = mc.estimate_ser_semianalytic(stats, cfg, n_mc, seed, workers=1)
         s = analytic.ser_series(stats, cfg, spec.n_terms)
         return "ser_series_vs_mc", abs(s - est.value), 3.0 * est.std_error + 0.05 * est.value
 
     def high_power_vs_quadrature():
-        cfg = base.replace(total_power=db_to_linear(40.0))
+        cfg = _at(base, 40.0)
         stats = link_stats(cfg, alloc)
         hp = analytic.ser_high_power(stats, cfg)
         q = analytic.ser_quadrature(stats, cfg)
         return "ser_high_power_vs_quadrature", abs(hp - q) / q, 0.02
 
     def floor_vs_mc():
-        cfg = base.replace(total_power=db_to_linear(60.0))
+        cfg = _at(base, 60.0)
         stats = link_stats(cfg, alloc)
         est = mc.estimate_ser_semianalytic(stats, cfg, n_mc, seed, workers=1)
         floor = analytic.ser_floor(alloc, cfg)
@@ -529,22 +483,22 @@ def _validate(spec: ExperimentSpec):
         return "coeff_taylor_residual", worst, 1.0
 
     def optimizer_agreement(kind: str):
+        free, fixed = _RATIOS[kind]
+        closed_form = (opt.optimal_location_closed if kind == "location"
+                       else opt.optimal_power_closed)
+
         def run():
-            cfg = base.replace(total_power=db_to_linear(40.0))
-            if kind == "location":
-                closed = opt.optimal_location_closed(cfg, alloc.rho_lambda)
-                res = opt.minimize_1d("location", cfg, alloc.rho_lambda, tol=1e-6)
-                brent = res.allocation.rho_d
-            else:
-                closed = opt.optimal_power_closed(cfg, alloc.rho_d)
-                res = opt.minimize_1d("power", cfg, alloc.rho_d, tol=1e-6)
-                brent = res.allocation.rho_lambda
+            cfg = _at(base, 40.0)
+            held = getattr(alloc, fixed)
+            closed = closed_form(cfg, held)
+            res = opt.minimize_1d(kind, cfg, held, tol=1e-6, n_terms=spec.n_terms)
+            brent = getattr(res.allocation, free)
             return f"optimizer_{kind}_closed_vs_golden", abs(closed - brent), 0.02
         return run
 
     def particular_foc():
         # the symmetric particular solution must be stationary
-        cfg = base.replace(total_power=db_to_linear(20.0))
+        cfg = _at(base, 20.0)
         resid = opt._residual(opt._particular_solution(cfg), cfg)
         return "joint_particular_foc_residual", resid, 1e-9
 
@@ -585,7 +539,7 @@ def main(argv=None) -> int:
         # pool; pure-Python analytic rows hold it, where threads only add
         # overhead
         rows = mc.parallel_map(row, items, spec.workers if pooled else 1)
-        _write_csv(spec.output_path, header, rows)
+        _write_csv(spec.output, header, rows)
         if spec.command == "validate" and any(r[-1] == "fail" for r in rows):
             return EXIT_VALIDATION
         return EXIT_OK

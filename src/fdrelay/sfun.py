@@ -203,16 +203,18 @@ def _e1_scaled_cf(x: float) -> float:
 def gamma_fn(x: float) -> float:
     """Gamma function on the real line, with an explicit pole error.
 
-    Raises DomainError at the poles (x a non-positive integer).
+    Raises DomainError at NaN, -inf and the poles (x a non-positive
+    integer). Where Gamma(x) overflows (x > ~171.62, or |x| < ~5.6e-309)
+    it returns inf with the sign of x.
     """
-    if math.isnan(x):
-        raise DomainError("gamma_fn: x is NaN")
+    if math.isnan(x) or x == -math.inf:
+        raise DomainError(f"gamma_fn: x is {x}")
     if x <= 0.0 and x == math.floor(x):
         raise DomainError(f"gamma_fn: pole at non-positive integer x={x}")
     try:
         return math.gamma(x)
-    except ValueError as exc:  # pragma: no cover - guarded above
-        raise DomainError(f"gamma_fn: invalid argument x={x}") from exc
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def digamma(x: float) -> float:

@@ -652,11 +652,9 @@ def outcome(fn, *args):
 
 def reference_quadrature(fn, *args):
     """outcome(fn, *args) with quad_checked_oracle in place of the library's
-    integrator, and an empty node cache of its own, so that every node's
-    geometry is computed afresh and the library's cache stays as it was."""
+    integrator."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analytic, "_quad_checked", quad_checked_oracle)
-        patch.setattr(analytic, "_SER_NODES", {})
         return outcome(fn, *args)
 
 

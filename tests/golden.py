@@ -1,7 +1,8 @@
 """Golden corpus: SHA-256 digests of every CLI output and of the SER terms.
 
-Each entry of CASES produces bytes: a CSV written by `cli.main` in-process,
-or the `repr`s of a library function over a fixed grid or seeded pool. The
+Each entry of CASES produces bytes: a CSV or `--help` text written by
+`cli.main` in-process, or the `repr`s of a library function over a fixed grid
+or seeded pool. The
 digests live in `golden.json` beside this file, together with the Python,
 numpy and scipy versions and the platform they were taken on, because the
 bytes bind to that toolchain's libm and numpy. tests/test_golden.py checks
@@ -24,7 +25,10 @@ import platform
 import random
 import sys
 import tempfile
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 TABLE = Path(__file__).with_name("golden.json")
 
@@ -43,6 +47,20 @@ def _cli_csv(*argv: str) -> bytes:
         return f"exit {code}\n".encode() + Path(path).read_bytes()
     finally:
         os.unlink(path)
+
+
+def _cli_help(*argv: str) -> bytes:
+    """What `fdrelay argv --help` prints at COLUMNS=80, the width argparse
+    wraps to; the status it exits with is part of the bytes."""
+    from fdrelay.cli import main
+
+    out = StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), redirect_stdout(out):
+        try:
+            main([*argv, "--help"])
+        except SystemExit as exc:
+            out.write(f"exit {exc.code}\n")
+    return out.getvalue().encode()
 
 
 def _outcome(fn, *args) -> str:
@@ -157,7 +175,18 @@ def _cases() -> dict:
                     _cli_csv(c, _SWEEP, "--rsi-level", e, "--modulation", m))
     cases["ser-n-terms-10"] = lambda: _cli_csv("ser", "--n-terms", "10",
                                                "--rsi-level", "1")
+    cases["outage-both-workers-2"] = lambda: _cli_csv(
+        "outage", "--p-db", "0:40:20", "--mode", "both", "--mc-samples", "20000",
+        "--workers", "2")
+    # one row, so its estimate runs on both threads, in two chunks
+    cases["ser-mc-workers-2-qpsk"] = lambda: _cli_csv(
+        "ser", "--p-db", "40", "--mode", "mc", "--mc-samples", "500000",
+        "--workers", "2", "--modulation", "qpsk")
     cases["validate"] = lambda: _cli_csv("validate", "--mc-samples", "100000")
+    cases["help-fdrelay"] = _cli_help
+    for command in ("outage", "ser", "optimize-location", "optimize-power",
+                    "optimize-joint", "figure", "validate"):
+        cases[f"help-{command}"] = lambda c=command: _cli_help(c)
     cases["hyp2f1_complement-grid"] = _hyp_grid
     cases["ser_series_terms-pool"] = _ser_terms_pool
     for name, case in (("ser_quadrature", _ser_quadrature), ("outage-exact", _outage_exact),

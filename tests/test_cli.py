@@ -315,6 +315,31 @@ class TestValidateAndExitCodes:
         assert err.startswith("error: series terms out of range: ")
         assert "hyp2f1_complement" not in err
 
+    def test_row_runs_its_analytic_columns_before_its_estimate(self, capsys):
+        # the series refuses -300 dB before the estimator could refuse 100
+        # samples, so the error names the series
+        argv = ["ser", "--p-db=-300", "--mode", "mc", "--mc-samples", "100"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: series terms out of range: ")
+
+    def test_validate_optimizer_checks_use_n_terms(self, tmp_path):
+        from fdrelay import SystemConfig, db_to_linear, opt
+
+        cfg = SystemConfig(db_to_linear(40.0), 0.1, 3.0)
+
+        def gap(kind, closed_form, free, n_terms):
+            res = opt.minimize_1d(kind, cfg, 0.5, tol=1e-6, n_terms=n_terms)
+            return abs(closed_form(cfg, 0.5) - getattr(res.allocation, free))
+
+        _, rows, _ = run_cli(["validate", "--n-terms", "5", "--mc-samples", "20000"],
+                             tmp_path)
+        values = {r[0]: r[1] for r in rows[1:]}
+        for kind, closed_form, free in (("location", opt.optimal_location_closed, "rho_d"),
+                                        ("power", opt.optimal_power_closed, "rho_lambda")):
+            want = gap(kind, closed_form, free, 5)
+            assert want != gap(kind, closed_form, free, 3)
+            assert values[f"optimizer_{kind}_closed_vs_golden"] == format(want, ".12g")
+
     def test_unknown_command_exit(self):
         assert main(["frobnicate"]) == EXIT_USAGE
 

@@ -322,6 +322,17 @@ class TestGamma:
         with pytest.raises(DomainError):
             gamma_fn(x)
 
+    @pytest.mark.parametrize("x", [-math.inf, math.nan])
+    def test_not_a_point_of_the_line(self, x):
+        with pytest.raises(DomainError):
+            gamma_fn(x)
+
+    @pytest.mark.parametrize("x, expected", [
+        (math.inf, math.inf), (171.63, math.inf), (200.0, math.inf),
+        (5e-324, math.inf), (-5e-324, -math.inf)])
+    def test_overflow_is_signed_inf(self, x, expected):
+        assert gamma_fn(x) == expected
+
 
 class TestDigamma:
     @pytest.mark.parametrize("x", [0.03, 0.5, 1.0, 1.5, 2.5, 7.3, 19.0, 250.0])
