@@ -176,7 +176,9 @@ def sinr_cdf_asymptotic(x: float, stats: LinkStats) -> float:
 def _asymptotic_cdf(stats: LinkStats) -> Callable[[float], float]:
     """The function x -> sinr_cdf_asymptotic(x, stats) for x >= 0, with the
     factors that do not depend on x computed once."""
-    root = math.sqrt(stats.lambda_sr * stats.lambda_rd)
+    # the product of the roots where lambda_sr lambda_rd underflows to 0
+    root = (math.sqrt(stats.lambda_sr * stats.lambda_rd)
+            or math.sqrt(stats.lambda_sr) * math.sqrt(stats.lambda_rd))
     rate = 1.0 / stats.lambda_sr + 1.0 / stats.lambda_rd
     eta = stats.eta
 
@@ -230,8 +232,10 @@ def sinr_cdf_exact_numeric(x: float, stats: LinkStats) -> float:
                        (eu / lrd) * math.exp(expo) / (1.0 + eta * xy))
         return out
 
-    # outside [u_lo, u_hi] one of the exponentials has underflowed
-    u_lo = math.log(xx / (lsr * 745.0))
+    # outside [u_lo, u_hi] one of the exponentials has underflowed; u_lo in
+    # logs where x^2 / (l_sr 745) underflows
+    q = xx / (lsr * 745.0)
+    u_lo = math.log(q) if q > 0.0 else 2.0 * math.log(x) - math.log(lsr) - math.log(745.0)
     u_hi = math.log(745.0 * lrd)
     if u_lo >= u_hi:
         # the exponent is at least x/l_sr + x/l_rd + 2x/sqrt(l_sr l_rd) > 1490
@@ -241,8 +245,12 @@ def sinr_cdf_exact_numeric(x: float, stats: LinkStats) -> float:
     if eta > 0.0:
         marks.append(math.log(max(eta * x * x, 1e-300)))
     breaks = sorted({min(max(m, u_lo + 1e-9), u_hi - 1e-9) for m in marks})
-    surv, err = _quad_checked(integrand, u_lo, u_hi, _CDF_ABS_TOL,
-                              "sinr_cdf_exact_numeric", points=breaks)
+    try:
+        surv, err = _quad_checked(integrand, u_lo, u_hi, _CDF_ABS_TOL,
+                                  "sinr_cdf_exact_numeric", points=breaks)
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"sinr_cdf_exact_numeric: the integrand's e^u leaves the float "
+                          f"range at x = {x}, lambda_sr = {lsr}, lambda_rd = {lrd}") from None
     return min(max(1.0 - surv, 0.0), 1.0)
 
 
@@ -452,9 +460,13 @@ def ser_location_optimized(cfg: SystemConfig, rho_lambda: float) -> float:
     eps = cfg.rsi_level
     v = cfg.pathloss_exp
     rbar = 1.0 - rho_lambda
-    dv = cfg.sum_distance**v
+    try:
+        dv = cfg.sum_distance**v
+        den = (1.0 + ((rbar / rho_lambda) * (1.0 + eps * rbar * p)) ** (1.0 / (v - 1.0))) ** (v - 1.0)
+    except OverflowError:
+        raise DomainError("ser_location_optimized: D^v or the optimal placement's "
+                          "(1 + ratio^(1/(v-1)))^(v-1) overflows a float") from None
     num = (1.0 / (rho_lambda * p) + rbar / rho_lambda * eps) * dv
-    den = (1.0 + ((rbar / rho_lambda) * (1.0 + eps * rbar * p)) ** (1.0 / (v - 1.0))) ** (v - 1.0)
     return 0.5 * cfg.alpha_mod - kappa(cfg) * (cfg.beta_mod / 2.0 + num / den) ** -0.5
 
 

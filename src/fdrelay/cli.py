@@ -117,17 +117,13 @@ def _parse_p_db(text: str) -> list[float]:
             raise UsageError(f"--p-db range needs finite parts: {text!r}")
         if step <= 0 or stop < start:
             raise UsageError(f"--p-db range must be increasing: {text!r}")
-        if (stop - start) / step > _MAX_P_DB_POINTS:
+        steps = (stop - start) / step
+        if steps > _MAX_P_DB_POINTS:
             raise UsageError(f"--p-db range exceeds {_MAX_P_DB_POINTS} points: {text!r}")
-        values = []
-        k = 0
-        while True:
-            v = start + k * step
-            if v > stop + 1e-9:
-                break
-            values.append(v)
-            k += 1
-        return values
+        # the whole steps from start to stop, with a rounding slack of
+        # 1e-10 dB, or 1e-10 steps below a step of 1 dB
+        last = int(steps + 1e-10 * min(1.0, 1.0 / step))
+        return [start + k * step for k in range(last + 1)]
     try:
         return [float(text)]
     except ValueError:
@@ -408,6 +404,11 @@ def _figure(spec):
 # validate
 # ---------------------------------------------------------------------------
 
+def _gap(value: float, ref: float) -> float:
+    # |value - ref| relative to ref, or absolute where ref is 0
+    return abs(value - ref) / ref if ref > 0 else abs(value)
+
+
 def _validate(spec):
     """Each check returns (name, value, tolerance) and passes when value <=
     tolerance, against a reference of 0; the checks run on the pool whatever
@@ -425,7 +426,7 @@ def _validate(spec):
             for x in (0.5, 1.0, 2.0, 4.0):
                 asym = analytic.outage(x, stats, "asymptotic")
                 exact = analytic.outage(x, stats, "exact")
-                worst = max(worst, abs(asym - exact) / exact)
+                worst = max(worst, _gap(asym, exact))
             return f"cdf_asym_vs_exact_{int(p_db)}db", worst, band
         return run
 
@@ -447,7 +448,7 @@ def _validate(spec):
             stats = link_stats(cfg, alloc)
             s = analytic.ser_series(stats, cfg, spec.n_terms)
             q = analytic.ser_quadrature(stats, cfg)
-            worst = max(worst, abs(s - q) / q)
+            worst = max(worst, _gap(s, q))
         return "ser_series_vs_quadrature", worst, 0.01
 
     def series_vs_mc():
@@ -462,15 +463,14 @@ def _validate(spec):
         stats = link_stats(cfg, alloc)
         hp = analytic.ser_high_power(stats, cfg)
         q = analytic.ser_quadrature(stats, cfg)
-        return "ser_high_power_vs_quadrature", abs(hp - q) / q, 0.02
+        return "ser_high_power_vs_quadrature", _gap(hp, q), 0.02
 
     def floor_vs_mc():
         cfg = _at(base, 60.0)
         stats = link_stats(cfg, alloc)
         est = mc.estimate_ser_semianalytic(stats, cfg, n_mc, seed, workers=1)
         floor = analytic.ser_floor(alloc, cfg)
-        gap = abs(est.value - floor) / floor if floor > 0 else abs(est.value)
-        return "ser_floor_vs_mc", gap, 0.10
+        return "ser_floor_vs_mc", _gap(est.value, floor), 0.10
 
     def coeff_taylor():
         cs = analytic.approx_coeffs(3)

@@ -8,19 +8,20 @@ estimates are bit-identical for any chunking or worker count. Chunk sums are
 combined with math.fsum (exactly rounded, hence order-independent) and chunk
 variances are merged pairwise in chunk order, which no worker count changes.
 
-A chunk of lattice groups (below) is one pool task of the outage and
-semi-analytic SER: it fixes a Philox stream offset and a moment boundary,
-so it is part of what an estimate's bits depend on. A task draws and
-evaluates one cache-sized block at a time from one stream. It allocates its
-workspace once: the block's uniforms and lattice points, the kernel's
-scratch (half a block: points, then mirrors) and the stretch's weights, or
-the symbol level's uniforms and chain columns. Every block then runs in
-place in it, through out= with the same operations on the same operands, so
-no block allocates an array of its size, the allocator neither frees nor
-re-faults memory per block, and its dynamic thresholds do not depend on how
-estimates interleave. Every step acts on single values or groups, so blocks
-change no bit. The symbol-level SER is an integer count; its pool tasks
-split it evenly.
+The outage and semi-analytic SER run through one driver, _lattice_estimate.
+A chunk of lattice groups (below) is one pool task: it fixes a Philox
+stream offset and a moment boundary, so it is part of what an estimate's
+bits depend on. A task draws and evaluates one cache-sized block at a time
+from one stream. It allocates its workspace once: the block's shifts, its
+lattice points (and the SER's thresholds), the kernel's scratch (half a
+block: points, then mirrors) and the stretch's weights, or the symbol
+level's uniforms and chain columns. Every block then runs in place in it,
+through out= with the same operations on the same operands, so no block
+allocates an array of its size (the SER's wrap is counted in the mirrors'
+slot, not a bool buffer), and the allocator's dynamic thresholds do not
+depend on how estimates interleave. Every step acts on single values or
+groups, so blocks change no bit. The symbol-level SER is an integer count;
+its pool tasks split it evenly.
 
 The outage and semi-analytic SER estimators are conditional Monte Carlo
 (Asmussen & Glynn, *Stochastic Simulation*, 2007, ch. V) on the simulated
@@ -245,7 +246,7 @@ def _outage_given_excess(v, x, stats: LinkStats, scratch=None):
     if scratch is None:
         scratch = np.empty_like(v)
     array = isinstance(x, np.ndarray)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.log1p(np.negative(v, out=v), out=v)
         v *= -stats.lambda_rd                   # E
         np.divide(np.add(x, 1.0, out=scratch) if array else x + 1.0, v, out=v)
@@ -280,27 +281,12 @@ def _lattice(s, cols, v):
     return v
 
 
-def _workspace(groups: int):
-    # what _group_means works in on blocks of up to `groups` groups: room for
-    # the kernel's scratch, shaped like one half of _lattice's v, which holds
-    # the stretch's temporaries before that; and the edge weights
+def _stretch(v, room, w):
+    # in place, the coordinates v of _lattice, m groups, become T(v); returns
+    # the weights T'(v) of the points' first 2 _EDGE columns (elsewhere
+    # T'(v) = 1) in w, shape (m, 2 _EDGE), with room (m _GROUP,) as scratch
     import numpy as np
 
-    return np.empty(groups * _GROUP), np.empty((groups, 2 * _EDGE))
-
-
-def _fit(work, v):
-    # the arrays of a _workspace cut to v's groups; a new one when work is None
-    m = v.shape[1]
-    return _workspace(m) if work is None else (work[0][:m * _GROUP], work[1][:m])
-
-
-def _stretch(v, work=None):
-    # in place, the coordinates v of _lattice become T(v); returns the weights
-    # T'(v) of the points' first 2 _EDGE columns (elsewhere T'(v) = 1), in work
-    import numpy as np
-
-    room, w = _fit(work, v)
     e = v[..., :2 * _EDGE]
     m, t = room[:2 * e.size].reshape((2,) + e.shape)
     v[..., 2 * _EDGE:] -= 0.5 * _STRETCH
@@ -319,13 +305,12 @@ def _stretch(v, work=None):
     return w
 
 
-def _group_means(v, x, stats: LinkStats, work=None):
+def _group_means(v, x, stats: LinkStats, room, w):
     # the group means at threshold x (scalar, or shaped like v and then spent)
-    # from _lattice's v, overwritten, in work = _workspace(k), k >= v's groups
+    # from _lattice's v, overwritten, in _stretch's room and w
     import numpy as np
 
-    room, w = work = _fit(work, v)
-    _stretch(v, work)
+    _stretch(v, room, w)
     scratch = room.reshape(v.shape[1:])
     for half, x_half in zip(v, x if isinstance(x, np.ndarray) else (x, x)):
         _outage_given_excess(half, x_half, stats, scratch)  # the points, then the mirrors
@@ -333,6 +318,38 @@ def _group_means(v, x, stats: LinkStats, work=None):
     v[1, :, :2 * _EDGE] *= np.subtract(2.0, w, out=w)  # the mirrors' weights T'(1 - v)
     v[0] += v[1]                                # each pair's sum, at most 2
     return v[0].sum(axis=1) / (2 * _GROUP)
+
+
+def _lattice_estimate(stats: LinkStats, n: int, seed: int, workers: int, tag: int,
+                      dims: int, threshold, scale: float) -> McEstimate:
+    # the outage (dims 1) or semi-analytic SER (dims 2) over ceil(n / 466)
+    # groups, group g reading its dims shifts from offset dims g of stream
+    # tag. threshold(shifts, x) returns a block's threshold: a scalar, or
+    # written in x, the lattice buffer's last slab (the lattice itself when
+    # dims is 1); the group means are scaled by `scale` before their moments
+    import numpy as np
+
+    cols = _columns()
+
+    def chunk(lo, hi):
+        # groups lo .. hi - 1 from stream offset dims lo, block by block
+        gen = stream(seed, tag, dims * lo)
+        size = min(hi - lo, _BLOCK_UNIFORMS // (dims * _GROUP))
+        g = np.empty(hi - lo)
+        shifts = np.empty((size, dims))
+        buf = np.empty((dims, 2, size, _GROUP))
+        room, w = np.empty(size * _GROUP), np.empty((size, 2 * _EDGE))
+        for b, e in _blocks(hi - lo, dims * _GROUP):
+            m = e - b
+            s = gen.random(out=shifts[:m])
+            v = _lattice(s[:, -1], cols, buf[0, :, :m])
+            x = threshold(s, buf[-1, :, :m])
+            g[b:e] = _group_means(v, x, stats, room[:m * _GROUP], w[:m])
+        g *= scale
+        return _moments(g)
+
+    groups = -(-n // (2 * _GROUP))
+    return _mean_estimate(_map_chunks(chunk, groups, workers, _CHUNK_GROUPS), seed)
 
 
 def estimate_outage(stats: LinkStats, threshold: float, n: int, seed: int,
@@ -360,32 +377,16 @@ def estimate_outage(stats: LinkStats, threshold: float, n: int, seed: int,
     mirror (E = inf) the finite value at k = x. Threshold 0 returns exactly
     0 with std_error 0: the SINR is never negative.
     """
-    import numpy as np
     import numpy.random  # noqa: F401  (stream's Philox)
 
     _check_n(n, _MIN_SAMPLES, "estimate_outage")
     if not threshold >= 0.0:
         raise DomainError(f"threshold must be >= 0, got {threshold}")
-    groups = -(-n // (2 * _GROUP))
     if threshold == 0.0:
-        return McEstimate(value=0.0, std_error=0.0, n_samples=2 * _GROUP * groups, seed=seed)
+        return McEstimate(value=0.0, std_error=0.0, n_samples=2 * _GROUP * -(-n // (2 * _GROUP)),
+                          seed=seed)
     x = float(threshold)
-    cols = _columns()
-
-    def chunk(lo, hi):
-        # groups lo .. hi - 1, one shift uniform each from stream offset lo
-        gen = stream(seed, _TAG_OUTAGE, lo)
-        size = min(hi - lo, _BLOCK_UNIFORMS // _GROUP)
-        g = np.empty(hi - lo)
-        shifts = np.empty(size)
-        buf = np.empty((2, size, _GROUP))
-        work = _workspace(size)
-        for b, e in _blocks(hi - lo, _GROUP):
-            v = _lattice(gen.random(out=shifts[:e - b]), cols, buf[:, :e - b])
-            g[b:e] = _group_means(v, x, stats, work)
-        return _moments(g)
-
-    return _mean_estimate(_map_chunks(chunk, groups, workers, _CHUNK_GROUPS), seed)
+    return _lattice_estimate(stats, n, seed, workers, _TAG_OUTAGE, 1, lambda s, out: x, 1.0)
 
 
 def estimate_ser_semianalytic(stats: LinkStats, cfg: SystemConfig, n: int,
@@ -416,38 +417,24 @@ def estimate_ser_semianalytic(stats: LinkStats, cfg: SystemConfig, n: int,
     from scipy.special import ndtri
 
     _check_n(n, _MIN_SAMPLES, "estimate_ser_semianalytic")
-    groups = -(-n // (2 * _GROUP))
-    half_alpha = 0.5 * cfg.alpha_mod
     beta = cfg.beta_mod
-    cols = _columns()
-    rows = _GEN * cols % _GROUP / _GROUP
+    rows = _GEN * _columns() % _GROUP / _GROUP
 
-    def chunk(lo, hi):
-        # groups lo .. hi - 1, two shift uniforms each from stream offset 2 lo
-        gen = stream(seed, _TAG_SER, 2 * lo)
-        size = min(hi - lo, _BLOCK_UNIFORMS // (2 * _GROUP))
-        g = np.empty(hi - lo)
-        shifts = np.empty((size, 2))
-        buf = np.empty((2, 2, size, _GROUP))
-        wraps = np.empty((size, _GROUP), dtype=bool)
-        work = _workspace(size)
-        for b, e in _blocks(hi - lo, 2 * _GROUP):
-            s0, s1 = gen.random(out=shifts[:e - b]).T
-            v, x = buf[:, :, :e - b]
-            _lattice(s1, cols, v)
-            np.add(rows, s0[:, None], out=x[0])
-            wrap = np.greater_equal(x[0], 1.0, out=wraps[:e - b])
-            np.subtract(x[0], 1.0, out=x[0], where=wrap)  # frac(89 j / 233 + s0)
-            np.subtract(1.0, x[0], out=x[1])
-            x *= 0.5
-            ndtri(x, out=x)
-            np.square(x, out=x)
-            x /= beta                               # X = Z^2 / beta
-            g[b:e] = _group_means(v, x, stats, work)
-        g *= half_alpha
-        return _moments(g)
+    def threshold(s, x):
+        # X at the points u0 = frac(89 j / 233 + s0), then at their mirrors;
+        # the wrap is counted in the mirrors' slot before they are written
+        np.add(rows, s[:, :1], out=x[0])
+        np.greater_equal(x[0], 1.0, out=x[1])
+        x[0] -= x[1]
+        np.subtract(1.0, x[0], out=x[1])
+        x *= 0.5
+        ndtri(x, out=x)
+        np.square(x, out=x)
+        x /= beta                                   # X = Z^2 / beta
+        return x
 
-    return _mean_estimate(_map_chunks(chunk, groups, workers, _CHUNK_GROUPS), seed)
+    return _lattice_estimate(stats, n, seed, workers, _TAG_SER, 2, threshold,
+                             0.5 * cfg.alpha_mod)
 
 
 def estimate_ser_symbol_level(stats: LinkStats, cfg: SystemConfig,

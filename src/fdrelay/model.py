@@ -222,12 +222,21 @@ def link_stats(cfg: SystemConfig, alloc: Allocation) -> LinkStats:
     """Map scenario + allocation to mean link SNRs.
 
     lambda_sr = P_S * D_SR^-v, lambda_rd = P_R * D_RD^-v,
-    lambda_li = rsi_level * P_R, eta = lambda_li / lambda_sr.
+    lambda_li = rsi_level * P_R, eta = lambda_li / lambda_sr. DomainError
+    when a path gain D^-v overflows or lambda_sr underflows to 0.
     """
     p_s, p_r = alloc.powers(cfg)
     d_sr, d_rd = alloc.distances(cfg)
     v = cfg.pathloss_exp
-    return _link_stats(p_s, p_r, d_sr ** (-v), d_rd ** (-v), cfg.rsi_level)
+    try:
+        return _link_stats(p_s, p_r, d_sr ** (-v), d_rd ** (-v), cfg.rsi_level)
+    except OverflowError:
+        raise _gain_overflow(d_sr, d_rd, v) from None
+
+
+def _gain_overflow(d_sr: float, d_rd: float, v: float) -> DomainError:
+    return DomainError(f"path gain D^-v overflows a float at v = {v}, "
+                       f"D_SR = {d_sr}, D_RD = {d_rd}")
 
 
 def _link_stats(p_s: float, p_r: float, gain_sr: float, gain_rd: float,
@@ -235,6 +244,9 @@ def _link_stats(p_s: float, p_r: float, gain_sr: float, gain_rd: float,
     # link_stats from the powers and the path gains D^-v; the 1-D solves
     # call it with the half that their fixed ratio sets computed once
     lam_sr = p_s * gain_sr
+    if not lam_sr:
+        raise DomainError(f"lambda_sr = P_S D_SR^-v underflows to 0 (P_S = {p_s}, "
+                          f"D_SR^-v = {gain_sr})")
     lam_li = rsi_level * p_r
     return LinkStats(lambda_sr=lam_sr, lambda_rd=p_r * gain_rd, lambda_li=lam_li,
                      eta=lam_li / lam_sr)

@@ -14,7 +14,7 @@ import math
 from . import analytic
 from .errors import DomainError
 from .model import (RATIO_FLOOR, _RATIO_CEIL, Allocation, SystemConfig, _exact_split,
-                    _link_stats, _Record, _setattr, link_stats)
+                    _gain_overflow, _link_stats, _Record, _setattr, link_stats)
 
 __all__ = [
     "OptResult",
@@ -69,7 +69,10 @@ def optimal_location_closed(cfg: SystemConfig, rho_lambda: float) -> float:
     p_s = rho_lambda * cfg.total_power
     p_r = cfg.total_power - p_s
     ratio = (1.0 + cfg.rsi_level * p_r) * p_r / p_s
-    return 1.0 / (1.0 + ratio ** (1.0 / (cfg.pathloss_exp - 1.0)))
+    try:
+        return 1.0 / (1.0 + ratio ** (1.0 / (cfg.pathloss_exp - 1.0)))
+    except OverflowError:
+        return 0.0                              # the power overflows: its limit
 
 
 def optimal_power_closed(cfg: SystemConfig, rho_d: float) -> float:
@@ -82,8 +85,17 @@ def optimal_power_closed(cfg: SystemConfig, rho_d: float) -> float:
     v = cfg.pathloss_exp
     d_sr = rho_d * cfg.sum_distance
     d_rd = cfg.sum_distance - d_sr
-    ratio = d_rd**v / (d_sr**v * (1.0 + cfg.total_power * cfg.rsi_level))
-    return 1.0 / (1.0 + math.sqrt(ratio))
+    p_eps = cfg.total_power * cfg.rsi_level
+    try:
+        ratio = d_rd**v / (d_sr**v * (1.0 + p_eps))
+    except (OverflowError, ZeroDivisionError):
+        ratio = math.nan
+    if ratio == ratio:
+        return 1.0 / (1.0 + math.sqrt(ratio))
+    # D^v leaves the float range (or is 0 against an infinite P eps): the
+    # same value from log sqrt(ratio) = t, as e^-t / (1 + e^-t) when t > 0
+    t = 0.5 * (v * math.log(d_rd / d_sr) - math.log1p(p_eps))
+    return math.exp(-t) / (1.0 + math.exp(-t)) if t > 0.0 else 1.0 / (1.0 + math.exp(t))
 
 
 def closed_form_result(objective: str, cfg: SystemConfig, fixed_ratio: float,
@@ -187,12 +199,19 @@ def minimize_1d(objective: str, cfg: SystemConfig, fixed_ratio: float,
 
         def stats_at(x: float):
             d_sr, d_rd = _exact_split(min(max(x, RATIO_FLOOR), _RATIO_CEIL), cfg.sum_distance)
-            return _link_stats(*powers, d_sr ** (-v), d_rd ** (-v), cfg.rsi_level)
+            try:
+                gains = d_sr ** (-v), d_rd ** (-v)
+            except OverflowError:
+                raise _gain_overflow(d_sr, d_rd, v) from None
+            return _link_stats(*powers, *gains, cfg.rsi_level)
     elif objective == "power":
         def make(x):
             return Allocation(rho_lambda=x, rho_d=fixed_ratio)
         d_sr, d_rd = make(0.5).distances(cfg)
-        gains = (d_sr ** (-v), d_rd ** (-v))
+        try:
+            gains = d_sr ** (-v), d_rd ** (-v)
+        except OverflowError:
+            raise _gain_overflow(d_sr, d_rd, v) from None
 
         def stats_at(x: float):
             powers = _exact_split(min(max(x, RATIO_FLOOR), _RATIO_CEIL), cfg.total_power)

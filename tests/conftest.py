@@ -317,6 +317,11 @@ def ser_conditional_group_means(stats, cfg: SystemConfig, n: int, seed: int) -> 
     return ser_group_pairs(stats, cfg, u0, v).mean(axis=1)
 
 
+def _group_room(m: int):
+    # the kernel scratch and edge weights that _group_means works in on m groups
+    return np.empty(m * mc._GROUP), np.empty((m, 2 * mc._EDGE))
+
+
 def _whole_chunks(chunk, n: int, seed: int) -> McEstimate:
     # chunk(lo, hi) over the _CHUNK_GROUPS slices of the ceil(n / 466)
     # groups, serially; the estimate does not depend on the order the chunks
@@ -339,7 +344,7 @@ def outage_chunk_oracle(stats, threshold: float, n: int, seed: int) -> McEstimat
     def chunk(lo, hi):
         s = mc.stream(seed, mc._TAG_OUTAGE, lo).random(hi - lo)
         v = mc._lattice(s, cols, np.empty((2, s.size, mc._GROUP)))
-        return mc._moments(mc._group_means(v, x, stats))
+        return mc._moments(mc._group_means(v, x, stats, *_group_room(s.size)))
 
     return _whole_chunks(chunk, n, seed)
 
@@ -359,7 +364,7 @@ def ser_chunk_oracle(stats, cfg: SystemConfig, n: int, seed: int) -> McEstimate:
         np.subtract(u0, 1.0, out=u0, where=u0 >= 1.0)
         x = special.ndtri(np.stack([u0, 1.0 - u0]) * 0.5) ** 2 / cfg.beta_mod
         v = mc._lattice(s[:, 1].copy(), cols, np.empty((2, hi - lo, mc._GROUP)))
-        g = mc._group_means(v, x, stats)
+        g = mc._group_means(v, x, stats, *_group_room(hi - lo))
         return mc._moments(g * (0.5 * cfg.alpha_mod))
 
     return _whole_chunks(chunk, n, seed)

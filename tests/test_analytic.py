@@ -124,11 +124,13 @@ class TestSinrCdf:
         assert sinr_cdf_exact_numeric(1e6, stats) > 1.0 - 1e-9
 
     @pytest.mark.parametrize("p_db, x", [(20.0, math.inf), (20.0, 1e308), (20.0, 5e307),
-                                         (2000.0, math.inf)])
+                                         (2000.0, math.inf), (-1630.0, 1.0)])
     def test_one_where_the_bessel_argument_overflows(self, p_db, x):
         # at 20 dB 2x / sqrt(l_sr l_rd) overflows for x >= 1e308 (5e307 is
         # the finite control), and at 2000 dB l_sr l_rd overflows as well;
-        # u K1(u) -> 0 there, so the CDF is 1, not NaN or an error
+        # at -1630 dB l_sr l_rd underflows to 0 and u is 2x / (sqrt(l_sr)
+        # sqrt(l_rd)) ~ 1e162; u K1(u) -> 0 there, so the CDF is 1, not NaN
+        # or an error
         _, stats = stats_at(p_db, 0.1)
         assert sinr_cdf_asymptotic(x, stats) == 1.0
         assert sinr_cdf_exact_numeric(x, stats) == 1.0

@@ -2,9 +2,16 @@
 figure-data shape claims, and exit codes."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+import fdrelay
 from fdrelay.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -71,6 +78,21 @@ class TestConfigParsing:
                     "0:1e9:1e-3"):
             with pytest.raises(UsageError):
                 _parse_p_db(bad)
+        # a range stops at stop: the rounding slack shrinks with a sub-dB
+        # step, and a stop just short of a step is not passed
+        fine = _parse_p_db("0:1e-10:1e-12")
+        assert len(fine) == 101 and fine[-1] == 1e-10
+        assert _parse_p_db("0:0.9999999995:1") == [0.0]
+        assert _parse_p_db("0:0.3:0.1") == [0.0, 0.1, 0.2, 0.1 + 0.2]
+        # and ends, however fine the step: in a fresh process, so that a loop
+        # that never ends cannot hang the suite
+        code = "from fdrelay.cli import _parse_p_db; print(_parse_p_db('0:1e-300:1e-300'))"
+        src = str(Path(fdrelay.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=30)
+        assert proc.stdout.split() == ["[0.0,", "1e-300]"], proc.stderr
 
     def test_flags_override_config_keys(self, tmp_path):
         p = tmp_path / "scenario.cfg"
@@ -321,6 +343,37 @@ class TestValidateAndExitCodes:
         argv = ["ser", "--p-db=-300", "--mode", "mc", "--mc-samples", "100"]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: series terms out of range: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["ser", "--sum-distance", "1e-300"],
+        ["outage", "--sum-distance", "1e300"],
+        ["optimize-power", "--pathloss-exp", "1e300"],
+        ["outage", "--threshold", "1e-180"],
+    ])
+    def test_out_of_float_range_is_one_error_line(self, capsys, argv):
+        # D^-v overflows, lambda_sr underflows to 0, or the exact CDF's
+        # integrand leaves the float range where x^2 underflows
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @given(st.sampled_from(["ser", "outage", "optimize-location", "optimize-power",
+                            "optimize-joint", "figure 3", "figure 4", "figure 6", "figure 8"]),
+           st.floats(-400.0, 400.0), st.floats(-300.0, 300.0), st.floats(-9.0, 3.0),
+           st.one_of(st.just(0.0), st.floats(-6.0, 300.0).map(lambda e: 10.0 ** e)),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=50, deadline=None)
+    @seed(24)
+    def test_accepted_inputs_exit_without_a_traceback(self, command, p_db, log_d, log_v,
+                                                      eps, rho_lambda, rho_d):
+        # any power, geometry and RSI the parser and SystemConfig accept ends
+        # in a CSV, an error line or a numeric failure, never an exception
+        argv = [*command.split(), f"--p-db={p_db!r}", "--sum-distance", repr(10.0 ** log_d),
+                "--pathloss-exp", repr(1.0 + 10.0 ** log_v), "--rsi-level", repr(eps),
+                "--rho-lambda", repr(rho_lambda), "--rho-d", repr(rho_d),
+                "--output", os.devnull]
+        assert main(argv) in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC)
 
     def test_validate_optimizer_checks_use_n_terms(self, tmp_path):
         from fdrelay import SystemConfig, db_to_linear, opt

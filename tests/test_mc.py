@@ -333,7 +333,7 @@ class TestAntitheticPairs:
         s = np.concatenate([[0.0, 0.5, 1.0 - 2.0**-53], stream(5, mc._TAG_OUTAGE).random(997)])
         v = mc._lattice(s, mc._columns(), np.empty((2, s.size, mc._GROUP)))
         points, mirrors = v[0].copy(), v[1].copy()
-        w = mc._stretch(v)
+        w = mc._stretch(v, np.empty(s.size * mc._GROUP), np.empty((s.size, 2 * mc._EDGE)))
         assert w.shape == (s.size, 2 * mc._EDGE)
         assert np.all((0.0 <= w) & (w <= 2.0))
         assert np.all(w + (2.0 - w) == 2.0)
@@ -501,6 +501,23 @@ class TestEstimateOutage:
         est = estimate_outage(stats, x, 10_000, seed=mc_seed)
         assert math.isfinite(est.value) and 0.0 <= est.value <= 1.0
         assert math.isfinite(est.std_error) and est.std_error >= 0.0
+
+    def test_extremes_overflow_silently(self):
+        # an infinite c (x / lambda_sr past the largest double) is the limit
+        # the kernel clamps on purpose, so neither lattice estimator warns,
+        # at threshold 1e300 or at link SNRs of 1e-300 and 1e300
+        from fdrelay import LinkStats
+
+        cfg = SystemConfig(total_power=1.0, rsi_level=0.1, pathloss_exp=3.0)
+        extremes = [LinkStats(lambda_sr=sr, lambda_rd=rd, lambda_li=li, eta=min(li / sr, 1e300))
+                    for sr in (1e-300, 1e300) for rd in (1e-300, 1e300)
+                    for li in (0.0, 1e-300, 1e300)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for stats in [stats_at(20.0, 0.1)[1], *extremes]:
+                for x in (1.0, 1e300):
+                    assert 0.0 <= estimate_outage(stats, x, 10_000, seed=2).value <= 1.0
+                assert 0.0 <= estimate_ser_semianalytic(stats, cfg, 10_000, seed=2).value <= 0.5
 
     def test_preconditions(self):
         _, stats = stats_at(20.0, 0.1)

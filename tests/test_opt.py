@@ -86,6 +86,19 @@ class TestClosedForms:
         vals = [optimal_power_closed(cfg, rd) for rd in (0.2, 0.4, 0.6, 0.8)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    def test_past_the_float_range(self):
+        # rho_lambda* depends on D_RD / D_SR only, so it holds where D^v
+        # overflows (1e300) or underflows against an infinite P eps (1e-300);
+        # rho_d* goes to its limit 0 where ratio^(1 / (v - 1)) overflows
+        for v, eps, rho_d in ((5.0, 0.1, 0.3), (60.0, 0.0, 0.7), (2.0, 1e300, 0.4)):
+            cfg = cfg_at(20.0, eps, v=v)
+            want = 1.0 / (1.0 + math.sqrt(((1.0 - rho_d) / rho_d) ** v
+                                          / (1.0 + cfg.total_power * eps)))
+            for d in (1e300, 1e-300):
+                got = optimal_power_closed(cfg.replace(sum_distance=d), rho_d)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-300), (v, eps, d)
+        assert optimal_location_closed(cfg_at(20.0, 0.1, v=1.0 + 1e-9), 0.5) == 0.0
+
     def test_domains(self):
         cfg = cfg_at(20.0, 0.1)
         with pytest.raises(DomainError):
