@@ -83,6 +83,38 @@ def _hyp_grid() -> bytes:
     return "\n".join(lines).encode()
 
 
+def _k1_grid() -> bytes:
+    """bessel_k1 at x from 1e-300 to 700, log-spaced, with both neighbours
+    of the series/Chebyshev switch at 2 and the denormal edge where 1 / x
+    overflows and x / 2 rounds to 0."""
+    from fdrelay.sfun import bessel_k1
+
+    xs = [10.0 ** (-300.0 + (300.0 + math.log10(700.0)) * k / 1999) for k in range(2000)]
+    xs += [math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0)]
+    xs += [5e-324, 1e-323, 1e-320, 5e-309, 5.6e-309, 2.2250738585072014e-308]
+    return "\n".join(_outcome(bessel_k1, x) for x in xs).encode()
+
+
+def _mc_pool() -> bytes:
+    """estimate_outage (threshold 1) and estimate_ser_semianalytic on four
+    scenarios (0 dB eps 0.1, 20 dB eps 0.3 QPSK, 40 dB eps 0, 60 dB eps 0.1)
+    at workers 1-3 and n over one chunk, several and a ragged last one."""
+    from fdrelay import Allocation, SystemConfig, link_stats
+    from fdrelay.mc import CHUNK_SAMPLES, estimate_outage, estimate_ser_semianalytic
+
+    lines = []
+    for p_db, eps, alpha, beta in ((0.0, 0.1, 1.0, 2.0), (20.0, 0.3, 2.0, 1.0),
+                                   (40.0, 0.0, 1.0, 2.0), (60.0, 0.1, 1.0, 2.0)):
+        cfg = SystemConfig(total_power=10.0 ** (p_db / 10.0), rsi_level=eps,
+                           pathloss_exp=3.0, alpha_mod=alpha, beta_mod=beta)
+        stats = link_stats(cfg, Allocation(0.5, 0.5))
+        for n in (10_000, 130_979, 1_000_000, 2 * CHUNK_SAMPLES + 12_345):
+            for workers in (1, 2, 3):
+                lines += [_outcome(estimate_outage, stats, 1.0, n, 7, workers),
+                          _outcome(estimate_ser_semianalytic, stats, cfg, n, 7, workers)]
+    return "\n".join(lines).encode()
+
+
 def _ser_terms_pool() -> bytes:
     """ser_series_terms over 3 000 seeded scenarios (P -20...100 dB, eps 0
     or log-uniform 1e-4...10, v 1.5...6, ratios 1e-6...1 - 1e-6, BPSK and
@@ -142,6 +174,12 @@ def _outage_exact(cfg, alloc, stats):
     return [_outcome(outage, x, stats, "exact") for x in (0.5, 1.0, 2.0, 4.0)]
 
 
+def _cdf_asymptotic(cfg, alloc, stats):
+    from fdrelay.analytic import sinr_cdf_asymptotic
+
+    return [_outcome(sinr_cdf_asymptotic, x, stats) for x in (0.0, 0.5, 1.0, 2.0, 4.0, 1e3)]
+
+
 def _ser_series(cfg, alloc, stats):
     from fdrelay.analytic import ser_series
 
@@ -189,7 +227,10 @@ def _cases() -> dict:
         cases[f"help-{command}"] = lambda c=command: _cli_help(c)
     cases["hyp2f1_complement-grid"] = _hyp_grid
     cases["ser_series_terms-pool"] = _ser_terms_pool
+    cases["bessel_k1-grid"] = _k1_grid
+    cases["mc-pool"] = _mc_pool
     for name, case in (("ser_quadrature", _ser_quadrature), ("outage-exact", _outage_exact),
+                       ("sinr_cdf_asymptotic", _cdf_asymptotic),
                        ("ser_series", _ser_series), ("minimize_1d", _minimize_1d),
                        ("select_joint_optimum", _select_joint_optimum)):
         cases[f"{name}-pool"] = lambda case=case: _pool_outcomes(case)
