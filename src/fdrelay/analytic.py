@@ -193,8 +193,9 @@ def _asymptotic_cdf(stats: LinkStats) -> Callable[[float], float]:
         # u K1(u) -> 1 with O(u^2 ln u) error; shortcut also avoids 1/u
         # overflow for denormal u
         uk1 = 1.0 if u < 1e-12 else u * bessel_k1(u)
-        surv = math.exp(-rate * x) / (1.0 + eta * x) * uk1
-        return min(max(1.0 - surv, 0.0), 1.0)
+        f = 1.0 - math.exp(-rate * x) / (1.0 + eta * x) * uk1
+        # min(max(f, 0), 1), NaN and -0.0 included
+        return 0.0 if f < 0.0 else 1.0 if f > 1.0 else f
 
     return cdf
 
@@ -318,7 +319,12 @@ def ser_series_terms(stats: LinkStats, cfg: SystemConfig,
         # past ~1535 dB (default scenario) the product overflows to inf and
         # far below 0 dB it underflows to 0; delta would be 0 or undefined
         raise DomainError(f"l_sr * l_rd out of range: l_sr={lsr}, l_rd={lrd}")
-    s_plus = (1.0 / math.sqrt(lsr) + 1.0 / math.sqrt(lrd)) ** 2
+    try:
+        s_plus = (1.0 / math.sqrt(lsr) + 1.0 / math.sqrt(lrd)) ** 2
+    except OverflowError:
+        # a subnormal l_sr or l_rd
+        raise DomainError(f"series terms out of range: (1/sqrt(l_sr) + 1/sqrt(l_rd))^2 "
+                          f"overflows at l_sr={lsr}, l_rd={lrd}") from None
     # X_i - Y_i collapses to 4 / sqrt(l_sr l_rd) exactly; feeding the
     # complement w = (X_i - Y_i) / X_i to the hypergeometric keeps full
     # precision at high power, where Y_i/X_i approaches 1
@@ -338,7 +344,13 @@ def ser_series_terms(stats: LinkStats, cfg: SystemConfig,
                 hyp = 1.0
             else:
                 hyp = hyp2f1_complement(2 * i + 2.5, 1.5, 2.0 * i + 2.0, w)
-            out.append(c_i * pref * a_i * eta ** (2 * i) / x_i ** (2 * i + 2.5) * hyp)
+            term = c_i * pref * a_i * eta ** (2 * i) / x_i ** (2 * i + 2.5) * hyp
+            if term != term:
+                # the 2F1 saturated to inf (w^-2 overflows below w ~ 1e-154)
+                # where its weight underflowed to 0
+                raise DomainError(f"series terms out of range: term {i} is NaN, its 2F1 "
+                                  f"{hyp!r} at w={w!r}, l_sr={lsr}, l_rd={lrd}")
+            out.append(term)
     except OverflowError:
         # far below 0 dB X_i ~ 4 / l_sr, and X_i^(2i + 5/2) overflows
         raise DomainError(f"series terms overflow: l_sr={lsr}, l_rd={lrd}") from None

@@ -9,10 +9,14 @@ combined with math.fsum (exactly rounded, hence order-independent) and chunk
 variances are merged pairwise in chunk order, which no worker count changes.
 
 The outage and semi-analytic SER run through one driver, _lattice_estimate.
-A chunk of lattice groups (below) is one pool task: it fixes a Philox
-stream offset and a moment boundary, so it is part of what an estimate's
-bits depend on. A task draws and evaluates one cache-sized block at a time
-from one stream. It allocates its workspace once: the block's shifts, its
+A chunk of lattice groups (below) is a moment boundary, so it is part of
+what an estimate's bits depend on; a pool task is not. Every estimator
+splits its groups or symbols into equal contiguous shares, one per worker
+but no more than it has chunks, each starting on a multiple of 4 so that
+its Philox offset is a whole block. A task draws and evaluates one
+cache-sized block at a time from one stream, and the lattice tasks write
+their group means into one array of the estimate, whose chunks then give
+the moments. A task allocates its workspace once: the block's shifts, its
 lattice points (and the SER's thresholds), the kernel's scratch (half a
 block: points, then mirrors) and the stretch's weights, or the symbol
 level's uniforms and chain columns. Every block then runs in place in it,
@@ -20,8 +24,7 @@ through out= with the same operations on the same operands, so no block
 allocates an array of its size (the SER's wrap is counted in the mirrors'
 slot, not a bool buffer), and the allocator's dynamic thresholds do not
 depend on how estimates interleave. Every step acts on single values or
-groups, so blocks change no bit. The symbol-level SER is an integer count;
-its pool tasks split it evenly.
+groups, so neither blocks nor shares change a bit.
 
 The outage and semi-analytic SER estimators are conditional Monte Carlo
 (Asmussen & Glynn, *Stochastic Simulation*, 2007, ch. V) on the simulated
@@ -78,11 +81,12 @@ __all__ = [
 ]
 
 # Evaluations per deterministic chunk of the outage and semi-analytic SER,
-# rounded down to _CHUNK_GROUPS = 856 lattice groups; each chunk starts its
-# own Philox stream and contributes one (count, sum, centred sum of squares)
-# of its group means, so the value depends on this size. Philox counts
-# blocks of 4 uint64 outputs, so a chunk starts at a multiple of 4 uniforms:
-# 4 groups of 1 (outage) or 2 (SER) uniforms, 4 symbols of 9.
+# rounded down to _CHUNK_GROUPS = 856 lattice groups; each chunk contributes
+# one (count, sum, centred sum of squares) of its group means, so the value
+# depends on this size. An estimate runs on at most as many threads as it
+# has chunks. Philox counts blocks of 4 uint64 outputs, so a task starts at
+# a multiple of 4 uniforms: 4 groups of 1 (outage) or 2 (SER) uniforms, 4
+# symbols of 9.
 CHUNK_SAMPLES = 400_000
 
 # Points of a lattice group (a Fibonacci number), the generator of the SER's
@@ -181,9 +185,13 @@ def parallel_map(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _map_chunks(fn, n: int, workers: int, size: int) -> list:
-    # fn(lo, hi) over the size-sized slices of range(n)
-    bounds = [(lo, min(n, lo + size)) for lo in range(0, n, size)]
+def _map_shares(fn, n: int, workers: int, chunks: int) -> list:
+    # fn(lo, hi) over equal contiguous shares of range(n), one per worker but
+    # no more than chunks (so an estimate of one chunk starts no pool), each
+    # a multiple of 4 long, so that any stream offset k lo is a multiple of 4
+    tasks = min(max(1, workers), chunks)
+    share = -(-n // (4 * tasks)) * 4
+    bounds = [(lo, min(n, lo + share)) for lo in range(0, n, share)]
     return parallel_map(lambda b: fn(*b), bounds, workers)
 
 
@@ -330,12 +338,14 @@ def _lattice_estimate(stats: LinkStats, n: int, seed: int, workers: int, tag: in
     import numpy as np
 
     cols = _columns()
+    groups = -(-n // (2 * _GROUP))
+    g = np.empty(groups)
 
-    def chunk(lo, hi):
-        # groups lo .. hi - 1 from stream offset dims lo, block by block
+    def task(lo, hi):
+        # the means of groups lo .. hi - 1 into g, from stream offset dims lo,
+        # block by block
         gen = stream(seed, tag, dims * lo)
         size = min(hi - lo, _BLOCK_UNIFORMS // (dims * _GROUP))
-        g = np.empty(hi - lo)
         shifts = np.empty((size, dims))
         buf = np.empty((dims, 2, size, _GROUP))
         room, w = np.empty(size * _GROUP), np.empty((size, 2 * _EDGE))
@@ -344,12 +354,12 @@ def _lattice_estimate(stats: LinkStats, n: int, seed: int, workers: int, tag: in
             s = gen.random(out=shifts[:m])
             v = _lattice(s[:, -1], cols, buf[0, :, :m])
             x = threshold(s, buf[-1, :, :m])
-            g[b:e] = _group_means(v, x, stats, room[:m * _GROUP], w[:m])
-        g *= scale
-        return _moments(g)
+            g[lo + b:lo + e] = _group_means(v, x, stats, room[:m * _GROUP], w[:m])
 
-    groups = -(-n // (2 * _GROUP))
-    return _mean_estimate(_map_chunks(chunk, groups, workers, _CHUNK_GROUPS), seed)
+    bounds = range(0, groups, _CHUNK_GROUPS)
+    _map_shares(task, groups, workers, len(bounds))
+    g *= scale
+    return _mean_estimate([_moments(g[lo:lo + _CHUNK_GROUPS]) for lo in bounds], seed)
 
 
 def estimate_outage(stats: LinkStats, threshold: float, n: int, seed: int,
@@ -517,12 +527,8 @@ def estimate_ser_symbol_level(stats: LinkStats, cfg: SystemConfig,
             errors += int(np.count_nonzero(np.less(g_rd, 0.0, out=errs[:m])))
         return errors
 
-    # equal tasks, one per worker but no more than the other estimators have
-    # chunks (so no more threads either), each a multiple of 4 symbols long
-    # so that every task's stream offset 9 lo is a multiple of 4
-    tasks = min(max(1, workers), -(-n_symbols // CHUNK_SAMPLES))
-    share = -(-n_symbols // (4 * tasks)) * 4
-    errors = sum(_map_chunks(task, n_symbols, workers, share))
+    # no more tasks than the other estimators have chunks, so no more threads
+    errors = sum(_map_shares(task, n_symbols, workers, -(-n_symbols // CHUNK_SAMPLES)))
     p = errors / n_symbols
     return McEstimate(value=p, std_error=math.sqrt(p * (1.0 - p) / n_symbols),
                       n_samples=n_symbols, seed=seed, count=errors)

@@ -5,6 +5,12 @@ a Chebyshev economization for the scaled Bessel tail, and a continued
 fraction for the exponential integral. No scipy/mpmath imports here; the
 test suite checks every function against independent high-precision oracles.
 
+The K1 power series reads the factors that do not depend on x from one table
+built at import: per index k its divisor k (k+1), a float that holds the int
+exactly, and its weight psi(k+1) + psi(k+2), summed by the recurrence
+psi(k+1) = psi(k) + 1/k in the order a per-term evaluation takes. So it
+returns the bits that evaluation would.
+
 The hypergeometric function is the one the SER series needs and no more:
 hyp2f1_complement evaluates 2F1(2i + 5/2, 3/2; 2i + 2; 1 - w) of series term
 i < MAX_N_TERMS and refuses any other parameter set. Its logarithmic series
@@ -84,11 +90,24 @@ _PSI_TAIL = (
 
 _SERIES_MAX_TERMS = 800
 
-# (k (k+1), 1/k, 1/(k+1)) for k = 1..102, the factors of the K1 power series.
-# Dividing by the float k (k+1) or k gives the bits the int gave, since the
-# int converts exactly. A term is at most q^k / (k! (k+1)!) with q = x^2/4 < 1,
-# which underflows to 0 by k = 102, so both series loops stop inside the table
-_K1_STEPS = tuple((float(k * (k + 1)), 1.0 / k, 1.0 / (k + 1)) for k in range(1, 103))
+# The K1 power series' first weight psi(1) + psi(2), and its rows
+# (k (k+1), psi(k+1) + psi(k+2)) for k = 1..102 (module docstring). A term is
+# at most q^k / (k! (k+1)!) with q = x^2/4 < 1, which underflows to 0 by
+# k = 102, so both series loops stop inside the table
+_K1_PSI0 = -_EULER_GAMMA + (1.0 - _EULER_GAMMA)
+
+
+def _k1_rows() -> tuple[tuple[float, float], ...]:
+    hk, hk1 = -_EULER_GAMMA, 1.0 - _EULER_GAMMA     # psi(1), psi(2)
+    rows = []
+    for k in range(1, 103):
+        hk += 1.0 / k
+        hk1 += 1.0 / (k + 1)
+        rows.append((float(k * (k + 1)), hk + hk1))
+    return tuple(rows)
+
+
+_K1_ROWS = _k1_rows()
 
 
 def _clenshaw(t: float, coeffs) -> float:
@@ -110,7 +129,7 @@ def _k1_small(x: float) -> float:
     term = 0.5 * x
     i1 = term
     comp = 0.0
-    for kk, _, _ in _K1_STEPS:
+    for kk, _ in _K1_ROWS:
         term *= q / kk
         y = term - comp
         t = i1 + y
@@ -119,21 +138,19 @@ def _k1_small(x: float) -> float:
         if term <= 1e-18 * i1:
             break
     # psi-weighted companion series
-    hk = -_EULER_GAMMA          # psi(1)
-    hk1 = 1.0 - _EULER_GAMMA    # psi(2)
     term = 1.0
-    s = hk + hk1
+    s = _K1_PSI0
     comp = 0.0
-    for kk, inv_k, inv_k1 in _K1_STEPS:
+    for kk, h in _K1_ROWS:
         term *= q / kk
-        hk += inv_k
-        hk1 += inv_k1
-        d = (hk + hk1) * term
+        d = h * term
         y = d - comp
         t = s + y
         comp = (t - s) - y
         s = t
-        if abs(d) <= 1e-18 * abs(s):
+        # abs(d) <= 1e-18 abs(s) by signs: h > 0 and q >= 0 make d >= 0 or
+        # NaN, and both forms are False at NaN and agree at -0.0
+        if d <= (1e-18 * s if s >= 0.0 else -1e-18 * s):
             break
     return math.log(0.5 * x) * i1 + 1.0 / x - 0.25 * x * s
 
@@ -144,7 +161,7 @@ def bessel_k1(x: float) -> float:
     Power series below x = 2, Chebyshev-economized scaled form
     e^-x K1(x) sqrt(x) above. x K1(x) -> 1 as x -> 0+.
     """
-    if math.isnan(x) or x <= 0.0:
+    if not x > 0.0:     # NaN too; one comparison, for ~100 calls per ser_quadrature
         raise DomainError(f"bessel_k1: x must be > 0, got {x}")
     if x < 2.0:
         # at x = 5e-324, x / 2 rounds to 0 and the series' log(x / 2) fails;

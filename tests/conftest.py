@@ -544,7 +544,11 @@ def ser_series_terms_oracle(stats, cfg: SystemConfig, n_terms: int = 3) -> list[
     eta = stats.eta
     if not 0.0 < lsr * lrd < math.inf:
         raise DomainError(f"l_sr * l_rd out of range: l_sr={lsr}, l_rd={lrd}")
-    s_plus = (1.0 / math.sqrt(lsr) + 1.0 / math.sqrt(lrd)) ** 2
+    try:
+        s_plus = (1.0 / math.sqrt(lsr) + 1.0 / math.sqrt(lrd)) ** 2
+    except OverflowError:
+        raise DomainError(f"series terms out of range: (1/sqrt(l_sr) + 1/sqrt(l_rd))^2 "
+                          f"overflows at l_sr={lsr}, l_rd={lrd}") from None
     delta = 4.0 / math.sqrt(lsr * lrd)
     pref = 2.0 * alpha * math.sqrt(2.0 * beta) / (lsr * lrd)
     out = []
@@ -558,7 +562,11 @@ def ser_series_terms_oracle(stats, cfg: SystemConfig, n_terms: int = 3) -> list[
                 raise DomainError(f"series terms out of range: 2F1 argument 1 - w < 0 "
                                   f"with w={w!r} at l_sr={lsr}, l_rd={lrd}")
             hyp = sfun.hyp2f1_complement(2 * i + 2.5, 1.5, 2.0 * i + 2.0, w)
-            out.append(c_i * pref * a_i * eta ** (2 * i) / x_i ** (2 * i + 2.5) * hyp)
+            term = c_i * pref * a_i * eta ** (2 * i) / x_i ** (2 * i + 2.5) * hyp
+            if math.isnan(term):
+                raise DomainError(f"series terms out of range: term {i} is NaN, its 2F1 "
+                                  f"{hyp!r} at w={w!r}, l_sr={lsr}, l_rd={lrd}")
+            out.append(term)
     except OverflowError:
         raise DomainError(f"series terms overflow: l_sr={lsr}, l_rd={lrd}") from None
     return out

@@ -36,6 +36,7 @@ from fdrelay import (
 )
 from fdrelay import analytic
 from fdrelay.analytic import MAX_N_TERMS, cdf_truncation_bound, ser_from_cdf
+from fdrelay.sfun import bessel_k1
 
 from conftest import cfg_at, outcome, ser_series_terms_oracle, stats_at
 
@@ -134,6 +135,38 @@ class TestSinrCdf:
         _, stats = stats_at(p_db, 0.1)
         assert sinr_cdf_asymptotic(x, stats) == 1.0
         assert sinr_cdf_exact_numeric(x, stats) == 1.0
+
+    @staticmethod
+    def min_max_cdf(x, stats):
+        # the asymptotic CDF with its survivor formed apart and clamped by
+        # min and max
+        lsr, lrd, eta = stats.lambda_sr, stats.lambda_rd, stats.eta
+        u = 2.0 * x / math.sqrt(lsr * lrd)
+        uk1 = 1.0 if u < 1e-12 else u * bessel_k1(u)
+        surv = math.exp(-(1.0 / lsr + 1.0 / lrd) * x) / (1.0 + eta * x) * uk1
+        return min(max(1.0 - surv, 0.0), 1.0)
+
+    # sqrt(l_sr l_rd) is 2 or 2^101 exactly, so that x sets u exactly
+    @pytest.mark.parametrize("lsr,lrd,eta", [(4.0, 1.0, 0.0), (0.5, 8.0, 0.3),
+                                             (2.0 ** 100, 2.0 ** 102, 1e-3)])
+    @pytest.mark.parametrize("u", [1e-300, 1e-13, math.nextafter(1e-12, 0.0), 1e-12, 1e-6,
+                                   0.930778009682853, 1.0, math.nextafter(2.0, 0.0), 2.0,
+                                   math.nextafter(2.0, 3.0), 30.0, 700.0, 1e5])
+    def test_clamp_by_comparisons_keeps_the_bits(self, lsr, lrd, eta, u):
+        # below u = 1e-12, on both sides of K1's series/Chebyshev switch at 2
+        # and where K1 underflows
+        stats = LinkStats(lsr, lrd, eta * lsr, eta)
+        x = u * math.sqrt(lsr * lrd) / 2.0
+        assert 2.0 * x / math.sqrt(lsr * lrd) == u
+        assert repr(sinr_cdf_asymptotic(x, stats)) == repr(self.min_max_cdf(x, stats))
+
+    @given(st.floats(1e-30, 1e4), st.sampled_from([(4.0, 1.0, 0.0), (0.5, 8.0, 0.3),
+                                                    (1e3, 3e4, 2.0), (1e-3, 1e-2, 1e-4)]))
+    @settings(max_examples=300, deadline=None)
+    def test_clamp_by_comparisons_keeps_the_bits_anywhere(self, x, link):
+        lsr, lrd, eta = link
+        stats = LinkStats(lsr, lrd, eta * lsr, eta)
+        assert repr(sinr_cdf_asymptotic(x, stats)) == repr(self.min_max_cdf(x, stats))
 
     @given(st.floats(0.0, 50.0), st.floats(0.01, 20.0))
     @settings(max_examples=150, deadline=None)
@@ -329,8 +362,8 @@ class TestSeriesAgainstPerCallOracle:
         assert outcomes == {"list", "DomainError"}
 
     def test_zero_weight_terms_at_extreme_links(self, per_call_series):
-        # a zero weight skips the 2F1 only where that is finite and > 0:
-        # at w = 4e-160 it is inf, and the term NaN, as before
+        # a zero weight skips the 2F1 only where that is finite and > 0: at
+        # w = 4e-160 it is inf, the term NaN, and the series refuses it
         cases = [(LinkStats(1e-60, 1e260, 0.0, 0.0), SystemConfig.bpsk(1.0, 0.0)),
                  (LinkStats(1e-40, 1e200, 0.0, 0.0), SystemConfig.bpsk(1.0, 0.0)),
                  (LinkStats(1e-320, 1e10, 0.0, 0.0), SystemConfig.bpsk(1.0, 0.0)),
@@ -341,7 +374,23 @@ class TestSeriesAgainstPerCallOracle:
                 assert (outcome(ser_series_terms, stats, cfg, n_terms)
                         == per_call_series(ser_series_terms_oracle, stats, cfg,
                                            n_terms)), (stats, n_terms)
-        assert outcome(ser_series_terms, *cases[0], 2) == "[nan, nan]"
+        assert outcome(ser_series_terms, *cases[0], 2).startswith(
+            "DomainError: series terms out of range: term 0 is NaN")
+
+    @pytest.mark.parametrize("n_terms", [1, 3, 10])
+    @pytest.mark.parametrize("stats,quantity", [
+        # term 0's 2F1 is inf at w = 4e-160, times a weight that underflowed
+        # to 0: a NaN that ser_series' clamp would pass
+        (LinkStats(1e-20, 1e300, 0.0, 0.0), "term 0 is NaN"),
+        (LinkStats(1e-20, 1e300, 5e-20, 5.0), "term 0 is NaN"),
+        # a subnormal link SNR
+        (LinkStats(1e-320, 1e10, 0.0, 0.0), "(1/sqrt(l_sr) + 1/sqrt(l_rd))^2 overflows"),
+        (LinkStats(5e289, 1.0195e-309, 0.0, 0.0), "(1/sqrt(l_sr) + 1/sqrt(l_rd))^2 overflows"),
+    ])
+    def test_out_of_range_is_a_domain_error(self, stats, quantity, n_terms):
+        with pytest.raises(DomainError) as err:
+            ser_series(stats, SystemConfig.bpsk(1.0, 0.0), n_terms)
+        assert str(err.value).startswith(f"series terms out of range: {quantity}")
 
 
 class TestQpsk:

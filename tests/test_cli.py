@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import fdrelay
@@ -349,10 +349,15 @@ class TestValidateAndExitCodes:
         ["outage", "--sum-distance", "1e300"],
         ["optimize-power", "--pathloss-exp", "1e300"],
         ["outage", "--threshold", "1e-180"],
+        ["ser", "--p-db=-100", "--pathloss-exp", "300", "--sum-distance", "10",
+         "--rho-d", "0.01", "--rsi-level", "0"],
+        ["optimize-power", "--pathloss-exp=327.79", "--sum-distance=9.603",
+         "--rsi-level=236.8", "--p-db=-73.03", "--rho-d=0.0595", "--rho-lambda=0.581"],
     ])
     def test_out_of_float_range_is_one_error_line(self, capsys, argv):
-        # D^-v overflows, lambda_sr underflows to 0, or the exact CDF's
-        # integrand leaves the float range where x^2 underflows
+        # D^-v overflows, lambda_sr underflows to 0, the exact CDF's
+        # integrand leaves the float range where x^2 underflows, or the
+        # series' (1/sqrt(l_sr) + 1/sqrt(l_rd))^2 overflows at a subnormal l_rd
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -363,6 +368,11 @@ class TestValidateAndExitCodes:
            st.one_of(st.just(0.0), st.floats(-6.0, 300.0).map(lambda e: 10.0 ** e)),
            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    # the series' (1/sqrt(l_sr) + 1/sqrt(l_rd))^2 overflows at a subnormal l_rd,
+    # where the 50 drawn examples do not reach
+    @example("ser", -100.0, 1.0, 2.4756711883244296, 0.0, 0.5, 0.01)
+    @example("optimize-power", -73.03, 0.9824069288637948, 2.5142687583522174, 236.8,
+             0.581, 0.0595)
     @settings(max_examples=50, deadline=None)
     @seed(24)
     def test_accepted_inputs_exit_without_a_traceback(self, command, p_db, log_d, log_v,

@@ -21,10 +21,10 @@ import fdrelay
 pytest.importorskip("resource")
 
 # each pool task allocates its workspace once and runs every block in place
-# in it: the outage and SER one array of 856 group means, 7 kB, one block
-# buffer (1 MB), the kernel's scratch for half a block (0.5 MB) and the edge
-# weights; the symbol level one block of uniforms (0.5 MB) and 7 chain
-# columns (0.4 MB). They raised the mark by 2.9-3.1 MB, all of it in the
+# in it: the outage and SER one block buffer (1 MB), the kernel's scratch for
+# half a block (0.5 MB) and the edge weights, beside one 17 kB array of group
+# means per estimate; the symbol level one block of uniforms (0.5 MB) and 7
+# chain columns (0.4 MB). They raised the mark by 2.9-3.1 MB, all of it in the
 # outage (cumulative: 3.8-4.3, 3.8-4.3 and 4.3-5.6 MB in this order with
 # block-sized temporaries, 5-6, 7-8 and 7-8 MB with a 1.6 MB array of
 # antithetic pair means per chunk); drawing and evaluating whole chunks
