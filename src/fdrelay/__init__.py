@@ -20,7 +20,6 @@ from .model import (
     RATIO_FLOOR,
     SystemConfig,
     db_to_linear,
-    linear_to_db,
     link_stats,
 )
 from .analytic import (
@@ -46,7 +45,6 @@ from .mc import (
     estimate_outage,
     estimate_ser_semianalytic,
     estimate_ser_symbol_level,
-    sinr_exact,
 )
 from .opt import (
     OptResult,
@@ -86,7 +84,6 @@ __all__ = [
     "joint_foc_roots",
     "joint_v3_closed",
     "kappa",
-    "linear_to_db",
     "link_stats",
     "minimize_1d",
     "optimal_location_closed",
@@ -103,6 +100,5 @@ __all__ = [
     "ser_series_terms",
     "sinr_cdf_asymptotic",
     "sinr_cdf_exact_numeric",
-    "sinr_exact",
     "__version__",
 ]

@@ -25,15 +25,13 @@ from operator import itemgetter
 
 from .errors import DomainError, NonConvergenceError, QuadratureError
 from .model import Allocation, LinkStats, SystemConfig, _Record, _setattr
-from .sfun import (MAX_N_TERMS, _e1_scaled_cf, bessel_k1, exp_integral_e1, gamma_fn,
-                   hyp2f1_complement)
+from .sfun import MAX_N_TERMS, bessel_k1, gamma_fn, hyp2f1_complement
 
 __all__ = [
     "ApproxCoeffs",
     "approx_coeffs",
     "sinr_cdf_asymptotic",
     "sinr_cdf_exact_numeric",
-    "cdf_truncation_bound",
     "outage",
     "ser_series",
     "ser_series_terms",
@@ -77,8 +75,8 @@ def kappa(cfg: SystemConfig) -> float:
 class ApproxCoeffs(_Record):
     """Pairs (A_i, B_i) of the approximation 1/(1+x) ~ sum A_i x^(2i) e^(-B_i x).
 
-    `exact` carries the rational values (fractions.Fraction); `pairs` the
-    float projections used in evaluation. A_0 = B_0 = 1 always.
+    `exact` carries the rational values (fractions.Fraction); the SER series
+    evaluates their float projections, _COEFF_PAIRS. A_0 = B_0 = 1 always.
     """
 
     __slots__ = ("exact",)
@@ -86,25 +84,17 @@ class ApproxCoeffs(_Record):
     def __init__(self, exact: tuple[tuple[Fraction, Fraction], ...]):
         _setattr(self, "exact", exact)
 
-    @property
-    def pairs(self) -> tuple[tuple[float, float], ...]:
-        return tuple((float(a), float(b)) for a, b in self.exact)
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.exact)
-
     def eval_approx(self, x: float) -> float:
-        """The approximating function itself; matches the Taylor series of
-        1/(1+x) through order x^(2 n_terms - 1)."""
+        """The approximating function itself; with n pairs it matches the
+        Taylor series of 1/(1+x) through order x^(2n - 1)."""
         return math.fsum(
             float(a) * x ** (2 * i) * math.exp(-float(b) * x)
             for i, (a, b) in enumerate(self.exact)
         )
 
 
-# approx_coeffs(MAX_N_TERMS).pairs, the (A_i, B_i) that the SER series
-# evaluates, so that it imports no fractions; a test pins them bit for bit
+# the floats of approx_coeffs(MAX_N_TERMS).exact, the (A_i, B_i) that the SER
+# series evaluates, so that it imports no fractions; a test pins them bit for bit
 _COEFF_PAIRS = (
     (1.0, 1.0),
     (0.5, 1.6666666666666667),
@@ -166,7 +156,9 @@ def sinr_cdf_asymptotic(x: float, stats: LinkStats) -> float:
 
     F(x) = 1 - e^{-(1/l_sr + 1/l_rd) x} / (1 + eta x) * u K1(u),
     u = 2x / sqrt(l_sr l_rd). Exact at eta = 0; otherwise a lower bound of
-    the exact CDF whose gap is controlled by cdf_truncation_bound().
+    the exact CDF, below it by at most C g e^g E1(g), the dropped interference
+    correction, with g = eta x^2 / (l_rd (1 + eta x)) and
+    C = e^{-(1/l_sr + 1/l_rd) x}.
     """
     if math.isnan(x) or x < 0.0:
         raise DomainError(f"sinr_cdf_asymptotic: x must be >= 0, got {x}")
@@ -215,12 +207,20 @@ def sinr_cdf_exact_numeric(x: float, stats: LinkStats) -> float:
     """
     if math.isnan(x) or x < 0.0:
         raise DomainError(f"sinr_cdf_exact_numeric: x must be >= 0, got {x}")
-    if x < 1e-200:
-        # CDF scales like (1/l_sr + 1/l_rd + eta) x here, far below _CDF_ABS_TOL
-        return 0.0
     lsr = stats.lambda_sr
     lrd = stats.lambda_rd
     eta = stats.eta
+    if x < 1e-200:
+        # below here x^2 underflows. With r = 1/l_sr + eta and E ~ Exp(l_rd)
+        # the second hop's excess over x, the CDF is at most
+        # x / l_rd + E[min(1, r (x + x^2 / E))], which stays below
+        # 2x (1/l_sr + 1/l_rd + eta) while that bound is below 1
+        bound = 2.0 * (x / lsr + x / lrd + eta * x)
+        if bound <= _CDF_ABS_TOL:
+            return 0.0
+        raise DomainError(f"sinr_cdf_exact_numeric: x = {x} is below 1e-200, where x^2 "
+                          f"underflows, and the CDF bound 2x (1/lambda_sr + 1/lambda_rd "
+                          f"+ eta) = {bound:.3g} exceeds {_CDF_ABS_TOL:g}")
     xx = x * x
 
     def integrand(us: list[float]) -> list[float]:
@@ -253,23 +253,6 @@ def sinr_cdf_exact_numeric(x: float, stats: LinkStats) -> float:
         raise DomainError(f"sinr_cdf_exact_numeric: the integrand's e^u leaves the float "
                           f"range at x = {x}, lambda_sr = {lsr}, lambda_rd = {lrd}") from None
     return min(max(1.0 - surv, 0.0), 1.0)
-
-
-def cdf_truncation_bound(x: float, stats: LinkStats) -> float:
-    """Upper bound on (exact CDF - asymptotic CDF) at threshold x.
-
-    The dropped interference correction is bounded by
-    C * g * e^g * E1(g) with g = eta x^2 / (l_rd (1 + eta x)) and
-    C = e^{-(1/l_sr + 1/l_rd) x}. Zero when eta = 0.
-    """
-    if x <= 0.0 or stats.eta == 0.0:
-        return 0.0
-    g = stats.eta * x * x / (stats.lambda_rd * (1.0 + stats.eta * x))
-    c = math.exp(-(1.0 / stats.lambda_sr + 1.0 / stats.lambda_rd) * x)
-    if g <= 1.0:
-        return c * g * math.exp(g) * exp_integral_e1(g)
-    # e^g E1(g) without e^g, which overflows past g ~ 709
-    return c * g * _e1_scaled_cf(g)
 
 
 def outage(threshold: float, stats: LinkStats, mode: str = "asymptotic") -> float:

@@ -73,7 +73,6 @@ __all__ = [
     "McEstimate",
     "stream",
     "draw_gammas",
-    "sinr_exact",
     "estimate_outage",
     "estimate_ser_semianalytic",
     "estimate_ser_symbol_level",
@@ -163,13 +162,6 @@ def draw_gammas(stats: LinkStats, u, out=None):
         np.log1p(np.negative(u[:, col], out=g), out=g)
         g *= -lam
     return out
-
-
-def sinr_exact(g_sr, g_rd, g_li):
-    """End-to-end SINR a*b / (a + b + 1) with a = g_sr / (g_li + 1), b = g_rd."""
-    a = g_sr / (g_li + 1.0)
-    b = g_rd
-    return a * b / (a + b + 1.0)
 
 
 def parallel_map(fn, items, workers: int) -> list:

@@ -18,7 +18,6 @@ __all__ = [
     "LinkStats",
     "link_stats",
     "db_to_linear",
-    "linear_to_db",
 ]
 
 # Decision ratios live strictly inside (0, 1); construction clamps to this box.
@@ -31,12 +30,6 @@ def db_to_linear(db: float) -> float:
         return 10.0 ** (db / 10.0)
     except OverflowError:
         raise DomainError(f"db_to_linear: {db} dB overflows a float") from None
-
-
-def linear_to_db(x: float) -> float:
-    if x <= 0.0:
-        raise DomainError(f"linear_to_db: x must be > 0, got {x}")
-    return 10.0 * math.log10(x)
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -227,16 +220,17 @@ def link_stats(cfg: SystemConfig, alloc: Allocation) -> LinkStats:
     """
     p_s, p_r = alloc.powers(cfg)
     d_sr, d_rd = alloc.distances(cfg)
-    v = cfg.pathloss_exp
+    return _link_stats(p_s, p_r, *_path_gains(d_sr, d_rd, cfg.pathloss_exp),
+                       cfg.rsi_level)
+
+
+def _path_gains(d_sr: float, d_rd: float, v: float) -> tuple[float, float]:
+    # (D_SR^-v, D_RD^-v), or DomainError where either overflows a float
     try:
-        return _link_stats(p_s, p_r, d_sr ** (-v), d_rd ** (-v), cfg.rsi_level)
+        return d_sr ** (-v), d_rd ** (-v)
     except OverflowError:
-        raise _gain_overflow(d_sr, d_rd, v) from None
-
-
-def _gain_overflow(d_sr: float, d_rd: float, v: float) -> DomainError:
-    return DomainError(f"path gain D^-v overflows a float at v = {v}, "
-                       f"D_SR = {d_sr}, D_RD = {d_rd}")
+        raise DomainError(f"path gain D^-v overflows a float at v = {v}, "
+                          f"D_SR = {d_sr}, D_RD = {d_rd}") from None
 
 
 def _link_stats(p_s: float, p_r: float, gain_sr: float, gain_rd: float,

@@ -14,7 +14,7 @@ import math
 from . import analytic
 from .errors import DomainError
 from .model import (RATIO_FLOOR, _RATIO_CEIL, Allocation, SystemConfig, _exact_split,
-                    _gain_overflow, _link_stats, _Record, _setattr, link_stats)
+                    _link_stats, _path_gains, _Record, _setattr, link_stats)
 
 __all__ = [
     "OptResult",
@@ -199,19 +199,11 @@ def minimize_1d(objective: str, cfg: SystemConfig, fixed_ratio: float,
 
         def stats_at(x: float):
             d_sr, d_rd = _exact_split(min(max(x, RATIO_FLOOR), _RATIO_CEIL), cfg.sum_distance)
-            try:
-                gains = d_sr ** (-v), d_rd ** (-v)
-            except OverflowError:
-                raise _gain_overflow(d_sr, d_rd, v) from None
-            return _link_stats(*powers, *gains, cfg.rsi_level)
+            return _link_stats(*powers, *_path_gains(d_sr, d_rd, v), cfg.rsi_level)
     elif objective == "power":
         def make(x):
             return Allocation(rho_lambda=x, rho_d=fixed_ratio)
-        d_sr, d_rd = make(0.5).distances(cfg)
-        try:
-            gains = d_sr ** (-v), d_rd ** (-v)
-        except OverflowError:
-            raise _gain_overflow(d_sr, d_rd, v) from None
+        gains = _path_gains(*make(0.5).distances(cfg), v)
 
         def stats_at(x: float):
             powers = _exact_split(min(max(x, RATIO_FLOOR), _RATIO_CEIL), cfg.total_power)

@@ -48,6 +48,24 @@ def stats_at(p_db: float, eps: float, v: float = 3.0,
     return cfg, link_stats(cfg, Allocation(rho_lambda, rho_d))
 
 
+def cdf_truncation_bound(x: float, stats) -> float:
+    """Upper bound on (exact CDF - asymptotic CDF) at threshold x, the bound
+    oracle of analytic.sinr_cdf_asymptotic.
+
+    The dropped interference correction is bounded by
+    C * g * e^g * E1(g) with g = eta x^2 / (l_rd (1 + eta x)) and
+    C = e^{-(1/l_sr + 1/l_rd) x}. Zero when eta = 0.
+    """
+    if x <= 0.0 or stats.eta == 0.0:
+        return 0.0
+    g = stats.eta * x * x / (stats.lambda_rd * (1.0 + stats.eta * x))
+    c = math.exp(-(1.0 / stats.lambda_sr + 1.0 / stats.lambda_rd) * x)
+    if g <= 1.0:
+        return c * g * math.exp(g) * sfun.exp_integral_e1(g)
+    # e^g E1(g) without e^g, which overflows past g ~ 709
+    return c * g * sfun._e1_scaled_cf(g)
+
+
 def ser_series_grid_oracle(cfg: SystemConfig, rho_lambda: np.ndarray,
                            rho_d: np.ndarray, n_terms: int = 3) -> np.ndarray:
     """Vectorized scipy evaluation of the SER series over an allocation grid.
@@ -178,6 +196,14 @@ def minimize_1d_oracle(objective: str, cfg: SystemConfig, fixed_ratio: float,
                          bracket_width=width)
 
 
+def sinr_exact(g_sr, g_rd, g_li):
+    """End-to-end SINR a*b / (a + b + 1) with a = g_sr / (g_li + 1), b = g_rd:
+    the reference SINR of the Monte Carlo tests."""
+    a = g_sr / (g_li + 1.0)
+    b = g_rd
+    return a * b / (a + b + 1.0)
+
+
 def outage_indicator_oracle(stats, threshold: float, n: int, seed: int) -> McEstimate:
     """The crude outage estimator that conditional Monte Carlo replaced: the
     count of channel draws whose SINR ab / (a + b + 1) falls below
@@ -196,8 +222,7 @@ def outage_indicator_oracle(stats, threshold: float, n: int, seed: int) -> McEst
         g_sr = -stats.lambda_sr * np.log1p(-u[:, 0])
         g_rd = -stats.lambda_rd * np.log1p(-u[:, 1])
         g_li = -stats.lambda_li * np.log1p(-u[:, 2])
-        a = g_sr / (g_li + 1.0)
-        count += int(np.count_nonzero(a * g_rd / (a + g_rd + 1.0) < threshold))
+        count += int(np.count_nonzero(sinr_exact(g_sr, g_rd, g_li) < threshold))
     p = count / n
     return McEstimate(value=p, std_error=math.sqrt(p * (1.0 - p) / n),
                       n_samples=n, seed=seed, count=count)
@@ -536,7 +561,7 @@ def ser_series_terms_oracle(stats, cfg: SystemConfig, n_terms: int = 3) -> list[
     terms must match bit for bit, exceptions included. The hypergeometric
     goes through sfun.hyp2f1_complement, so under per_call_series it is the
     per-call log series too."""
-    coeffs = analytic.approx_coeffs(n_terms).pairs
+    coeffs = [(float(a), float(b)) for a, b in analytic.approx_coeffs(n_terms).exact]
     alpha = cfg.alpha_mod
     beta = cfg.beta_mod
     lsr = stats.lambda_sr

@@ -35,10 +35,10 @@ from fdrelay import (
     sinr_cdf_exact_numeric,
 )
 from fdrelay import analytic
-from fdrelay.analytic import MAX_N_TERMS, cdf_truncation_bound, ser_from_cdf
+from fdrelay.analytic import MAX_N_TERMS, ser_from_cdf
 from fdrelay.sfun import bessel_k1
 
-from conftest import cfg_at, outcome, ser_series_terms_oracle, stats_at
+from conftest import cdf_truncation_bound, cfg_at, outcome, ser_series_terms_oracle, stats_at
 
 
 class TestApproxCoeffs:
@@ -106,7 +106,8 @@ class TestApproxCoeffs:
         # it loads no fractions; each float is that of the exact pair, bit
         # for bit, and the series' n_terms has approx_coeffs' range
         table = [(a.hex(), b.hex()) for a, b in analytic._COEFF_PAIRS]
-        assert table == [(a.hex(), b.hex()) for a, b in approx_coeffs(MAX_N_TERMS).pairs]
+        assert table == [(float(a).hex(), float(b).hex())
+                         for a, b in approx_coeffs(MAX_N_TERMS).exact]
         stats = link_stats(cfg_at(20.0, 0.1), Allocation(0.5, 0.5))
         for n_terms in (0, MAX_N_TERMS + 1):
             with pytest.raises(DomainError, match="n_terms must be in"):
@@ -193,6 +194,17 @@ class TestSinrCdf:
         x, lsr, lrd, eta = case
         stats = LinkStats(lsr, lrd, eta * lsr, eta)
         assert sinr_cdf_exact_numeric(x, stats) == pytest.approx(expected, abs=1e-10)
+
+    def test_exact_cdf_below_1e_200(self):
+        # x^2 underflows there: 0 where the bound 2x (1/l_sr + 1/l_rd + eta)
+        # is within the tolerance, a DomainError where it is not
+        _, stats = stats_at(20.0, 0.1)
+        assert sinr_cdf_exact_numeric(1e-201, stats) == 0.0
+        assert sinr_cdf_exact_numeric(0.0, LinkStats(5e-324, 5e-324, 0.0, 0.0)) == 0.0
+        weak = LinkStats(1e-300, 1e-300, 1e-301, 0.1)
+        assert sinr_cdf_asymptotic(1e-201, weak) == 1.0
+        with pytest.raises(DomainError, match=r"CDF bound .* = 4e\+99"):
+            sinr_cdf_exact_numeric(1e-201, weak)
 
     def test_zero_rsi_collapses_to_closed_form(self):
         # with eta = 0 the dropped correction vanishes, so quadrature of the

@@ -23,6 +23,8 @@ from fdrelay.cli import (
     main,
 )
 
+from test_reach import FLOAT_RANGE_ARGVS, TRACEBACK_EXAMPLES, traceback_argv
+
 
 def run_cli(args, tmp_path, name="out.csv"):
     out = tmp_path / name
@@ -211,6 +213,15 @@ class TestCommands:
             _, _, b = run_cli(args + ["--workers", "6"], tmp_path, "w6.csv")
             assert a.read_bytes() == b.read_bytes(), args
 
+    @pytest.mark.parametrize("argv", [["outage", "--p-db", "0:30:10"],
+                                      ["ser", "--p-db", "0:30:10"], ["figure", "2"]])
+    def test_mode_mc_and_both_write_the_same_bytes(self, tmp_path, argv):
+        # the analytic columns are always written, so the two modes are one
+        args = argv + ["--mc-samples", "20000", "--seed", "5"]
+        _, _, a = run_cli(args + ["--mode", "mc"], tmp_path, "mc.csv")
+        _, _, b = run_cli(args + ["--mode", "both"], tmp_path, "both.csv")
+        assert a.read_bytes() == b.read_bytes()
+
     @pytest.mark.parametrize("command", ["outage", "ser"])
     def test_single_row_estimate_uses_the_workers(self, tmp_path, monkeypatch, command):
         # one row leaves the pool idle, so its estimator gets the threads;
@@ -344,20 +355,12 @@ class TestValidateAndExitCodes:
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: series terms out of range: ")
 
-    @pytest.mark.parametrize("argv", [
-        ["ser", "--sum-distance", "1e-300"],
-        ["outage", "--sum-distance", "1e300"],
-        ["optimize-power", "--pathloss-exp", "1e300"],
-        ["outage", "--threshold", "1e-180"],
-        ["ser", "--p-db=-100", "--pathloss-exp", "300", "--sum-distance", "10",
-         "--rho-d", "0.01", "--rsi-level", "0"],
-        ["optimize-power", "--pathloss-exp=327.79", "--sum-distance=9.603",
-         "--rsi-level=236.8", "--p-db=-73.03", "--rho-d=0.0595", "--rho-lambda=0.581"],
-    ])
+    @pytest.mark.parametrize("argv", FLOAT_RANGE_ARGVS)
     def test_out_of_float_range_is_one_error_line(self, capsys, argv):
         # D^-v overflows, lambda_sr underflows to 0, the exact CDF's
-        # integrand leaves the float range where x^2 underflows, or the
-        # series' (1/sqrt(l_sr) + 1/sqrt(l_rd))^2 overflows at a subnormal l_rd
+        # integrand leaves the float range where x^2 underflows (or, below
+        # x = 1e-200, its bound cannot settle the CDF as 0), or the series'
+        # (1/sqrt(l_sr) + 1/sqrt(l_rd))^2 overflows at a subnormal l_rd
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -368,22 +371,17 @@ class TestValidateAndExitCodes:
            st.one_of(st.just(0.0), st.floats(-6.0, 300.0).map(lambda e: 10.0 ** e)),
            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    # the series' (1/sqrt(l_sr) + 1/sqrt(l_rd))^2 overflows at a subnormal l_rd,
-    # where the 50 drawn examples do not reach
-    @example("ser", -100.0, 1.0, 2.4756711883244296, 0.0, 0.5, 0.01)
-    @example("optimize-power", -73.03, 0.9824069288637948, 2.5142687583522174, 236.8,
-             0.581, 0.0595)
+    # inputs that the 50 drawn examples do not reach (test_reach.TRACEBACK_EXAMPLES)
+    @example(*TRACEBACK_EXAMPLES[0])
+    @example(*TRACEBACK_EXAMPLES[1])
     @settings(max_examples=50, deadline=None)
     @seed(24)
     def test_accepted_inputs_exit_without_a_traceback(self, command, p_db, log_d, log_v,
                                                       eps, rho_lambda, rho_d):
         # any power, geometry and RSI the parser and SystemConfig accept ends
         # in a CSV, an error line or a numeric failure, never an exception
-        argv = [*command.split(), f"--p-db={p_db!r}", "--sum-distance", repr(10.0 ** log_d),
-                "--pathloss-exp", repr(1.0 + 10.0 ** log_v), "--rsi-level", repr(eps),
-                "--rho-lambda", repr(rho_lambda), "--rho-d", repr(rho_d),
-                "--output", os.devnull]
-        assert main(argv) in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC)
+        argv = traceback_argv(command, p_db, log_d, log_v, eps, rho_lambda, rho_d)
+        assert main([*argv, "--output", os.devnull]) in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC)
 
     def test_validate_optimizer_checks_use_n_terms(self, tmp_path):
         from fdrelay import SystemConfig, db_to_linear, opt

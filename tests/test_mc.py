@@ -22,7 +22,6 @@ from fdrelay import (
     link_stats,
     ser_quadrature,
     sinr_cdf_exact_numeric,
-    sinr_exact,
 )
 from fdrelay import mc, sfun
 from fdrelay.mc import CHUNK_SAMPLES, stream
@@ -38,6 +37,7 @@ from conftest import (
     ser_fading_oracle,
     ser_group_pairs,
     ser_pair_oracle,
+    sinr_exact,
     stats_at,
     symbol_level_complex_oracle,
     tail_stretch,
