@@ -192,6 +192,20 @@ def _asymptotic_cdf(stats: LinkStats) -> Callable[[float], float]:
     return cdf
 
 
+def _cdf_small_x(x: float, lsr: float, lrd: float, eta: float, why: str) -> float:
+    """The exact CDF where its quadrature cannot run (why says so): 0.0 where
+    the bound 2x (1/l_sr + 1/l_rd + eta) settles it, else DomainError.
+
+    With r = 1/l_sr + eta and E ~ Exp(l_rd) the second hop's excess over x,
+    the CDF is at most x / l_rd + E[min(1, r (x + x^2 / E))], which stays
+    below that bound while the bound is below 1."""
+    bound = 2.0 * (x / lsr + x / lrd + eta * x)
+    if bound <= _CDF_ABS_TOL:
+        return 0.0
+    raise DomainError(f"sinr_cdf_exact_numeric: {why}, and the CDF bound 2x (1/lambda_sr "
+                      f"+ 1/lambda_rd + eta) = {bound:.3g} exceeds {_CDF_ABS_TOL:g}")
+
+
 def sinr_cdf_exact_numeric(x: float, stats: LinkStats) -> float:
     """Exact CDF of the two-hop SINR ratio form, by adaptive quadrature.
 
@@ -211,16 +225,7 @@ def sinr_cdf_exact_numeric(x: float, stats: LinkStats) -> float:
     lrd = stats.lambda_rd
     eta = stats.eta
     if x < 1e-200:
-        # below here x^2 underflows. With r = 1/l_sr + eta and E ~ Exp(l_rd)
-        # the second hop's excess over x, the CDF is at most
-        # x / l_rd + E[min(1, r (x + x^2 / E))], which stays below
-        # 2x (1/l_sr + 1/l_rd + eta) while that bound is below 1
-        bound = 2.0 * (x / lsr + x / lrd + eta * x)
-        if bound <= _CDF_ABS_TOL:
-            return 0.0
-        raise DomainError(f"sinr_cdf_exact_numeric: x = {x} is below 1e-200, where x^2 "
-                          f"underflows, and the CDF bound 2x (1/lambda_sr + 1/lambda_rd "
-                          f"+ eta) = {bound:.3g} exceeds {_CDF_ABS_TOL:g}")
+        return _cdf_small_x(x, lsr, lrd, eta, f"x = {x} is below 1e-200, where x^2 underflows")
     xx = x * x
 
     def integrand(us: list[float]) -> list[float]:
@@ -250,8 +255,8 @@ def sinr_cdf_exact_numeric(x: float, stats: LinkStats) -> float:
         surv, err = _quad_checked(integrand, u_lo, u_hi, _CDF_ABS_TOL,
                                   "sinr_cdf_exact_numeric", points=breaks)
     except (OverflowError, ZeroDivisionError):
-        raise DomainError(f"sinr_cdf_exact_numeric: the integrand's e^u leaves the float "
-                          f"range at x = {x}, lambda_sr = {lsr}, lambda_rd = {lrd}") from None
+        return _cdf_small_x(x, lsr, lrd, eta, f"the integrand's e^u leaves the float range "
+                            f"at x = {x}, lambda_sr = {lsr}, lambda_rd = {lrd}")
     return min(max(1.0 - surv, 0.0), 1.0)
 
 

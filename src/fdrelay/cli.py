@@ -58,9 +58,6 @@ _KEYS = {
 # SINR outage threshold of `outage` (its --threshold default) and of figure 2
 _THRESHOLD = 1.0
 
-# objective -> (the ratio its 1-D solve frees, the ratio it holds fixed)
-_RATIOS = {"location": ("rho_d", "rho_lambda"), "power": ("rho_lambda", "rho_d")}
-
 # RSI grid used by figure sweeps when a caption-style "different levels"
 # spread is needed.
 _RSI_GRID = (0.0, 0.01, 0.1, 0.3)
@@ -281,7 +278,7 @@ def _ser(spec):
 
 
 def _optimize_1d(spec, objective: str):
-    free, fixed = _RATIOS[objective]
+    free, fixed, _ = opt._OBJECTIVES[objective]
     held = getattr(spec.allocation, fixed)
 
     def columns(cfg, _):
@@ -483,9 +480,7 @@ def _validate(spec):
         return "coeff_taylor_residual", worst, 1.0
 
     def optimizer_agreement(kind: str):
-        free, fixed = _RATIOS[kind]
-        closed_form = (opt.optimal_location_closed if kind == "location"
-                       else opt.optimal_power_closed)
+        free, fixed, closed_form = opt._OBJECTIVES[kind]
 
         def run():
             cfg = _at(base, 40.0)

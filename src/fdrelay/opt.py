@@ -25,7 +25,6 @@ __all__ = [
     "joint_foc_roots",
     "joint_v3_closed",
     "select_joint_optimum",
-    "sequential_v2",
 ]
 
 _GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
@@ -98,6 +97,20 @@ def optimal_power_closed(cfg: SystemConfig, rho_d: float) -> float:
     return math.exp(-t) / (1.0 + math.exp(-t)) if t > 0.0 else 1.0 / (1.0 + math.exp(t))
 
 
+# objective -> (the ratio it frees, the ratio it holds, its closed-form optimum)
+_OBJECTIVES = {
+    "location": ("rho_d", "rho_lambda", optimal_location_closed),
+    "power": ("rho_lambda", "rho_d", optimal_power_closed),
+}
+
+
+def _objective(objective: str):
+    try:
+        return _OBJECTIVES[objective]
+    except (KeyError, TypeError):
+        raise DomainError(f"objective must be 'location' or 'power', got {objective!r}") from None
+
+
 def closed_form_result(objective: str, cfg: SystemConfig, fixed_ratio: float,
                        n_terms: int = analytic.DEFAULT_N_TERMS) -> OptResult:
     """Wrap a closed-form solution with its SER and residual diagnostics.
@@ -105,12 +118,8 @@ def closed_form_result(objective: str, cfg: SystemConfig, fixed_ratio: float,
     The closed forms are high-power approximations, so foc_residual is
     generally nonzero at finite power.
     """
-    if objective == "location":
-        alloc = Allocation(fixed_ratio, optimal_location_closed(cfg, fixed_ratio))
-    elif objective == "power":
-        alloc = Allocation(optimal_power_closed(cfg, fixed_ratio), fixed_ratio)
-    else:
-        raise DomainError(f"objective must be 'location' or 'power', got {objective!r}")
+    free, held, closed = _objective(objective)
+    alloc = Allocation(**{free: closed(cfg, fixed_ratio), held: fixed_ratio})
     return OptResult(
         allocation=alloc,
         ser=analytic.ser_series(link_stats(cfg, alloc), cfg, n_terms),
@@ -189,27 +198,23 @@ def minimize_1d(objective: str, cfg: SystemConfig, fixed_ratio: float,
     """
     if not 1e-10 <= tol <= 1e-2:
         raise DomainError(f"tol must be in [1e-10, 1e-2], got {tol}")
+    free, held, _ = _objective(objective)
     v = cfg.pathloss_exp
     # the fixed ratio sets the powers or the path gains once per solve; each
     # evaluation clamps its ratio as Allocation does and forms the other half
+    fixed = Allocation(**{free: 0.5, held: fixed_ratio})
     if objective == "location":
-        def make(x):
-            return Allocation(rho_lambda=fixed_ratio, rho_d=x)
-        powers = make(0.5).powers(cfg)
+        powers = fixed.powers(cfg)
 
         def stats_at(x: float):
             d_sr, d_rd = _exact_split(min(max(x, RATIO_FLOOR), _RATIO_CEIL), cfg.sum_distance)
             return _link_stats(*powers, *_path_gains(d_sr, d_rd, v), cfg.rsi_level)
-    elif objective == "power":
-        def make(x):
-            return Allocation(rho_lambda=x, rho_d=fixed_ratio)
-        gains = _path_gains(*make(0.5).distances(cfg), v)
+    else:
+        gains = _path_gains(*fixed.distances(cfg), v)
 
         def stats_at(x: float):
             powers = _exact_split(min(max(x, RATIO_FLOOR), _RATIO_CEIL), cfg.total_power)
             return _link_stats(*powers, *gains, cfg.rsi_level)
-    else:
-        raise DomainError(f"objective must be 'location' or 'power', got {objective!r}")
 
     def ser_at(x: float) -> float:
         val = analytic.ser_series(stats_at(x), cfg, n_terms)
@@ -218,7 +223,7 @@ def minimize_1d(objective: str, cfg: SystemConfig, fixed_ratio: float,
         return val
 
     x, ser, evals, width = _brent(ser_at, RATIO_FLOOR, 1.0 - RATIO_FLOOR, tol)
-    alloc = make(x)
+    alloc = Allocation(**{free: x, held: fixed_ratio})
     return OptResult(
         allocation=alloc,
         ser=ser,
@@ -354,6 +359,8 @@ def joint_v3_closed(cfg: SystemConfig) -> list[float]:
 
 
 def _particular_solution(cfg: SystemConfig) -> Allocation:
+    # the sequential optimum at v = 2: stationary for the surrogate, though for eps > 0
+    # the series is lower elsewhere (eps 0.1, 30 dB: 1.38e-3 here, 2.95e-4 at 0.09, 0.01)
     s = math.sqrt(1.0 + cfg.rsi_level * cfg.total_power)
     return Allocation(rho_lambda=s / (s + 1.0), rho_d=0.5)
 
@@ -387,18 +394,3 @@ def select_joint_optimum(cfg: SystemConfig,
         foc_residual=_residual(best, cfg),
         iterations=len(candidates) + 1,
     )
-
-
-def sequential_v2(cfg: SystemConfig) -> Allocation:
-    """Sequential optimum at v = 2: the particular solution
-    rho_lambda = sqrt(1 + eps P) / (sqrt(1 + eps P) + 1), rho_d = 1/2.
-
-    It is a stationary point of the high-power surrogate, not the minimum of
-    the SER series over the box: for eps > 0 the series is lower elsewhere
-    (at eps = 0.1, 30 dB: 1.38e-3 here, 2.95e-4 at rho_lambda = 0.09,
-    rho_d = 0.01)."""
-    if cfg.pathloss_exp != 2.0:
-        raise DomainError(
-            f"sequential_v2 requires pathloss_exp == 2, got {cfg.pathloss_exp}"
-        )
-    return _particular_solution(cfg)

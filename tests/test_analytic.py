@@ -206,6 +206,14 @@ class TestSinrCdf:
         with pytest.raises(DomainError, match=r"CDF bound .* = 4e\+99"):
             sinr_cdf_exact_numeric(1e-201, weak)
 
+    def test_exact_cdf_where_its_quadrature_cannot_run(self):
+        # from 1e-200 to ~1e-159 x^2 underflows and the integrand's e^u
+        # leaves the float range; the bound of the case below 1e-200 settles
+        # the CDF there too
+        _, stats = stats_at(20.0, 0.1)
+        for k in range(-202, -150):
+            assert sinr_cdf_exact_numeric(10.0 ** k, stats) == 0.0
+
     def test_zero_rsi_collapses_to_closed_form(self):
         # with eta = 0 the dropped correction vanishes, so quadrature of the
         # exact integral must reproduce the Bessel closed form

@@ -176,6 +176,13 @@ class TestCommands:
         assert code == EXIT_OK
         assert rows[1][2:4] == ["1", "1"]
 
+    def test_outage_where_x_squared_underflows(self, tmp_path):
+        # the quadrature cannot run at x = 1e-180, and the CDF bound
+        # 2x (1/l_sr + 1/l_rd + eta) ~ 3.5e-182 settles the exact CDF as 0
+        code, rows, _ = run_cli(["outage", "--threshold", "1e-180"], tmp_path)
+        assert code == EXIT_OK
+        assert rows[1][3] == "0"
+
     def test_negative_p_db_range(self, tmp_path):
         # "--p-db -10:0:5" reads as an option to argparse; the "=" form works
         code, rows, _ = run_cli(["outage", "--p-db=-10:0:5"], tmp_path)
@@ -358,9 +365,9 @@ class TestValidateAndExitCodes:
     @pytest.mark.parametrize("argv", FLOAT_RANGE_ARGVS)
     def test_out_of_float_range_is_one_error_line(self, capsys, argv):
         # D^-v overflows, lambda_sr underflows to 0, the exact CDF's
-        # integrand leaves the float range where x^2 underflows (or, below
-        # x = 1e-200, its bound cannot settle the CDF as 0), or the series'
-        # (1/sqrt(l_sr) + 1/sqrt(l_rd))^2 overflows at a subnormal l_rd
+        # quadrature cannot run where x^2 underflows and its bound cannot
+        # settle the CDF as 0, or the series' (1/sqrt(l_sr) +
+        # 1/sqrt(l_rd))^2 overflows at a subnormal l_rd
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -23,10 +23,9 @@ from fdrelay import (
     optimal_location_closed,
     optimal_power_closed,
     select_joint_optimum,
-    sequential_v2,
     ser_series,
 )
-from fdrelay import analytic
+from fdrelay import analytic, opt
 
 from conftest import (
     cfg_at,
@@ -426,25 +425,22 @@ class TestSelectJointOptimum:
 
 
 class TestSequentialV2:
+    # at v = 2 the sequential optimum is the particular solution
+    # rho_lambda = sqrt(1 + eps P) / (sqrt(1 + eps P) + 1), rho_d = 1/2
     def test_matches_joint_at_v2(self):
         cfg = cfg_at(20.0, 0.1, v=2.0)
-        seq = sequential_v2(cfg)
         joint = select_joint_optimum(cfg)
-        assert seq.rho_lambda == pytest.approx(joint.allocation.rho_lambda, abs=1e-9)
-        assert seq.rho_d == pytest.approx(joint.allocation.rho_d, abs=1e-9)
+        assert joint.allocation.rho_lambda == pytest.approx(prop2_rho_lambda(cfg), abs=1e-9)
+        assert joint.allocation.rho_d == pytest.approx(0.5, abs=1e-9)
 
     def test_no_rsi(self):
-        got = sequential_v2(cfg_at(20.0, 0.0, v=2.0))
+        got = opt._particular_solution(cfg_at(20.0, 0.0, v=2.0))
         assert got.rho_lambda == pytest.approx(0.5, abs=1e-15)
         assert got.rho_d == 0.5
 
     def test_critical_value(self):
-        got = sequential_v2(SystemConfig.bpsk(100.0, 0.03, 2.0))  # eps P = 3
+        got = opt._particular_solution(SystemConfig.bpsk(100.0, 0.03, 2.0))  # eps P = 3
         assert got.rho_lambda == pytest.approx(2.0 / 3.0, abs=1e-15)
-
-    def test_requires_v2(self):
-        with pytest.raises(DomainError):
-            sequential_v2(cfg_at(20.0, 0.1, v=3.0))
 
 
 class TestConvexityAndStationarity:

@@ -10,7 +10,9 @@ table's first use would not run again here. The gate fails when
 
 - a def is neither reached nor allowlisted,
 - an allowlisted def is reached (its entry is stale), or
-- an allowlisted def no longer exists.
+- an allowlisted def no longer exists, or
+- an allowlist reason cites "acceptance criterion NN" and test_criterion_NN_*
+  does not name the def.
 
 A def that no command needs should go. To keep code that only a test, the
 benchmark or an outside caller runs, add its `module:qualname` to ALLOWLIST
@@ -18,8 +20,9 @@ with a one-line reason; to show that a command runs it, add the command to
 COMMANDS.
 
 Run as a script for the report: the unreached defs, the allowlist with its
-reasons, and the lines of each module of src/fdrelay. It exits 1 when the
-gate fails, as tests/golden.py does:
+reasons, each module's public names (its __all__) with their count, and the
+lines of each module of src/fdrelay. It exits 1 when the gate fails, as
+tests/golden.py does:
 
     python tests/test_reach.py
 """
@@ -29,6 +32,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -41,6 +45,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "fdrelay"
+ACCEPTANCE = Path(__file__).resolve().with_name("test_acceptance.py")
 
 # inputs past the float range that end in one error line; test_cli's
 # test_out_of_float_range_is_one_error_line runs each
@@ -48,7 +53,7 @@ FLOAT_RANGE_ARGVS = [
     ["ser", "--sum-distance", "1e-300"],
     ["outage", "--sum-distance", "1e300"],
     ["optimize-power", "--pathloss-exp", "1e300"],
-    ["outage", "--threshold", "1e-180"],
+    ["outage", "--threshold", "1e-180", "--rsi-level", "1e175"],
     ["ser", "--p-db=-100", "--pathloss-exp", "300", "--sum-distance", "10",
      "--rho-d", "0.01", "--rsi-level", "0"],
     ["optimize-power", "--pathloss-exp=327.79", "--sum-distance=9.603",
@@ -97,7 +102,6 @@ COMMANDS = [
 ALLOWLIST = {
     "analytic:f_objective": "acceptance criterion 09 checks the surrogate's convexity",
     "opt:joint_v3_closed": "acceptance criterion 08(b) checks the v = 3 closed form",
-    "opt:sequential_v2": "acceptance criterion 08(b) checks the v = 2 particular solution",
     "sfun:exp_integral_e1": "acceptance criterion 02 checks it against mpmath",
     "sfun:_e1_scaled_cf": "exp_integral_e1's continued fraction (criterion 02)",
     "model:SystemConfig.bpsk": "acceptance criterion 08 builds its scenarios with it",
@@ -199,6 +203,39 @@ def gate(all_defs: dict, entered: set, allowlist) -> dict[str, list[str]]:
     }
 
 
+def criterion_names(path: Path = ACCEPTANCE) -> dict[str, set[str]]:
+    """Criterion number ('08') -> the names and attributes that its
+    test_criterion_NN_* uses, read with ast from the source of `path`."""
+    out = {}
+    for node in ast.parse(path.read_text(), str(path)).body:
+        match = re.fullmatch(r"test_criterion_(\d+)_\w*", getattr(node, "name", ""))
+        if match:
+            out[match[1]] = {n.id if isinstance(n, ast.Name) else n.attr
+                             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+    return out
+
+
+def miscited(allowlist, criteria: dict[str, set[str]]) -> list[str]:
+    """Allowlist entries whose reason cites "acceptance criterion NN" while
+    test_criterion_NN_* does not name the def (the last part of its qualname)."""
+    return sorted(key for key, reason in allowlist.items()
+                  for nn in re.findall(r"acceptance criterion (\d+)", reason)
+                  if key.split(":")[1].rsplit(".", 1)[-1] not in criteria.get(nn, ()))
+
+
+def public_names() -> dict[str, list[str]]:
+    """Module -> its __all__, for each module of src/fdrelay that lists it
+    name by name (the package's __all__ joins theirs), read with ast."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if (isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+                    and all(isinstance(e, ast.Constant) for e in node.value.elts)):
+                out[path.stem] = [e.value for e in node.value.elts]
+    return out
+
+
 @pytest.fixture(scope="module")
 def failures() -> dict[str, list[str]]:
     return gate(defs(), reached(), ALLOWLIST)
@@ -227,6 +264,35 @@ def test_gate_reports_each_kind():
         "unreached": ["a:g (line 5)"], "reached": ["a:f"], "missing": ["a:gone"]}
 
 
+def test_allowlist_citations_name_the_def():
+    assert miscited(ALLOWLIST, criterion_names()) == []
+
+
+def test_miscited_reports_a_false_citation():
+    # criterion 04 uses f and b.g; "a:h" is not named there, and "a:k" cites
+    # a criterion that has no test
+    criteria = {"04": {"f", "b", "g"}}
+    assert miscited({"a:f": "acceptance criterion 04 checks it",
+                     "a:C.g": "acceptance criterion 04(a)",
+                     "a:h": "criterion 04 names no def here"}, criteria) == []
+    assert miscited({"a:h": "acceptance criterion 04 checks it",
+                     "a:k": "acceptance criterion 12"}, criteria) == ["a:h", "a:k"]
+
+
+def test_package_lists_each_module_list_once():
+    # the package's __all__ is the error names, then each module's __all__
+    # in import order, then __version__; each name resolves on the package
+    import fdrelay
+    from fdrelay import analytic, mc, model, opt
+
+    want = ["DomainError", "NonConvergenceError", "QuadratureError",
+            "UnsupportedModulationError", *model.__all__, *analytic.__all__, *mc.__all__,
+            *opt.__all__, "__version__"]
+    assert fdrelay.__all__ == want
+    assert len(want) == len(set(want)) == 44
+    assert all(hasattr(fdrelay, name) for name in want)
+
+
 def main() -> int:
     all_defs = defs()
     entered = reached()
@@ -237,6 +303,9 @@ def main() -> int:
     print("allowlist:")
     for key, reason in sorted(ALLOWLIST.items()):
         print(f"  {key}: {reason}")
+    print("public names:")
+    for module, names in public_names().items():
+        print(f"  {module} ({len(names)}): {', '.join(names)}")
     print("src lines:")
     total = 0
     for path in sorted(PACKAGE.glob("*.py")):
@@ -245,7 +314,9 @@ def main() -> int:
         print(f"  {lines:5d} {path.name}")
     print(f"  {total:5d} total")
     failed = False
-    for kind, keys in gate(all_defs, entered, ALLOWLIST).items():
+    kinds = dict(gate(all_defs, entered, ALLOWLIST),
+                 miscited=miscited(ALLOWLIST, criterion_names()))
+    for kind, keys in kinds.items():
         for key in keys:
             print(f"FAIL {kind}: {key}")
             failed = True
