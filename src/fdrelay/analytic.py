@@ -20,10 +20,11 @@ from __future__ import annotations
 import heapq
 import math
 import sys
+from collections.abc import Callable
 from functools import lru_cache
 from operator import itemgetter
 
-from .errors import DomainError, NonConvergenceError, QuadratureError
+from .errors import DomainError, QuadratureError
 from .model import Allocation, LinkStats, SystemConfig, _Record, _setattr
 from .sfun import MAX_N_TERMS, bessel_k1, gamma_fn, hyp2f1_complement
 
@@ -81,7 +82,7 @@ class ApproxCoeffs(_Record):
 
     __slots__ = ("exact",)
 
-    def __init__(self, exact: tuple[tuple[Fraction, Fraction], ...]):
+    def __init__(self, exact: tuple[tuple, ...]):
         _setattr(self, "exact", exact)
 
     def eval_approx(self, x: float) -> float:
@@ -133,8 +134,6 @@ def approx_coeffs(n_terms: int) -> ApproxCoeffs:
             a[j] * b[j] ** (2 * i - 2 * j) / math.factorial(2 * i - 2 * j)
             for j in range(i)
         )
-        if ai == 0:
-            raise NonConvergenceError(f"approx_coeffs: A_{i} vanished; cannot divide")
         bi = (
             Fraction(1)
             - sum(
@@ -323,11 +322,13 @@ def ser_series_terms(stats: LinkStats, cfg: SystemConfig,
         for i, (a_i, b_i, c_i) in enumerate(_series_coeffs(n_terms)):
             x_i = beta / 2.0 + eta * b_i + s_plus
             w = delta / x_i
-            if w > 1.0:
+            if w > 1.0 or not w:
                 # far below 0 dB beta/2 is lost against s_plus, and delta / x_i
-                # can round past 1, where the 2F1 argument 1 - w turns negative
-                raise DomainError(f"series terms out of range: 2F1 argument 1 - w < 0 "
-                                  f"with w={w!r} at l_sr={lsr}, l_rd={lrd}")
+                # can round past 1, where the 2F1 argument 1 - w turns negative;
+                # against a vast eta B_i it underflows to 0, where the 2F1 diverges
+                raise DomainError(f"series terms out of range: 2F1 argument 1 - w "
+                                  f"{'< 0' if w else '= 1'} with w={w!r} "
+                                  f"at l_sr={lsr}, l_rd={lrd}")
             if eta ** (2 * i) == 0.0 and _W_FINITE <= w:
                 hyp = 1.0
             else:
@@ -354,13 +355,7 @@ def ser_series(stats: LinkStats, cfg: SystemConfig,
     """
     half = 0.5 * cfg.alpha_mod
     raw = half - math.fsum(ser_series_terms(stats, cfg, n_terms))
-    if raw < 0.0 or raw > half:
-        import logging
-
-        logging.getLogger(__name__).debug("ser_series clamped: raw=%.3e stats=%s",
-                                          raw, stats)
-        return min(max(raw, 0.0), half)
-    return raw
+    return raw if 0.0 <= raw <= half else min(max(raw, 0.0), half)
 
 
 def ser_from_cdf(cdf: Callable[[float], float], cfg: SystemConfig) -> float:

@@ -178,8 +178,6 @@ def _spec_from_args(args) -> argparse.Namespace:
 
     args.p_db_values = ([args.total_power_db] if args.p_db is None
                         else _parse_p_db(args.p_db))
-    if not args.p_db_values:
-        raise UsageError("empty --p-db sweep")
 
     try:
         args.scenario = SystemConfig(db_to_linear(args.p_db_values[0]), args.rsi_level,

@@ -133,8 +133,8 @@ class McEstimate(_Record):
         _setattr(self, "count", count)
 
 
-def stream(seed: int, tag: int = _TAG_DRAW, uniform_offset: int = 0) -> Generator:
-    """Counter-based uniform stream positioned at `uniform_offset` draws.
+def stream(seed: int, tag: int = _TAG_DRAW, uniform_offset: int = 0):
+    """Counter-based uniform stream, a numpy Generator, at `uniform_offset` draws.
 
     The offset must be a multiple of 4 (one Philox block).
     """

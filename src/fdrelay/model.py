@@ -235,8 +235,7 @@ def _path_gains(d_sr: float, d_rd: float, v: float) -> tuple[float, float]:
 
 def _link_stats(p_s: float, p_r: float, gain_sr: float, gain_rd: float,
                 rsi_level: float) -> LinkStats:
-    # link_stats from the powers and the path gains D^-v; the 1-D solves
-    # call it with the half that their fixed ratio sets computed once
+    # link_stats from the powers and the path gains D^-v (see _stats_along)
     lam_sr = p_s * gain_sr
     if not lam_sr:
         raise DomainError(f"lambda_sr = P_S D_SR^-v underflows to 0 (P_S = {p_s}, "
@@ -244,3 +243,19 @@ def _link_stats(p_s: float, p_r: float, gain_sr: float, gain_rd: float,
     lam_li = rsi_level * p_r
     return LinkStats(lambda_sr=lam_sr, lambda_rd=p_r * gain_rd, lambda_li=lam_li,
                      eta=lam_li / lam_sr)
+
+
+def _stats_along(cfg: SystemConfig, alloc: Allocation, free: str):
+    """x -> link_stats(cfg, alloc with its ratio `free` set to x), bit for bit: x
+    is clamped as in Allocation, and the half that the held ratio sets is formed once."""
+    v, eps = cfg.pathloss_exp, cfg.rsi_level
+    if free == "rho_d":
+        powers = alloc.powers(cfg)
+
+        def stats_at(x: float) -> LinkStats:
+            d_sr, d_rd = _exact_split(min(max(x, RATIO_FLOOR), _RATIO_CEIL), cfg.sum_distance)
+            return _link_stats(*powers, *_path_gains(d_sr, d_rd, v), eps)
+        return stats_at
+    gains = _path_gains(*alloc.distances(cfg), v)
+    return lambda x: _link_stats(*_exact_split(min(max(x, RATIO_FLOOR), _RATIO_CEIL),
+                                               cfg.total_power), *gains, eps)

@@ -13,8 +13,8 @@ import math
 
 from . import analytic
 from .errors import DomainError
-from .model import (RATIO_FLOOR, _RATIO_CEIL, Allocation, SystemConfig, _exact_split,
-                    _link_stats, _path_gains, _Record, _setattr, link_stats)
+from .model import (RATIO_FLOOR, Allocation, SystemConfig, _Record, _setattr, _stats_along,
+                    link_stats)
 
 __all__ = [
     "OptResult",
@@ -56,6 +56,11 @@ class OptResult(_Record):
 def _residual(alloc: Allocation, cfg: SystemConfig) -> float:
     g = analytic.f_gradient(alloc, cfg)
     return max(abs(g[0]), abs(g[1]))
+
+
+def _result(cfg: SystemConfig, alloc: Allocation, ser: float, method: str,
+            iterations: int, bracket_width: float = 0.0) -> OptResult:
+    return OptResult(alloc, ser, method, _residual(alloc, cfg), iterations, bracket_width)
 
 
 def optimal_location_closed(cfg: SystemConfig, rho_lambda: float) -> float:
@@ -120,13 +125,8 @@ def closed_form_result(objective: str, cfg: SystemConfig, fixed_ratio: float,
     """
     free, held, closed = _objective(objective)
     alloc = Allocation(**{free: closed(cfg, fixed_ratio), held: fixed_ratio})
-    return OptResult(
-        allocation=alloc,
-        ser=analytic.ser_series(link_stats(cfg, alloc), cfg, n_terms),
-        method="closed_form",
-        foc_residual=_residual(alloc, cfg),
-        iterations=0,
-    )
+    return _result(cfg, alloc, analytic.ser_series(link_stats(cfg, alloc), cfg, n_terms),
+                   "closed_form", 0)
 
 
 def _brent(fn, lo: float, hi: float, tol: float):
@@ -199,39 +199,11 @@ def minimize_1d(objective: str, cfg: SystemConfig, fixed_ratio: float,
     if not 1e-10 <= tol <= 1e-2:
         raise DomainError(f"tol must be in [1e-10, 1e-2], got {tol}")
     free, held, _ = _objective(objective)
-    v = cfg.pathloss_exp
-    # the fixed ratio sets the powers or the path gains once per solve; each
-    # evaluation clamps its ratio as Allocation does and forms the other half
-    fixed = Allocation(**{free: 0.5, held: fixed_ratio})
-    if objective == "location":
-        powers = fixed.powers(cfg)
-
-        def stats_at(x: float):
-            d_sr, d_rd = _exact_split(min(max(x, RATIO_FLOOR), _RATIO_CEIL), cfg.sum_distance)
-            return _link_stats(*powers, *_path_gains(d_sr, d_rd, v), cfg.rsi_level)
-    else:
-        gains = _path_gains(*fixed.distances(cfg), v)
-
-        def stats_at(x: float):
-            powers = _exact_split(min(max(x, RATIO_FLOOR), _RATIO_CEIL), cfg.total_power)
-            return _link_stats(*powers, *gains, cfg.rsi_level)
-
-    def ser_at(x: float) -> float:
-        val = analytic.ser_series(stats_at(x), cfg, n_terms)
-        if not math.isfinite(val):
-            raise DomainError(f"SER objective non-finite at ratio {x}")
-        return val
-
-    x, ser, evals, width = _brent(ser_at, RATIO_FLOOR, 1.0 - RATIO_FLOOR, tol)
-    alloc = Allocation(**{free: x, held: fixed_ratio})
-    return OptResult(
-        allocation=alloc,
-        ser=ser,
-        method="brent",
-        foc_residual=_residual(alloc, cfg),
-        iterations=evals,
-        bracket_width=width,
-    )
+    # Allocation refuses a non-finite held ratio; the free one is set per evaluation
+    stats_at = _stats_along(cfg, Allocation(**{free: 0.5, held: fixed_ratio}), free)
+    x, ser, evals, width = _brent(lambda x: analytic.ser_series(stats_at(x), cfg, n_terms),
+                                  RATIO_FLOOR, 1.0 - RATIO_FLOOR, tol)
+    return _result(cfg, Allocation(**{free: x, held: fixed_ratio}), ser, "brent", evals, width)
 
 
 def _foc_log(rbar: float, eps_p: float, v: float, tail: float) -> float:
@@ -387,10 +359,4 @@ def select_joint_optimum(cfg: SystemConfig,
             best = alloc
             best_ser = ser
             method = "joint_roots"
-    return OptResult(
-        allocation=best,
-        ser=best_ser,
-        method=method,
-        foc_residual=_residual(best, cfg),
-        iterations=len(candidates) + 1,
-    )
+    return _result(cfg, best, best_ser, method, len(candidates) + 1)

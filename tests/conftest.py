@@ -10,10 +10,11 @@ from operator import itemgetter
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy import special
 
-from fdrelay import RATIO_FLOOR, Allocation, McEstimate, SystemConfig, link_stats
+from fdrelay import RATIO_FLOOR, Allocation, McEstimate, SystemConfig, db_to_linear, link_stats
 from fdrelay import analytic, mc, opt, sfun
 from fdrelay.errors import DomainError, NonConvergenceError, QuadratureError
 from fdrelay.mc import CHUNK_SAMPLES
@@ -40,6 +41,24 @@ def cfg_at(p_db: float, eps: float, v: float = 3.0, modulation: str = "bpsk") ->
     alpha, beta = {"bpsk": (1.0, 2.0), "qpsk": (2.0, 1.0)}[modulation]
     return SystemConfig(total_power=10.0 ** (p_db / 10.0), rsi_level=eps, pathloss_exp=v,
                         alpha_mod=alpha, beta_mod=beta)
+
+
+# the float-range domain of ROADMAP aim 3, drawn as the CLI's no-traceback
+# property draws it: P in dB, log10 D, log10 (v - 1), eps, rho_lambda, rho_d
+FLOAT_RANGE_DRAWS = (
+    st.floats(-400.0, 400.0), st.floats(-300.0, 300.0), st.floats(-9.0, 3.0),
+    st.one_of(st.just(0.0), st.floats(-6.0, 300.0).map(lambda e: 10.0 ** e)),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+def float_range_cfg(p_db: float, log_d: float, log_v: float, eps: float,
+                    modulation: str = "bpsk") -> SystemConfig:
+    """The scenario that the CLI builds from one FLOAT_RANGE_DRAWS input."""
+    alpha, beta = {"bpsk": (1.0, 2.0), "qpsk": (2.0, 1.0)}[modulation]
+    return SystemConfig(db_to_linear(p_db), eps, 1.0 + 10.0 ** log_v, 10.0 ** log_d,
+                        alpha, beta)
 
 
 def stats_at(p_db: float, eps: float, v: float = 3.0,
@@ -583,9 +602,10 @@ def ser_series_terms_oracle(stats, cfg: SystemConfig, n_terms: int = 3) -> list[
                    / math.factorial(2 * i + 1))
             x_i = beta / 2.0 + eta * b_i + s_plus
             w = delta / x_i
-            if w > 1.0:
-                raise DomainError(f"series terms out of range: 2F1 argument 1 - w < 0 "
-                                  f"with w={w!r} at l_sr={lsr}, l_rd={lrd}")
+            if w > 1.0 or not w:
+                raise DomainError(f"series terms out of range: 2F1 argument 1 - w "
+                                  f"{'< 0' if w else '= 1'} with w={w!r} "
+                                  f"at l_sr={lsr}, l_rd={lrd}")
             hyp = sfun.hyp2f1_complement(2 * i + 2.5, 1.5, 2.0 * i + 2.0, w)
             term = c_i * pref * a_i * eta ** (2 * i) / x_i ** (2 * i + 2.5) * hyp
             if math.isnan(term):

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from fdrelay import (
@@ -35,10 +35,12 @@ from fdrelay import (
     sinr_cdf_exact_numeric,
 )
 from fdrelay import analytic
-from fdrelay.analytic import MAX_N_TERMS, ser_from_cdf
+from fdrelay.analytic import DEFAULT_N_TERMS, MAX_N_TERMS, ser_from_cdf
 from fdrelay.sfun import bessel_k1
 
-from conftest import cdf_truncation_bound, cfg_at, outcome, ser_series_terms_oracle, stats_at
+from conftest import (FLOAT_RANGE_DRAWS, cdf_truncation_bound, cfg_at, float_range_cfg, outcome,
+                      ser_series_terms_oracle, stats_at)
+from test_reach import TRACEBACK_EXAMPLES
 
 
 class TestApproxCoeffs:
@@ -264,8 +266,9 @@ class TestSinrCdf:
         assert outage(0.0, stats) == 0.0
         with pytest.raises(DomainError):
             outage(1.0, stats, "montecarlo")
-        with pytest.raises(DomainError):
-            outage(-1.0, stats)
+        for mode in ("asymptotic", "exact"):
+            with pytest.raises(DomainError, match="x must be >= 0, got -1.0"):
+                outage(-1.0, stats, mode)
 
 
 class TestSerSeries:
@@ -406,11 +409,36 @@ class TestSeriesAgainstPerCallOracle:
         # a subnormal link SNR
         (LinkStats(1e-320, 1e10, 0.0, 0.0), "(1/sqrt(l_sr) + 1/sqrt(l_rd))^2 overflows"),
         (LinkStats(5e289, 1.0195e-309, 0.0, 0.0), "(1/sqrt(l_sr) + 1/sqrt(l_rd))^2 overflows"),
+        # w = delta / X_0 underflows to 0 against eta B_0, where the 2F1 diverges
+        (LinkStats(2364049.374693432, 2.7857139575982144e286, 5e184, 2.1150150472844487e178),
+         "2F1 argument 1 - w = 1 with w=0.0"),
     ])
     def test_out_of_range_is_a_domain_error(self, stats, quantity, n_terms):
         with pytest.raises(DomainError) as err:
             ser_series(stats, SystemConfig.bpsk(1.0, 0.0), n_terms)
         assert str(err.value).startswith(f"series terms out of range: {quantity}")
+
+    @given(*FLOAT_RANGE_DRAWS)
+    # the CLI inputs that test_cli's drawn examples did not reach
+    @example(*TRACEBACK_EXAMPLES[0][1:])
+    @example(*TRACEBACK_EXAMPLES[1][1:])
+    @settings(max_examples=300, deadline=None)
+    @seed(28)
+    def test_float_range_gives_a_probability_or_a_domain_error(self, p_db, log_d, log_v, eps,
+                                                               rho_lambda, rho_d):
+        # the contract that lets minimize_1d search without a finiteness check
+        for modulation in ("bpsk", "qpsk"):
+            cfg = float_range_cfg(p_db, log_d, log_v, eps, modulation)
+            try:
+                stats = link_stats(cfg, Allocation(rho_lambda, rho_d))
+            except DomainError:
+                continue                        # no link statistics to evaluate
+            for n_terms in (1, DEFAULT_N_TERMS, MAX_N_TERMS):
+                try:
+                    ser = ser_series(stats, cfg, n_terms)
+                except DomainError:
+                    continue
+                assert math.isfinite(ser) and 0.0 <= ser <= 0.5 * cfg.alpha_mod, ser
 
 
 class TestQpsk:

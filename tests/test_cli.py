@@ -23,6 +23,7 @@ from fdrelay.cli import (
     main,
 )
 
+from conftest import FLOAT_RANGE_DRAWS
 from test_reach import FLOAT_RANGE_ARGVS, TRACEBACK_EXAMPLES, traceback_argv
 
 
@@ -76,8 +77,8 @@ class TestConfigParsing:
     def test_p_db_forms(self):
         assert _parse_p_db("20") == [20.0]
         assert _parse_p_db("0:20:5") == [0.0, 5.0, 10.0, 15.0, 20.0]
-        for bad in ("a", "0:20", "20:0:5", "0:10:-1", "0:nan:5", "0:inf:5", "0:10:nan",
-                    "0:1e9:1e-3"):
+        for bad in ("a", "0:20", "a:b:c", "20:0:5", "0:10:-1", "0:nan:5", "0:inf:5",
+                    "0:10:nan", "0:1e9:1e-3"):
             with pytest.raises(UsageError):
                 _parse_p_db(bad)
         # a range stops at stop: the rounding slack shrinks with a sub-dB
@@ -95,6 +96,13 @@ class TestConfigParsing:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=30)
         assert proc.stdout.split() == ["[0.0,", "1e-300]"], proc.stderr
+
+    def test_unknown_modulation_in_config(self, tmp_path, capsys):
+        # the flag's choices refuse it at parse time; a config value reaches the check
+        p = tmp_path / "mod.cfg"
+        p.write_text("modulation = foo\n")
+        assert main(["ser", "--config", str(p)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: unknown modulation 'foo'\n"
 
     def test_flags_override_config_keys(self, tmp_path):
         p = tmp_path / "scenario.cfg"
@@ -374,10 +382,7 @@ class TestValidateAndExitCodes:
 
     @given(st.sampled_from(["ser", "outage", "optimize-location", "optimize-power",
                             "optimize-joint", "figure 3", "figure 4", "figure 6", "figure 8"]),
-           st.floats(-400.0, 400.0), st.floats(-300.0, 300.0), st.floats(-9.0, 3.0),
-           st.one_of(st.just(0.0), st.floats(-6.0, 300.0).map(lambda e: 10.0 ** e)),
-           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+           *FLOAT_RANGE_DRAWS)
     # inputs that the 50 drawn examples do not reach (test_reach.TRACEBACK_EXAMPLES)
     @example(*TRACEBACK_EXAMPLES[0])
     @example(*TRACEBACK_EXAMPLES[1])
@@ -407,6 +412,17 @@ class TestValidateAndExitCodes:
             want = gap(kind, closed_form, free, 5)
             assert want != gap(kind, closed_form, free, 3)
             assert values[f"optimizer_{kind}_closed_vs_golden"] == format(want, ".12g")
+
+    def test_numeric_failure_exit(self, monkeypatch, capsys):
+        from fdrelay import cli
+        from fdrelay.errors import QuadratureError
+
+        def fail(spec):
+            raise QuadratureError("ser_from_cdf: missed its tolerance", 1e-3)
+
+        monkeypatch.setitem(cli._COMMANDS, "ser", fail)
+        assert main(["ser"]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == "numeric failure: ser_from_cdf: missed its tolerance\n"
 
     def test_unknown_command_exit(self):
         assert main(["frobnicate"]) == EXIT_USAGE

@@ -14,6 +14,7 @@ from fdrelay import (
     db_to_linear,
     link_stats,
 )
+from fdrelay.model import _stats_along
 
 ratios = st.floats(RATIO_FLOOR, 1.0 - RATIO_FLOOR)
 powers = st.floats(1e-3, 1e8)
@@ -110,6 +111,16 @@ class TestLinkStats:
         # eta is exactly the quotient, and matches its expanded form
         assert st_.eta == st_.lambda_li / st_.lambda_sr
         assert st_.eta == pytest.approx(eps * p_r * d_sr**v / p_s, rel=1e-12)
+
+    @given(st.sampled_from(["rho_lambda", "rho_d"]), ratios, ratios, powers,
+           st.floats(0.0, 1.0), st.floats(1.5, 4.5), distances, st.floats(-1.0, 2.0))
+    @settings(max_examples=300, deadline=None)
+    def test_stats_along_is_link_stats(self, free, rl, rd, p, eps, v, d, x):
+        # bit for bit, with x clamped as Allocation clamps it
+        cfg = SystemConfig.bpsk(p, eps, v, d)
+        moved = Allocation(**{"rho_lambda": rl, "rho_d": rd, free: x})
+        got = _stats_along(cfg, Allocation(rl, rd), free)(x)
+        assert repr(got) == repr(link_stats(cfg, moved))
 
     def test_eta_not_power_invariant_unless_rsi_free(self):
         # eta = eps (1-rl)/rl (rd D)^v depends on P only through eps * P_R,

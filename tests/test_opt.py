@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from fdrelay import (
@@ -28,12 +28,15 @@ from fdrelay import (
 from fdrelay import analytic, opt
 
 from conftest import (
+    FLOAT_RANGE_DRAWS,
     cfg_at,
+    float_range_cfg,
     golden_section_oracle,
     joint_roots_grid_oracle,
     minimize_1d_oracle,
     ser_series_grid_oracle,
 )
+from test_reach import TRACEBACK_EXAMPLES
 
 
 def prop2_rho_lambda(cfg):
@@ -223,6 +226,23 @@ class TestMinimize1d:
             minimize_1d("location", cfg, math.nan)
         with pytest.raises(DomainError, match="rho_d must be finite"):
             minimize_1d("power", cfg, math.inf)
+
+    @given(*FLOAT_RANGE_DRAWS)
+    @example(*TRACEBACK_EXAMPLES[0][1:])
+    @example(*TRACEBACK_EXAMPLES[1][1:])
+    @settings(max_examples=100, deadline=None)
+    @seed(28)
+    def test_float_range_gives_a_finite_ser_or_a_domain_error(self, p_db, log_d, log_v, eps,
+                                                              rho_lambda, rho_d):
+        # the series is a probability or refuses (test_analytic), so the
+        # search needs no finiteness check of its own
+        cfg = float_range_cfg(p_db, log_d, log_v, eps)
+        for objective, fixed in (("location", rho_lambda), ("power", rho_d)):
+            try:
+                res = minimize_1d(objective, cfg, fixed, tol=1e-6)
+            except DomainError:
+                continue
+            assert math.isfinite(res.ser), res
 
 
 class TestLayerCalls:

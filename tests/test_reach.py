@@ -25,11 +25,19 @@ lines of each module of src/fdrelay. It exits 1 when the gate fails, as
 tests/golden.py does:
 
     python tests/test_reach.py
+
+With --statements it runs the tier-1 suite in process under a line tracer
+(sys.settrace and threading.settrace; about two minutes) and prints each statement
+of src/fdrelay that no test executes, for want of a coverage package.
+Statements that run only in a test's subprocess count as not executed:
+
+    python tests/test_reach.py --statements
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import os
 import re
@@ -37,6 +45,8 @@ import subprocess
 import sys
 import tempfile
 import threading
+import types
+import typing
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -45,6 +55,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "fdrelay"
+TESTS = Path(__file__).resolve().parent
 ACCEPTANCE = Path(__file__).resolve().with_name("test_acceptance.py")
 
 # inputs past the float range that end in one error line; test_cli's
@@ -59,6 +70,8 @@ FLOAT_RANGE_ARGVS = [
     ["optimize-power", "--pathloss-exp=327.79", "--sum-distance=9.603",
      "--rsi-level=236.8", "--p-db=-73.03", "--rho-d=0.0595", "--rho-lambda=0.581"],
     ["outage", "--threshold", "1e-201", "--p-db=-2990"],
+    ["ser", "--p-db", "0", "--pathloss-exp", "238.1", "--rsi-level", "1e185",
+     "--rho-d", "0.9375"],
 ]
 
 
@@ -70,9 +83,9 @@ def traceback_argv(command, p_db, log_d, log_v, eps, rho_lambda, rho_d):
             "--rho-lambda", repr(rho_lambda), "--rho-d", repr(rho_d)]
 
 
-# the explicit examples of that test: the series' (1/sqrt(l_sr) +
-# 1/sqrt(l_rd))^2 overflows at a subnormal l_rd, where its drawn examples do
-# not reach
+# the explicit examples of that test, and of the ser_series and minimize_1d
+# properties on the same domain: the series' (1/sqrt(l_sr) + 1/sqrt(l_rd))^2
+# overflows at a subnormal l_rd, where its drawn examples do not reach
 TRACEBACK_EXAMPLES = [
     ("ser", -100.0, 1.0, 2.4756711883244296, 0.0, 0.5, 0.01),
     ("optimize-power", -73.03, 0.9824069288637948, 2.5142687583522174, 236.8, 0.581, 0.0595),
@@ -236,6 +249,64 @@ def public_names() -> dict[str, list[str]]:
     return out
 
 
+def statement_lines() -> dict[tuple[str, int], set[int]]:
+    """(file, first line) of each statement in src/fdrelay that runs code ->
+    its own lines: its decorators and its span less those of the statements
+    nested in it. A constant expression (a docstring), global and nonlocal
+    compile to nothing and are left out."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (not isinstance(node, ast.stmt) or isinstance(node, (ast.Global, ast.Nonlocal))
+                    or isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)):
+                continue
+            first = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", ()))])
+            own = set(range(first, node.end_lineno + 1))
+            for child in ast.walk(node):
+                if child is not node and isinstance(child, ast.stmt):
+                    own -= set(range(child.lineno, child.end_lineno + 1))
+            out[(str(path), first)] = own
+    return out
+
+
+def trace_tests() -> tuple[int, set[tuple[str, int]]]:
+    """Run the tier-1 suite in this process under a line tracer on this and
+    every new thread; returns pytest's exit status and the (file, line) of
+    each line executed under src/fdrelay."""
+    root = str(PACKAGE)
+    executed = set()
+
+    def lines(frame, event, arg):
+        if event == "line":
+            executed.add((frame.f_code.co_filename, frame.f_lineno))
+        return lines
+
+    def tracer(frame, event, arg):
+        return lines if frame.f_code.co_filename.startswith(root) else None
+
+    sys.settrace(tracer)
+    threading.settrace(tracer)
+    try:
+        status = pytest.main(["-q", "-p", "no:cacheprovider", str(TESTS)])
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+    return int(status), executed
+
+
+def unexecuted_statements() -> int:
+    """Print each statement of src/fdrelay that no tier-1 test executes;
+    exits 1 when the suite fails, since its list would then be incomplete."""
+    status, executed = trace_tests()
+    missed = [(path, first) for (path, first), own in sorted(statement_lines().items())
+              if not any((path, line) in executed for line in own)]
+    print(f"statements no test executes: {len(missed)}")
+    for path, first in missed:
+        text = Path(path).read_text().splitlines()[first - 1].strip()
+        print(f"  {Path(path).name}:{first}: {text}")
+    return 1 if status else 0
+
+
 @pytest.fixture(scope="module")
 def failures() -> dict[str, list[str]]:
     return gate(defs(), reached(), ALLOWLIST)
@@ -277,6 +348,34 @@ def test_miscited_reports_a_false_citation():
                      "a:h": "criterion 04 names no def here"}, criteria) == []
     assert miscited({"a:h": "acceptance criterion 04 checks it",
                      "a:k": "acceptance criterion 12"}, criteria) == ["a:h", "a:k"]
+
+
+def unresolved_annotations() -> list[str]:
+    """'module:def, line N (error)' for each def in src/fdrelay whose annotations
+    typing.get_type_hints cannot resolve in its module's namespace, as it
+    would resolve the def's own __annotations__. Read with ast, so that
+    nested defs count too."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        namespace = vars(importlib.import_module(f"fdrelay.{path.stem}".removesuffix(".__init__")))
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                hints = {arg.arg: ast.unparse(arg.annotation)
+                         for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                         if arg and arg.annotation}
+                if node.returns:
+                    hints["return"] = ast.unparse(node.returns)
+                try:
+                    typing.get_type_hints(types.SimpleNamespace(__annotations__=hints),
+                                          namespace)
+                except Exception as exc:
+                    out.append(f"{path.stem}:{node.name}, line {node.lineno} ({exc!r})")
+    return out
+
+
+def test_every_annotation_resolves():
+    assert unresolved_annotations() == []
 
 
 def test_package_lists_each_module_list_once():
@@ -326,5 +425,7 @@ def main() -> int:
 if __name__ == "__main__":
     if sys.argv[1:] == ["--trace"]:
         print(json.dumps(sorted(trace_commands())))
+    elif sys.argv[1:] == ["--statements"]:
+        sys.exit(unexecuted_statements())
     else:
         sys.exit(main())

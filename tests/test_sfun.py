@@ -404,6 +404,8 @@ class TestHyp2f1:
             hyp2f1_complement(2.5, 1.5, -3.0, 0.5)
         with pytest.raises(DomainError):
             hyp2f1_complement(2.5, 1.5, 2.0, 1.1)
+        with pytest.raises(DomainError, match="NaN argument"):
+            hyp2f1_complement(2.5, 1.5, 2.0, math.nan)
 
     @pytest.mark.parametrize("args", [
         (60.0, 1.5, 59.5, 0.5),  # c - a - b = -2 but no term: it returned 965, not 2.86
