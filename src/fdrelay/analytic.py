@@ -11,8 +11,8 @@ numpy or scipy.
 
 Conventions: stats holds mean link SNRs (see model.LinkStats), cfg holds
 (alpha_mod, beta_mod) of the Q-function SER model. SER outputs are clamped
-to [0, alpha/2]; clamping is logged at debug level because the asymptotic series
-is only meaningful where it stays in range.
+to [0, alpha/2], silently, because the asymptotic series is only meaningful
+where it stays in range.
 """
 
 from __future__ import annotations

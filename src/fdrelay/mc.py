@@ -4,19 +4,18 @@ Independence from the closed forms is the whole point here; nothing in this
 module touches the analytic module. Reproducibility contract: the randomness
 of every lattice group or symbol is a pure function of (seed, estimator
 tag, group or symbol index) through counter-based Philox streams, so
-estimates are bit-identical for any chunking or worker count. Chunk sums are
-combined with math.fsum (exactly rounded, hence order-independent) and chunk
-variances are merged pairwise in chunk order, which no worker count changes.
+estimates are bit-identical for any worker count. The lattice estimators'
+statistics read their one array of group means whole: its math.fsum
+(exactly rounded, hence order-independent) and the centred squares about
+the mean, so no split of the work is part of an estimate's bits.
 
 The outage and semi-analytic SER run through one driver, _lattice_estimate.
-A chunk of lattice groups (below) is a moment boundary, so it is part of
-what an estimate's bits depend on; a pool task is not. Every estimator
-splits its groups or symbols into equal contiguous shares, one per worker
-but no more than it has chunks, each starting on a multiple of 4 so that
-its Philox offset is a whole block. A task draws and evaluates one
-cache-sized block at a time from one stream, and the lattice tasks write
-their group means into one array of the estimate, whose chunks then give
-the moments. A task allocates its workspace once: the block's shifts, its
+Every estimator splits its groups or symbols into equal contiguous shares,
+one per worker but at most one per CHUNK_SAMPLES requested samples, each
+starting on a multiple of 4 so that its Philox offset is a whole block. A
+task draws and evaluates one cache-sized block at a time from one stream,
+and the lattice tasks write their group means into one array of the
+estimate. A task allocates its workspace once: the block's shifts, its
 lattice points (and the SER's thresholds), the kernel's scratch (half a
 block: points, then mirrors) and the stretch's weights, or the symbol
 level's uniforms and chain columns. Every block then runs in place in it,
@@ -56,7 +55,7 @@ spread over the root of their number, and n_samples counts evaluations,
 466 a group: n rounds up to whole groups.
 
 numpy and scipy.special are imported inside the sampling functions, so that
-importing fdrelay loads neither; each estimator imports what its chunks use
+importing fdrelay loads neither; each estimator imports what its tasks use
 before any worker thread starts. concurrent.futures is imported inside
 parallel_map, only when it starts a thread pool.
 """
@@ -79,12 +78,10 @@ __all__ = [
     "CHUNK_SAMPLES",
 ]
 
-# Evaluations per deterministic chunk of the outage and semi-analytic SER,
-# rounded down to _CHUNK_GROUPS = 856 lattice groups; each chunk contributes
-# one (count, sum, centred sum of squares) of its group means, so the value
-# depends on this size. An estimate runs on at most as many threads as it
-# has chunks. Philox counts blocks of 4 uint64 outputs, so a task starts at
-# a multiple of 4 uniforms: 4 groups of 1 (outage) or 2 (SER) uniforms, 4
+# Requested samples per thread: an estimate runs on at most one thread per
+# CHUNK_SAMPLES of them, so small ones start no pool. No estimate depends on
+# this size. Philox counts blocks of 4 uint64 outputs, so a task starts at a
+# multiple of 4 uniforms: 4 groups of 1 (outage) or 2 (SER) uniforms, 4
 # symbols of 9.
 CHUNK_SAMPLES = 400_000
 
@@ -96,9 +93,8 @@ _GROUP = 233
 _GEN = 89
 _STRETCH = 0.05
 _EDGE = 12
-_CHUNK_GROUPS = CHUNK_SAMPLES // (8 * _GROUP) * 4
 
-# Uniforms or lattice coordinates evaluated at a time inside a chunk or task:
+# Uniforms or lattice coordinates evaluated at a time inside a task:
 # _BLOCK_UNIFORMS // k rows of k (281 outage groups, 140 SER groups, 7 281
 # symbols), so a worker thread's working set stays within ~2 MB whatever
 # CHUNK_SAMPLES is, and no estimate changes.
@@ -120,6 +116,7 @@ class McEstimate(_Record):
     one counting estimate, so that value == count / n_samples; it is None
     for the outage and the semi-analytic SER, which average conditional
     probabilities instead of counting. == and hash compare every field.
+    No field depends on the worker count or on CHUNK_SAMPLES.
     """
 
     __slots__ = ("value", "std_error", "n_samples", "seed", "count")
@@ -177,11 +174,11 @@ def parallel_map(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _map_shares(fn, n: int, workers: int, chunks: int) -> list:
+def _map_shares(fn, n: int, workers: int, samples: int) -> list:
     # fn(lo, hi) over equal contiguous shares of range(n), one per worker but
-    # no more than chunks (so an estimate of one chunk starts no pool), each
-    # a multiple of 4 long, so that any stream offset k lo is a multiple of 4
-    tasks = min(max(1, workers), chunks)
+    # at most one per CHUNK_SAMPLES of the samples requested, each a multiple
+    # of 4 long, so that any stream offset k lo is a multiple of 4
+    tasks = min(max(1, workers), -(-samples // CHUNK_SAMPLES))
     share = -(-n // (4 * tasks)) * 4
     bounds = [(lo, min(n, lo + share)) for lo in range(0, n, share)]
     return parallel_map(lambda b: fn(*b), bounds, workers)
@@ -198,36 +195,21 @@ def _check_n(n: int, minimum: int, label: str) -> None:
         raise DomainError(f"{label}: need at least {minimum} samples, got {n}")
 
 
-def _moments(v) -> tuple[int, float, float]:
-    # (count, sum, sum of squared deviations from the mean) of one chunk's
-    # group means; two passes, and v is overwritten
-    import numpy as np
+def _mean_estimate(g, seed: int) -> McEstimate:
+    """Mean and standard error of the group means g, which it overwrites;
+    n_samples counts evaluations, 2 * _GROUP per group.
 
-    total = float(v.sum())
-    v -= total / v.size
-    np.square(v, out=v)
-    return v.size, total, float(v.sum())
-
-
-def _mean_estimate(parts: list, seed: int) -> McEstimate:
-    """Mean and standard error of the group means, from per-chunk _moments
-    in chunk order; n_samples counts evaluations, 2 * _GROUP per group.
-
-    The mean is the exactly rounded fsum of the chunk sums over the number
-    of groups. The chunks' centred sums of squares are merged pairwise by the
-    update of Chan, Golub & LeVeque (1979); unlike s2/n - mean^2 from raw
-    sums, it does not cancel to noise when the group means are nearly
-    constant.
+    The mean is the exactly rounded fsum of g over its size, so no order of
+    the groups changes it. The variance is a second pass over the squared
+    deviations from that mean (Chan, Golub & LeVeque, Am. Stat. 37, 1983);
+    unlike s2/n - mean^2 from raw sums, it does not cancel to noise when the
+    group means are nearly constant.
     """
-    n = sum(p[0] for p in parts)
-    mean = math.fsum(p[1] for p in parts) / n
-    while len(parts) > 1:
-        merged = []
-        for (na, sa, ma), (nb, sb, mb) in zip(parts[::2], parts[1::2]):
-            delta = sb / nb - sa / na
-            merged.append((na + nb, sa + sb, ma + mb + delta * delta * na * nb / (na + nb)))
-        parts = merged + parts[2 * len(merged):]
-    var = parts[0][2] / (n - 1)
+    n = g.size
+    mean = math.fsum(g) / n
+    g -= mean
+    g *= g
+    var = float(g.sum()) / (n - 1)
     return McEstimate(mean, math.sqrt(var / n), 2 * _GROUP * n, seed)
 
 
@@ -326,7 +308,7 @@ def _lattice_estimate(stats: LinkStats, n: int, seed: int, workers: int, tag: in
     # groups, group g reading its dims shifts from offset dims g of stream
     # tag. threshold(shifts, x) returns a block's threshold: a scalar, or
     # written in x, the lattice buffer's last slab (the lattice itself when
-    # dims is 1); the group means are scaled by `scale` before their moments
+    # dims is 1); the group means are scaled by `scale` before their statistics
     import numpy as np
 
     cols = _columns()
@@ -348,10 +330,9 @@ def _lattice_estimate(stats: LinkStats, n: int, seed: int, workers: int, tag: in
             x = threshold(s, buf[-1, :, :m])
             g[lo + b:lo + e] = _group_means(v, x, stats, room[:m * _GROUP], w[:m])
 
-    bounds = range(0, groups, _CHUNK_GROUPS)
-    _map_shares(task, groups, workers, len(bounds))
+    _map_shares(task, groups, workers, n)
     g *= scale
-    return _mean_estimate([_moments(g[lo:lo + _CHUNK_GROUPS]) for lo in bounds], seed)
+    return _mean_estimate(g, seed)
 
 
 def estimate_outage(stats: LinkStats, threshold: float, n: int, seed: int,
@@ -519,8 +500,7 @@ def estimate_ser_symbol_level(stats: LinkStats, cfg: SystemConfig,
             errors += int(np.count_nonzero(np.less(g_rd, 0.0, out=errs[:m])))
         return errors
 
-    # no more tasks than the other estimators have chunks, so no more threads
-    errors = sum(_map_shares(task, n_symbols, workers, -(-n_symbols // CHUNK_SAMPLES)))
+    errors = sum(_map_shares(task, n_symbols, workers, n_symbols))
     p = errors / n_symbols
     return McEstimate(value=p, std_error=math.sqrt(p * (1.0 - p) / n_symbols),
                       n_samples=n_symbols, seed=seed, count=errors)

@@ -366,52 +366,43 @@ def _group_room(m: int):
     return np.empty(m * mc._GROUP), np.empty((m, 2 * mc._EDGE))
 
 
-def _whole_chunks(chunk, n: int, seed: int) -> McEstimate:
-    # chunk(lo, hi) over the _CHUNK_GROUPS slices of the ceil(n / 466)
-    # groups, serially; the estimate does not depend on the order the chunks
-    # run in
+def outage_whole_group_means(stats, threshold: float, n: int, seed: int) -> np.ndarray:
+    """estimate_outage's ceil(n / 466) group means drawn and evaluated in one
+    piece, not block by block nor share by share, bit for bit what its tasks
+    write: same stream, lattice, stretch and kernel, group g reading its
+    shift from stream offset g. Meant for thresholds > 0."""
+    s = mc.stream(seed, mc._TAG_OUTAGE).random(_group_count(n))
+    v = mc._lattice(s, mc._columns(), np.empty((2, s.size, mc._GROUP)))
+    return mc._group_means(v, float(threshold), stats, *_group_room(s.size))
+
+
+def ser_whole_group_means(stats, cfg: SystemConfig, n: int, seed: int) -> np.ndarray:
+    """estimate_ser_semianalytic's ceil(n / 466) group means, scaled by
+    alpha / 2, drawn and evaluated in one piece, bit for bit what its tasks
+    write: group g reads its shifts (s0, s1) from stream offset 2 g; the
+    thresholds come from the points u0 = frac(89 j / 233 + s0) and their
+    mirrors 1 - u0."""
+    cols = mc._columns()
+    rows = mc._GEN * cols % mc._GROUP / mc._GROUP
     groups = _group_count(n)
-    size = mc._CHUNK_GROUPS
-    parts = [chunk(lo, min(groups, lo + size)) for lo in range(0, groups, size)]
-    return mc._mean_estimate(parts, seed)
+    s = mc.stream(seed, mc._TAG_SER).random(2 * groups).reshape(groups, 2)
+    u0 = rows + s[:, :1]
+    np.subtract(u0, 1.0, out=u0, where=u0 >= 1.0)
+    x = special.ndtri(np.stack([u0, 1.0 - u0]) * 0.5) ** 2 / cfg.beta_mod
+    v = mc._lattice(s[:, 1].copy(), cols, np.empty((2, groups, mc._GROUP)))
+    return mc._group_means(v, x, stats, *_group_room(groups)) * (0.5 * cfg.alpha_mod)
 
 
 def outage_chunk_oracle(stats, threshold: float, n: int, seed: int) -> McEstimate:
-    """estimate_outage with each chunk drawn and evaluated whole, not block
-    by block: the reference that the blocked estimator must match bit for
-    bit. Same stream, lattice, stretch, kernel, moments and merge: the chunk
-    of groups lo .. hi - 1 draws its shifts from stream offset lo. Meant for
-    thresholds > 0."""
-    x = float(threshold)
-    cols = mc._columns()
-
-    def chunk(lo, hi):
-        s = mc.stream(seed, mc._TAG_OUTAGE, lo).random(hi - lo)
-        v = mc._lattice(s, cols, np.empty((2, s.size, mc._GROUP)))
-        return mc._moments(mc._group_means(v, x, stats, *_group_room(s.size)))
-
-    return _whole_chunks(chunk, n, seed)
+    """estimate_outage from its group means built in one piece: the
+    reference that the blocked estimator must match bit for bit."""
+    return mc._mean_estimate(outage_whole_group_means(stats, threshold, n, seed), seed)
 
 
 def ser_chunk_oracle(stats, cfg: SystemConfig, n: int, seed: int) -> McEstimate:
-    """estimate_ser_semianalytic with each chunk drawn and evaluated whole,
-    not block by block: the reference that the blocked estimator must match
-    bit for bit. The chunk of groups lo .. hi - 1 draws its shifts (s0, s1)
-    from stream offset 2 lo; the thresholds come from the points
-    u0 = frac(89 j / 233 + s0) and their mirrors 1 - u0."""
-    cols = mc._columns()
-    rows = mc._GEN * cols % mc._GROUP / mc._GROUP
-
-    def chunk(lo, hi):
-        s = mc.stream(seed, mc._TAG_SER, 2 * lo).random(2 * (hi - lo)).reshape(hi - lo, 2)
-        u0 = rows + s[:, :1]
-        np.subtract(u0, 1.0, out=u0, where=u0 >= 1.0)
-        x = special.ndtri(np.stack([u0, 1.0 - u0]) * 0.5) ** 2 / cfg.beta_mod
-        v = mc._lattice(s[:, 1].copy(), cols, np.empty((2, hi - lo, mc._GROUP)))
-        g = mc._group_means(v, x, stats, *_group_room(hi - lo))
-        return mc._moments(g * (0.5 * cfg.alpha_mod))
-
-    return _whole_chunks(chunk, n, seed)
+    """estimate_ser_semianalytic from its group means built in one piece:
+    the reference that the blocked estimator must match bit for bit."""
+    return mc._mean_estimate(ser_whole_group_means(stats, cfg, n, seed), seed)
 
 
 def _pair_estimate(pair_means, seed: int) -> McEstimate:

@@ -98,7 +98,7 @@ def _k1_grid() -> bytes:
 def _mc_pool() -> bytes:
     """estimate_outage (threshold 1) and estimate_ser_semianalytic on four
     scenarios (0 dB eps 0.1, 20 dB eps 0.3 QPSK, 40 dB eps 0, 60 dB eps 0.1)
-    at workers 1-3 and n over one chunk, several and a ragged last one."""
+    at workers 1-3 and n from 22 groups to three threads' worth of samples."""
     from fdrelay import Allocation, SystemConfig, link_stats
     from fdrelay.mc import CHUNK_SAMPLES, estimate_outage, estimate_ser_semianalytic
 
@@ -216,7 +216,7 @@ def _cases() -> dict:
     cases["outage-both-workers-2"] = lambda: _cli_csv(
         "outage", "--p-db", "0:40:20", "--mode", "both", "--mc-samples", "20000",
         "--workers", "2")
-    # one row, so its estimate runs on both threads, in two chunks
+    # one row, so its estimate runs on both threads
     cases["ser-mc-workers-2-qpsk"] = lambda: _cli_csv(
         "ser", "--p-db", "40", "--mode", "mc", "--mc-samples", "500000",
         "--workers", "2", "--modulation", "qpsk")

@@ -3,6 +3,7 @@ agreement with the quadrature oracles."""
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,11 +33,13 @@ from conftest import (
     outage_group_pairs,
     outage_indicator_oracle,
     outage_pair_oracle,
+    outage_whole_group_means,
     ser_chunk_oracle,
     ser_conditional_group_means,
     ser_fading_oracle,
     ser_group_pairs,
     ser_pair_oracle,
+    ser_whole_group_means,
     sinr_exact,
     stats_at,
     symbol_level_complex_oracle,
@@ -67,11 +70,11 @@ OUTAGE_EXACT = [
 ]
 
 # evaluations per lattice group, and sizes that cut the groups into one
-# block; a chunk, an outage block (two SER blocks) and a ragged 4-group tail;
-# and three chunks with a partial one
+# block; 856 groups, an outage block (two SER blocks) and a ragged 4-group
+# tail; and 1 744 groups over three threads' worth of samples
 GROUP = 2 * mc._GROUP
 BLOCK_SIZES = (10_000,
-               GROUP * (mc._CHUNK_GROUPS + mc._BLOCK_UNIFORMS // mc._GROUP + 4),
+               GROUP * (856 + mc._BLOCK_UNIFORMS // mc._GROUP + 4),
                2 * CHUNK_SAMPLES + 12_345)
 
 
@@ -226,6 +229,24 @@ class TestReproducibility:
                 assert (got.value, got.std_error, got.n_samples) == \
                     (want.value, want.std_error, want.n_samples), (n, workers)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_statistics_read_the_whole_array(self, workers):
+        # the fsum mean and the two-pass variance of every group mean at once,
+        # not of chunks merged pairwise
+        cfg, stats = stats_at(20.0, 0.1, modulation="qpsk")
+        n = 2 * CHUNK_SAMPLES + 12_345
+        for est, g in (
+            (estimate_outage(stats, 1.0, n, seed=41, workers=workers),
+             outage_whole_group_means(stats, 1.0, n, seed=41)),
+            (estimate_ser_semianalytic(stats, cfg, n, seed=41, workers=workers),
+             ser_whole_group_means(stats, cfg, n, seed=41)),
+        ):
+            mean = math.fsum(g) / g.size
+            d = g - mean
+            want = math.sqrt(float((d * d).sum()) / (g.size - 1) / g.size)
+            assert (est.value, est.std_error) == (mean, want)
+            assert est == mc._mean_estimate(g, 41)
+
     @pytest.mark.parametrize("n", [10_001, 2 * CHUNK_SAMPLES + 12_345])
     def test_n_rounds_up_to_whole_groups(self, n):
         # n runs ceil(n / 466) lattice groups, so it is the estimate at the
@@ -264,6 +285,39 @@ class TestReproducibility:
         assert np.array_equal(whole, np.concatenate([head, tail]))
         with pytest.raises(DomainError):
             stream(11, uniform_offset=6)
+
+
+class TestMeanEstimate:
+    """mc._mean_estimate against exact rational arithmetic on seeded arrays
+    of group means: uniform, spread over twelve decades, and near-constant
+    (1 - k ulp, or 1e-5 (1 + k ulp)) with k < 9, where raw sums of squares
+    would cancel to noise."""
+
+    @seed(20170322)
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 300),
+           st.sampled_from(["uniform", "decades", "near-one", "near-small"]))
+    def test_against_fractions(self, draw_seed, n, kind):
+        rng = np.random.default_rng(draw_seed)
+        k = rng.integers(0, 9, n)
+        g = {"uniform": lambda: rng.random(n),
+             "decades": lambda: 10.0 ** rng.uniform(-12.0, 0.0, n),
+             "near-one": lambda: 1.0 - k * 2.0 ** -53,
+             "near-small": lambda: 1e-5 * (1.0 + k * 2.0 ** -52)}[kind]()
+        exact = [Fraction(x) for x in g.tolist()]
+        total = sum(exact)
+        mu = total / n
+        se = math.sqrt(float(sum((x - mu) ** 2 for x in exact) / (n - 1) / n))
+        differ = len(set(exact)) > 1
+        est = mc._mean_estimate(g, 5)
+        assert (est.n_samples, est.seed) == (GROUP * n, 5)
+        # the exactly rounded sum over n: two roundings, so at most half an
+        # ulp of the mean plus half an ulp of the sum over n from the exact mean
+        assert est.value == float(total) / n
+        assert abs(Fraction(est.value) - mu) <= (Fraction(math.ulp(est.value)) / 2
+                                                 + Fraction(math.ulp(float(total))) / (2 * n))
+        assert abs(est.std_error - se) <= max(1e-12 * se, 2.0 * math.ulp(est.value))
+        assert est.std_error > 0.0 or not differ
 
 
 class TestAntitheticPairs:
