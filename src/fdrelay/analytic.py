@@ -85,14 +85,6 @@ class ApproxCoeffs(_Record):
     def __init__(self, exact: tuple[tuple, ...]):
         _setattr(self, "exact", exact)
 
-    def eval_approx(self, x: float) -> float:
-        """The approximating function itself; with n pairs it matches the
-        Taylor series of 1/(1+x) through order x^(2n - 1)."""
-        return math.fsum(
-            float(a) * x ** (2 * i) * math.exp(-float(b) * x)
-            for i, (a, b) in enumerate(self.exact)
-        )
-
 
 # the floats of approx_coeffs(MAX_N_TERMS).exact, the (A_i, B_i) that the SER
 # series evaluates, so that it imports no fractions; a test pins them bit for bit

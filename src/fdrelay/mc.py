@@ -200,16 +200,19 @@ def _mean_estimate(g, seed: int) -> McEstimate:
     n_samples counts evaluations, 2 * _GROUP per group.
 
     The mean is the exactly rounded fsum of g over its size, so no order of
-    the groups changes it. The variance is a second pass over the squared
-    deviations from that mean (Chan, Golub & LeVeque, Am. Stat. 37, 1983);
-    unlike s2/n - mean^2 from raw sums, it does not cancel to noise when the
-    group means are nearly constant.
+    the groups changes it. The variance is the corrected two-pass form (Chan,
+    Golub & LeVeque, Am. Stat. 37, 1983): the sum of squared deviations from
+    that mean less excess^2 / n, excess being the sum of the deviations. It
+    does not cancel to noise when the group means are nearly constant, and
+    reads 0 when they are all equal, whether or not the mean rounds.
     """
     n = g.size
     mean = math.fsum(g) / n
     g -= mean
+    excess = float(g.sum())
     g *= g
-    var = float(g.sum()) / (n - 1)
+    # clamped, since rounding can leave the difference just below 0
+    var = max(float(g.sum()) - excess * excess / n, 0.0) / (n - 1)
     return McEstimate(mean, math.sqrt(var / n), 2 * _GROUP * n, seed)
 
 

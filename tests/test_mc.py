@@ -319,6 +319,13 @@ class TestMeanEstimate:
         assert abs(est.std_error - se) <= max(1e-12 * se, 2.0 * math.ulp(est.value))
         assert est.std_error > 0.0 or not differ
 
+    @pytest.mark.parametrize("x", [1.0 - 2.0**-53, 1.0 - 3 * 2.0**-53, 0.1, 1e-5, 0.7])
+    def test_equal_means_have_zero_std_error(self, x):
+        # fsum(n x) / n need not round back to x, and then every deviation is
+        # the same nonzero d; the excess n d must cancel their squares exactly
+        for n in range(2, 300):
+            assert mc._mean_estimate(np.full(n, x), 5).std_error == 0.0, n
+
 
 class TestAntitheticPairs:
     @given(st.floats(-20.0, 80.0), st.floats(0.0, 10.0), st.floats(1.5, 6.0),

@@ -114,6 +114,8 @@ COMMANDS = [
 # module:qualname -> why the def stays although no command reaches it
 ALLOWLIST = {
     "analytic:f_objective": "acceptance criterion 09 checks the surrogate's convexity",
+    "analytic:approx_coeffs": "acceptance criterion 01 checks the exact recurrence",
+    "analytic:ApproxCoeffs.__init__": "approx_coeffs' value type",
     "opt:joint_v3_closed": "acceptance criterion 08(b) checks the v = 3 closed form",
     "sfun:exp_integral_e1": "acceptance criterion 02 checks it against mpmath",
     "sfun:_e1_scaled_cf": "exp_integral_e1's continued fraction (criterion 02)",

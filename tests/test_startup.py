@@ -109,3 +109,5 @@ def test_import_loads_only_what_commands_use(fresh_run):
     for step in ("figure 4", "optimize-joint --p-db", "ser --p-db", "outage --p-db",
                  "figure 2"):
         assert loaded[step] == [], step
+    # validate's Taylor check reads the same float table
+    assert not {"fractions", "decimal"} & set(loaded["validate --mc-samples"])
