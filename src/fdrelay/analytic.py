@@ -1,13 +1,13 @@
 """Closed-form performance expressions for the two-hop full-duplex link.
 
-Covers the end-to-end SINR CDF (asymptotic closed form plus its exact
-integral evaluated numerically), the SER series built on the staged
-exponential approximation of 1/(1+x), the high-power reduction, the
-interference-limited floor, and the convex surrogate objective behind the
-power/location optimizers. The two quadrature oracles, the exact CDF and
-ser_quadrature, share one adaptive Gauss-Kronrod integrator written on the
-standard library (the "quadrature plumbing" section), so no route here loads
-numpy or scipy.
+Covers the end-to-end SINR CDF (the paper's asymptotic closed form, and the
+exact CDF of the simulated SINR as the same closed form plus one correction
+integral), the SER series built on the staged exponential approximation of
+1/(1+x), the high-power reduction, the interference-limited floor, and the
+convex surrogate objective behind the power/location optimizers. The exact
+CDF's correction and ser_quadrature share one adaptive Gauss-Kronrod
+integrator written on the standard library (the "quadrature plumbing"
+section), so no route here loads numpy or scipy.
 
 Conventions: stats holds mean link SNRs (see model.LinkStats), cfg holds
 (alpha_mod, beta_mod) of the Q-function SER model. SER outputs are clamped
@@ -146,19 +146,46 @@ def sinr_cdf_asymptotic(x: float, stats: LinkStats) -> float:
     """High-power closed form of the end-to-end SINR CDF.
 
     F(x) = 1 - e^{-(1/l_sr + 1/l_rd) x} / (1 + eta x) * u K1(u),
-    u = 2x / sqrt(l_sr l_rd). Exact at eta = 0; otherwise a lower bound of
-    the exact CDF, below it by at most C g e^g E1(g), the dropped interference
-    correction, with g = eta x^2 / (l_rd (1 + eta x)) and
-    C = e^{-(1/l_sr + 1/l_rd) x}.
+    u = 2x / sqrt(l_sr l_rd). At eta = 0 it is the CDF of the upper-bound
+    SINR ab/(a + b); otherwise it lies below that CDF, by at most C g e^g
+    E1(g), the dropped interference correction, with g = eta x^2 / (l_rd (1
+    + eta x)) and C = e^{-(1/l_sr + 1/l_rd) x}. The CDF of the simulated
+    SINR ab/(a + b + 1), sinr_cdf_exact_numeric, lies above both.
     """
     if math.isnan(x) or x < 0.0:
         raise DomainError(f"sinr_cdf_asymptotic: x must be >= 0, got {x}")
-    return _asymptotic_cdf(stats)(x)
+    return _cdf(stats, False)(x)
 
 
-def _asymptotic_cdf(stats: LinkStats) -> Callable[[float], float]:
-    """The function x -> sinr_cdf_asymptotic(x, stats) for x >= 0, with the
-    factors that do not depend on x computed once."""
+def sinr_cdf_exact_numeric(x: float, stats: LinkStats) -> float:
+    """Exact CDF of the simulated SINR ab/(a + b + 1), a = g_sr/(g_li + 1),
+    b = g_rd (Hasna & Alouini, IEEE TWC 2003): the closed form of
+    sinr_cdf_asymptotic at x(x + 1) in place of x^2, plus one correction.
+
+    Given the second hop's excess E ~ Exp(l_rd) over x, partial fractions
+    split the survivor into
+
+        F(x) = 1 - e^{-s} [u K1(u) / (1 + eta x) - C(x)],
+        u = 2 sqrt(x (x + 1) / (l_sr l_rd)),  s = (1/l_sr + 1/l_rd) x,
+        C(x) = (eta x (x + 1) / (l_rd (1 + eta x)))
+               int_0^inf e^{-E/l_rd - c/E} / ((1 + eta x) E + eta x (x + 1)) dE,
+
+    with c = x (x + 1) / l_sr. C = 0 at eta = 0, where no integral runs;
+    otherwise e^{-s} C is integrated by adaptive quadrature over ln(E/l_rd),
+    its error estimate bounded by _CDF_ABS_TOL.
+    """
+    if math.isnan(x) or x < 0.0:
+        raise DomainError(f"sinr_cdf_exact_numeric: x must be >= 0, got {x}")
+    return _cdf(stats, True)(x)
+
+
+_LOG_745 = math.log(745.0)  # e^-t underflows past t = 745
+
+
+def _cdf(stats: LinkStats, exact: bool) -> Callable[[float], float]:
+    """The function x -> sinr_cdf_exact_numeric(x, stats) (exact) or
+    sinr_cdf_asymptotic(x, stats) for x >= 0, with the factors that do not
+    depend on x computed once."""
     # the product of the roots where lambda_sr lambda_rd underflows to 0
     root = (math.sqrt(stats.lambda_sr * stats.lambda_rd)
             or math.sqrt(stats.lambda_sr) * math.sqrt(stats.lambda_rd))
@@ -168,7 +195,9 @@ def _asymptotic_cdf(stats: LinkStats) -> Callable[[float], float]:
     def cdf(x: float) -> float:
         if x == 0.0:
             return 0.0
-        u = 2.0 * x / root
+        # the exact route's x (x + 1) in place of x^2, as roots so that it
+        # cannot overflow
+        u = 2.0 * (math.sqrt(x) * math.sqrt(x + 1.0) if exact else x) / root
         if u == math.inf or x == math.inf:
             # u K1(u) -> 0, so F -> 1; the product below would be inf * 0,
             # and u is inf / inf where l_sr l_rd overflows as well
@@ -176,79 +205,46 @@ def _asymptotic_cdf(stats: LinkStats) -> Callable[[float], float]:
         # u K1(u) -> 1 with O(u^2 ln u) error; shortcut also avoids 1/u
         # overflow for denormal u
         uk1 = 1.0 if u < 1e-12 else u * bessel_k1(u)
-        f = 1.0 - math.exp(-rate * x) / (1.0 + eta * x) * uk1
+        k = math.exp(-rate * x) / (1.0 + eta * x)
+        f = 1.0 - k * uk1
+        if exact and eta and k:
+            f += _rsi_correction(x, k, root, stats)
         # min(max(f, 0), 1), NaN and -0.0 included
         return 0.0 if f < 0.0 else 1.0 if f > 1.0 else f
 
     return cdf
 
 
-def _cdf_small_x(x: float, lsr: float, lrd: float, eta: float, why: str) -> float:
-    """The exact CDF where its quadrature cannot run (why says so): 0.0 where
-    the bound 2x (1/l_sr + 1/l_rd + eta) settles it, else DomainError.
+def _rsi_correction(x: float, k: float, root: float, stats: LinkStats) -> float:
+    """e^{-s} C(x) of sinr_cdf_exact_numeric at eta > 0, given k = e^{-s} /
+    (1 + eta x) and root = sqrt(l_sr l_rd).
 
-    With r = 1/l_sr + eta and E ~ Exp(l_rd) the second hop's excess over x,
-    the CDF is at most x / l_rd + E[min(1, r (x + x^2 / E))], which stays
-    below that bound while the bound is below 1."""
-    bound = 2.0 * (x / lsr + x / lrd + eta * x)
-    if bound <= _CDF_ABS_TOL:
-        return 0.0
-    raise DomainError(f"sinr_cdf_exact_numeric: {why}, and the CDF bound 2x (1/lambda_sr "
-                      f"+ 1/lambda_rd + eta) = {bound:.3g} exceeds {_CDF_ABS_TOL:g}")
-
-
-def sinr_cdf_exact_numeric(x: float, stats: LinkStats) -> float:
-    """Exact CDF of the two-hop SINR ratio form, by adaptive quadrature.
-
-    The survivor function is the semi-infinite integral over the second-hop
-    SNR t of
-
-        (1/l_rd) exp(-(x + x^2/(t-x))/l_sr - t/l_rd) / (1 + eta (x + x^2/(t-x)))
-
-    from t = x upward. Substituting t = x + e^u turns the two disparate
-    scales (the first-hop layer at t - x ~ x^2/l_sr and the exponential tail
-    at t ~ l_rd) into unit-width smooth features at known positions, so the
-    integrator stays at full accuracy even for wildly asymmetric links.
+    Over w = ln(E / l_rd), with t = e^w, it is k int t e^{-t - g/t} / (1 +
+    b t) dw, g = (u/2)^2 = x (x + 1) / (l_sr l_rd) and b = (1 + eta x) l_rd
+    / (eta x (x + 1)). Outside [ln(g / 745), ln 745] an exponential has
+    underflowed, and the integrand is at most t, so below w = -700 it adds
+    less than 1e-304.
     """
-    if math.isnan(x) or x < 0.0:
-        raise DomainError(f"sinr_cdf_exact_numeric: x must be >= 0, got {x}")
-    lsr = stats.lambda_sr
-    lrd = stats.lambda_rd
-    eta = stats.eta
-    if x < 1e-200:
-        return _cdf_small_x(x, lsr, lrd, eta, f"x = {x} is below 1e-200, where x^2 underflows")
-    xx = x * x
+    # g in logs, since it can underflow
+    log_g = math.log(x) + math.log1p(x) - 2.0 * math.log(root)
+    lo = max(log_g - _LOG_745, -700.0)
+    if lo >= _LOG_745:
+        # t + g/t >= 2 sqrt(g) = u > 1490 everywhere
+        return 0.0
+    # inf where eta x underflows, and then the integrand is 0
+    b = (1.0 + 1.0 / stats.eta / x) * stats.lambda_rd / (x + 1.0)
 
-    def integrand(us: list[float]) -> list[float]:
+    def integrand(ws: list[float]) -> list[float]:
         out = []
-        for u in us:
-            eu = math.exp(u)
-            xy = x + xx / eu
-            expo = -xy / lsr - (x + eu) / lrd
-            out.append(0.0 if expo < -745.0 else
-                       (eu / lrd) * math.exp(expo) / (1.0 + eta * xy))
+        for w in ws:
+            t = math.exp(w)
+            out.append(k * t * math.exp(-t - math.exp(log_g - w)) / (1.0 + b * t))
         return out
 
-    # outside [u_lo, u_hi] one of the exponentials has underflowed; u_lo in
-    # logs where x^2 / (l_sr 745) underflows
-    q = xx / (lsr * 745.0)
-    u_lo = math.log(q) if q > 0.0 else 2.0 * math.log(x) - math.log(lsr) - math.log(745.0)
-    u_hi = math.log(745.0 * lrd)
-    if u_lo >= u_hi:
-        # the exponent is at least x/l_sr + x/l_rd + 2x/sqrt(l_sr l_rd) > 1490
-        # everywhere, so the survivor underflows double precision
-        return 1.0
-    marks = [math.log(max(xx / lsr, 1e-300)), math.log(lrd)]
-    if eta > 0.0:
-        marks.append(math.log(max(eta * x * x, 1e-300)))
-    breaks = sorted({min(max(m, u_lo + 1e-9), u_hi - 1e-9) for m in marks})
-    try:
-        surv, err = _quad_checked(integrand, u_lo, u_hi, _CDF_ABS_TOL,
-                                  "sinr_cdf_exact_numeric", points=breaks)
-    except (OverflowError, ZeroDivisionError):
-        return _cdf_small_x(x, lsr, lrd, eta, f"the integrand's e^u leaves the float range "
-                            f"at x = {x}, lambda_sr = {lsr}, lambda_rd = {lrd}")
-    return min(max(1.0 - surv, 0.0), 1.0)
+    # the layer g/t ~ 1, the peak t = sqrt(g), the scale t ~ 1 and the knee bt = 1
+    marks = {log_g, 0.5 * log_g, 0.0, -math.log(b) if b else 0.0}
+    return _quad_checked(integrand, lo, _LOG_745, _CDF_ABS_TOL, "sinr_cdf_exact_numeric",
+                         sorted(m for m in marks if lo < m < _LOG_745))[0]
 
 
 def outage(threshold: float, stats: LinkStats, mode: str = "asymptotic") -> float:
@@ -382,7 +378,7 @@ def ser_from_cdf(cdf: Callable[[float], float], cfg: SystemConfig) -> float:
 
 def ser_quadrature(stats: LinkStats, cfg: SystemConfig) -> float:
     """Numerical SER from the asymptotic CDF; oracle for ser_series."""
-    return ser_from_cdf(_asymptotic_cdf(stats), cfg)
+    return ser_from_cdf(_cdf(stats, False), cfg)
 
 
 def ser_high_power(stats: LinkStats, cfg: SystemConfig) -> float:
@@ -478,7 +474,7 @@ def ser_power_optimized(cfg: SystemConfig, rho_d: float) -> float:
 # quadrature plumbing
 # ---------------------------------------------------------------------------
 
-# One adaptive integrator serves both oracles: QUADPACK's 21-point
+# One adaptive integrator serves both integrals: QUADPACK's 21-point
 # Gauss-Kronrod rule and error scaling (R. Piessens, E. de Doncker-Kapenga,
 # C. W. Ueberhuber and D. K. Kahaner, "QUADPACK", Springer, 1983) under
 # global bisection of the interval with the largest error estimate. Both

@@ -114,13 +114,13 @@ def _parse_p_db(text: str) -> list[float]:
             raise UsageError(f"--p-db range needs finite parts: {text!r}")
         if step <= 0 or stop < start:
             raise UsageError(f"--p-db range must be increasing: {text!r}")
-        steps = (stop - start) / step
-        if steps > _MAX_P_DB_POINTS:
-            raise UsageError(f"--p-db range exceeds {_MAX_P_DB_POINTS} points: {text!r}")
         # the whole steps from start to stop, with a rounding slack of
-        # 1e-10 dB, or 1e-10 steps below a step of 1 dB
-        last = int(steps + 1e-10 * min(1.0, 1.0 / step))
-        return [start + k * step for k in range(last + 1)]
+        # 1e-10 dB, or 1e-10 steps below a step of 1 dB; the points are those
+        # steps and start
+        steps = (stop - start) / step + 1e-10 * min(1.0, 1.0 / step)
+        if steps >= _MAX_P_DB_POINTS:
+            raise UsageError(f"--p-db range exceeds {_MAX_P_DB_POINTS} points: {text!r}")
+        return [start + k * step for k in range(int(steps) + 1)]
     try:
         return [float(text)]
     except ValueError:

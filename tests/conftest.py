@@ -67,9 +67,64 @@ def stats_at(p_db: float, eps: float, v: float = 3.0,
     return cfg, link_stats(cfg, Allocation(rho_lambda, rho_d))
 
 
+# the closed form's 1 - e^-s u K1(u) / (1 + eta x) in both CDF routes is a
+# difference near 1, so its error floor is a few ulps of 1 whatever F is
+# (ROADMAP item 2). The worst seen in the tests is 2 ulps (40 dB, eps 0, x =
+# 0.1); this allows 4
+CDF_ABS_FLOOR = 2.0 ** -51
+
+
+def sinr_cdf_upper_bound(x: float, stats) -> float:
+    """CDF of the upper-bound SINR ab/(a + b), a = g_sr/(g_li + 1), b = g_rd,
+    by analytic's adaptive quadrature: the oracle that the asymptotic CDF
+    bounds from below and the exact CDF of ab/(a + b + 1) bounds from above.
+    Meant for x = 0 and for x > 1e-150, where x^2 does not underflow. The
+    exact route computed this CDF before it took the +1, so its values are
+    bit for bit what that route returned.
+
+    Its survivor integrates over the second-hop SNR t > x
+
+        (1/l_rd) exp(-(x + x^2/(t-x))/l_sr - t/l_rd) / (1 + eta (x + x^2/(t-x))),
+
+    substituted t = x + e^u, which turns the first-hop layer at t - x ~
+    x^2/l_sr and the exponential tail at t ~ l_rd into unit-width features
+    at known positions, its break points.
+    """
+    if x == 0.0:
+        return 0.0
+    lsr, lrd, eta = stats.lambda_sr, stats.lambda_rd, stats.eta
+    xx = x * x
+
+    def integrand(us):
+        out = []
+        for u in us:
+            eu = math.exp(u)
+            xy = x + xx / eu
+            expo = -xy / lsr - (x + eu) / lrd
+            out.append(0.0 if expo < -745.0 else
+                       (eu / lrd) * math.exp(expo) / (1.0 + eta * xy))
+        return out
+
+    # outside [u_lo, u_hi] one of the exponentials has underflowed; u_lo in
+    # logs where x^2 / (l_sr 745) underflows
+    q = xx / (lsr * 745.0)
+    u_lo = math.log(q) if q > 0.0 else 2.0 * math.log(x) - math.log(lsr) - math.log(745.0)
+    u_hi = math.log(745.0 * lrd)
+    if u_lo >= u_hi:
+        # the exponent is below -1490 everywhere
+        return 1.0
+    marks = [math.log(max(xx / lsr, 1e-300)), math.log(lrd)]
+    if eta > 0.0:
+        marks.append(math.log(max(eta * x * x, 1e-300)))
+    breaks = sorted({min(max(m, u_lo + 1e-9), u_hi - 1e-9) for m in marks})
+    surv, _ = analytic._quad_checked(integrand, u_lo, u_hi, analytic._CDF_ABS_TOL,
+                                     "sinr_cdf_upper_bound", points=breaks)
+    return min(max(1.0 - surv, 0.0), 1.0)
+
+
 def cdf_truncation_bound(x: float, stats) -> float:
-    """Upper bound on (exact CDF - asymptotic CDF) at threshold x, the bound
-    oracle of analytic.sinr_cdf_asymptotic.
+    """Upper bound on (upper-bound CDF - asymptotic CDF) at threshold x, the
+    bound oracle of analytic.sinr_cdf_asymptotic against sinr_cdf_upper_bound.
 
     The dropped interference correction is bounded by
     C * g * e^g * E1(g) with g = eta x^2 / (l_rd (1 + eta x)) and

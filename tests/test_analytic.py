@@ -38,8 +38,9 @@ from fdrelay import analytic
 from fdrelay.analytic import DEFAULT_N_TERMS, MAX_N_TERMS, ser_from_cdf
 from fdrelay.sfun import bessel_k1
 
-from conftest import (FLOAT_RANGE_DRAWS, cdf_truncation_bound, cfg_at, float_range_cfg, outcome,
-                      ser_series_terms_oracle, stats_at)
+from conftest import (CDF_ABS_FLOOR, FLOAT_RANGE_DRAWS, cdf_truncation_bound, cfg_at,
+                      float_range_cfg, outcome, ser_series_terms_oracle, sinr_cdf_upper_bound,
+                      stats_at)
 from test_reach import TRACEBACK_EXAMPLES
 
 
@@ -186,48 +187,54 @@ class TestSinrCdf:
         assert sinr_cdf_exact_numeric(2 * x, stats) >= sinr_cdf_exact_numeric(x, stats)
 
     @pytest.mark.parametrize("case,expected", [
-        # mpmath quadrature of the defining survivor integral, 40 dps;
-        # cases chosen for wildly mismatched hop scales
-        ((1.0, 12.0, 1e7, 0.0125), 0.091314408386619874),
-        ((0.01, 1e6, 1e6, 2.0), 0.019607866931045822),
-        ((4.0, 3.0, 1e10, 0.0), 0.73640286496975761),
-        ((25.0, 4e4, 4.0, 0.4), 0.99997660087442956),
-        ((0.5, 1e10, 3.0, 50.0), 0.97606497010152686),
+        # case: x, l_sr, l_rd, eta and the exact CDF, 30 digits by mpmath.quad
+        # at 40 digits of the kernel integral of test_quadrature.CDF_TABLE;
+        # expected: the upper-bound SINR's CDF, mpmath quadrature of its
+        # survivor integral at 40 digits. Cases chosen for wildly mismatched
+        # hop scales, up to l_rd = 2e38
+        ((1.0, 12.0, 1e7, 0.0125, 0.0913145554611278882225813261145), 0.091314408386619874),
+        ((0.01, 1e6, 1e6, 2.0, 0.0196081959204294984483008122532), 0.019607866931045822),
+        ((4.0, 3.0, 1e10, 0.0, 0.736402865675555653363036524128), 0.73640286496975761),
+        ((25.0, 4e4, 4.0, 0.4, 0.999977312582803045915114814574), 0.99997660087442956),
+        ((0.5, 1e10, 3.0, 50.0, 0.982221698035905220615590278485), 0.97606497010152686),
+        ((1.0, 10.0, 2e38, 0.1, 0.177420529058218574001803892428), 0.17742052905821857),
     ])
     def test_exact_cdf_on_asymmetric_links(self, case, expected):
-        from fdrelay import LinkStats
-        x, lsr, lrd, eta = case
+        x, lsr, lrd, eta, exact = case
         stats = LinkStats(lsr, lrd, eta * lsr, eta)
-        assert sinr_cdf_exact_numeric(x, stats) == pytest.approx(expected, abs=1e-10)
+        assert sinr_cdf_exact_numeric(x, stats) == pytest.approx(exact, rel=1e-12)
+        assert sinr_cdf_upper_bound(x, stats) == pytest.approx(expected, abs=1e-10)
 
     def test_exact_cdf_below_1e_200(self):
-        # x^2 underflows there: 0 where the bound 2x (1/l_sr + 1/l_rd + eta)
-        # is within the tolerance, a DomainError where it is not
+        # x^2 underflows there, and the route needs it nowhere: F against
+        # the kernel integral of test_quadrature.CDF_TABLE at 40 digits, to
+        # CDF_ABS_FLOOR, since F is far below an ulp of 1
         _, stats = stats_at(20.0, 0.1)
-        assert sinr_cdf_exact_numeric(1e-201, stats) == 0.0
+        assert sinr_cdf_exact_numeric(1e-201, stats) == pytest.approx(
+            3.5221386646947401452e-203, abs=CDF_ABS_FLOOR)
         assert sinr_cdf_exact_numeric(0.0, LinkStats(5e-324, 5e-324, 0.0, 0.0)) == 0.0
         weak = LinkStats(1e-300, 1e-300, 1e-301, 0.1)
         assert sinr_cdf_asymptotic(1e-201, weak) == 1.0
-        with pytest.raises(DomainError, match=r"CDF bound .* = 4e\+99"):
-            sinr_cdf_exact_numeric(1e-201, weak)
+        assert sinr_cdf_exact_numeric(1e-201, weak) == 1.0
 
     def test_exact_cdf_where_its_quadrature_cannot_run(self):
-        # from 1e-200 to ~1e-159 x^2 underflows and the integrand's e^u
-        # leaves the float range; the bound of the case below 1e-200 settles
-        # the CDF there too
+        # from 1e-202 to 1e-151 the old integrand's x^2 underflowed or its e^u
+        # left the float range; F ~ 3e-2 x here by 40-digit mpmath (3.3e-182
+        # at x = 1e-180, 3.1e-153 at 1e-151)
         _, stats = stats_at(20.0, 0.1)
         for k in range(-202, -150):
-            assert sinr_cdf_exact_numeric(10.0 ** k, stats) == 0.0
+            assert 0.0 <= sinr_cdf_exact_numeric(10.0 ** k, stats) <= CDF_ABS_FLOOR
+        assert sinr_cdf_exact_numeric(1e-180, stats) == pytest.approx(
+            3.3408100886214523364e-182, abs=CDF_ABS_FLOOR)
 
     def test_zero_rsi_collapses_to_closed_form(self):
         # with eta = 0 the dropped correction vanishes, so quadrature of the
-        # exact integral must reproduce the Bessel closed form
+        # upper-bound SINR's integral must reproduce the Bessel closed form
         for p_db in (10.0, 20.0, 30.0):
             _, stats = stats_at(p_db, 0.0)
             for x in (0.5, 1.0, 2.0, 4.0):
                 asym = sinr_cdf_asymptotic(x, stats)
-                exact = sinr_cdf_exact_numeric(x, stats)
-                assert exact == pytest.approx(asym, abs=5e-10)
+                assert sinr_cdf_upper_bound(x, stats) == pytest.approx(asym, abs=5e-10)
 
     @pytest.mark.parametrize("p_db", [10.0, 20.0, 30.0])
     @pytest.mark.parametrize("eps", [0.01, 0.1, 0.3])
@@ -235,10 +242,10 @@ class TestSinrCdf:
         _, stats = stats_at(p_db, eps)
         for x in (0.5, 1.0, 2.0, 4.0, 8.0):
             asym = sinr_cdf_asymptotic(x, stats)
-            exact = sinr_cdf_exact_numeric(x, stats)
+            upper = sinr_cdf_upper_bound(x, stats)
             bound = cdf_truncation_bound(x, stats)
-            assert asym <= exact + 1e-12
-            assert exact - asym <= bound + 1e-12
+            assert asym <= upper + 1e-12
+            assert upper - asym <= bound + 1e-12
 
     def test_truncation_bound_past_exp_overflow(self):
         # g = 810 > 709, where e^g overflows; C = e^-9100 underflows to 0

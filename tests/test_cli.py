@@ -23,8 +23,9 @@ from fdrelay.cli import (
     main,
 )
 
-from conftest import FLOAT_RANGE_DRAWS
-from test_reach import FLOAT_RANGE_ARGVS, TRACEBACK_EXAMPLES, traceback_argv
+from conftest import CDF_ABS_FLOOR, FLOAT_RANGE_DRAWS
+from test_reach import (FLOAT_RANGE_ARGVS, FLOAT_RANGE_OUTAGE_ARGVS, TRACEBACK_EXAMPLES,
+                        traceback_argv)
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -87,6 +88,9 @@ class TestConfigParsing:
         assert len(fine) == 101 and fine[-1] == 1e-10
         assert _parse_p_db("0:0.9999999995:1") == [0.0]
         assert _parse_p_db("0:0.3:0.1") == [0.0, 0.1, 0.2, 0.1 + 0.2]
+        # the cap counts points, start included: 100 000 pass, 100 001 do not
+        assert len(_parse_p_db("0:99999:1")) == 100_000
+        assert main(["outage", "--p-db", "0:100000:1"]) == EXIT_USAGE
         # and ends, however fine the step: in a fresh process, so that a loop
         # that never ends cannot hang the suite
         code = "from fdrelay.cli import _parse_p_db; print(_parse_p_db('0:1e-300:1e-300'))"
@@ -185,11 +189,13 @@ class TestCommands:
         assert rows[1][2:4] == ["1", "1"]
 
     def test_outage_where_x_squared_underflows(self, tmp_path):
-        # the quadrature cannot run at x = 1e-180, and the CDF bound
-        # 2x (1/l_sr + 1/l_rd + eta) ~ 3.5e-182 settles the exact CDF as 0
+        # x^2 underflows at x = 1e-180, and the exact route needs it nowhere:
+        # its F against the 40-digit kernel integral, 3.34e-182, to a few ulps
+        # of 1, the floor of its closed form's difference near 1
         code, rows, _ = run_cli(["outage", "--threshold", "1e-180"], tmp_path)
         assert code == EXIT_OK
-        assert rows[1][3] == "0"
+        assert float(rows[1][3]) == pytest.approx(3.3408100886214523364e-182,
+                                                  abs=CDF_ABS_FLOOR)
 
     def test_negative_p_db_range(self, tmp_path):
         # "--p-db -10:0:5" reads as an option to argparse; the "=" form works
@@ -372,13 +378,21 @@ class TestValidateAndExitCodes:
 
     @pytest.mark.parametrize("argv", FLOAT_RANGE_ARGVS)
     def test_out_of_float_range_is_one_error_line(self, capsys, argv):
-        # D^-v overflows, lambda_sr underflows to 0, the exact CDF's
-        # quadrature cannot run where x^2 underflows and its bound cannot
-        # settle the CDF as 0, or the series' (1/sqrt(l_sr) +
-        # 1/sqrt(l_rd))^2 overflows at a subnormal l_rd
+        # D^-v overflows, lambda_sr underflows to 0, or the series'
+        # (1/sqrt(l_sr) + 1/sqrt(l_rd))^2 overflows at a subnormal l_rd
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, want", FLOAT_RANGE_OUTAGE_ARGVS)
+    def test_out_of_float_range_outage_is_a_value(self, tmp_path, argv, want):
+        # both CDF routes print a probability, and the exact one is its
+        # 40-digit kernel integral to a few ulps of 1
+        code, rows, _ = run_cli(argv, tmp_path)
+        assert code == EXIT_OK
+        asymptotic, exact = map(float, rows[1][2:4])
+        assert 0.0 <= asymptotic <= 1.0 and 0.0 <= exact <= 1.0
+        assert exact == pytest.approx(want, abs=CDF_ABS_FLOOR)
 
     @given(st.sampled_from(["ser", "outage", "optimize-location", "optimize-power",
                             "optimize-joint", "figure 3", "figure 4", "figure 6", "figure 8"]),

@@ -40,6 +40,7 @@ from conftest import (
     ser_group_pairs,
     ser_pair_oracle,
     ser_whole_group_means,
+    sinr_cdf_upper_bound,
     sinr_exact,
     stats_at,
     symbol_level_complex_oracle,
@@ -153,8 +154,9 @@ class TestDrawGammas:
             assert abs(sample.mean() - lam) <= 4.0 * lam / math.sqrt(n)
 
     def test_two_hop_ratio_event_matches_exact_cdf(self):
-        # Pr{(X - x)(g_rd - x) > x^2, g_rd > x} is exactly the survivor the
-        # quadrature computes; sampling that event directly shows no bias
+        # Pr{(X - x)(g_rd - x) > x^2, g_rd > x} is exactly the survivor of
+        # the upper-bound SINR ab/(a + b) that the oracle integrates;
+        # sampling that event directly shows no bias
         from fdrelay import LinkStats
         stats = LinkStats(lambda_sr=40.0, lambda_rd=40.0, lambda_li=5.0, eta=0.125)
         n = 2_000_000
@@ -162,9 +164,19 @@ class TestDrawGammas:
         ratio = g_sr / (g_li + 1.0)
         for x in (0.5, 1.0, 2.0):
             emp = float(np.mean((g_rd > x) & ((ratio - x) * (g_rd - x) > x * x)))
-            want = 1.0 - sinr_cdf_exact_numeric(x, stats)
+            want = 1.0 - sinr_cdf_upper_bound(x, stats)
             se = math.sqrt(want * (1.0 - want) / n)
             assert abs(emp - want) <= 3.0 * se
+
+    @pytest.mark.parametrize("p_db", [0.0, 20.0])
+    def test_exact_cdf_matches_crude_sampler(self, p_db):
+        # the count of draws of ab/(a + b + 1) below x, which uses neither
+        # the partial fractions of the exact route nor the conditional
+        # kernel of estimate_outage, within 3 sigma at eps 0.1; the
+        # upper-bound CDF misses by 118 sigma at 0 dB and 3.9 sigma at 20 dB
+        _, stats = stats_at(p_db, 0.1)
+        crude = outage_indicator_oracle(stats, 1.0, 1_000_000, seed=31)
+        assert abs(crude.value - sinr_cdf_exact_numeric(1.0, stats)) <= 3.0 * crude.std_error
 
     def test_first_hop_ratio_distribution(self):
         # X = g_sr / (g_li + 1) has survivor e^(-x/l_sr) / (1 + eta x);
@@ -629,10 +641,7 @@ class TestEstimateSerSemianalytic:
         assert abs(np.mean(slopes) + 0.5) < 0.05, slopes
 
     def test_survivor_matches_exact_cdf_at_thresholds(self):
-        # empirical survivor of the sampled SINR against the quadrature CDF;
-        # the quadrature law is for the two-hop ratio form, whose gap to the
-        # sampled SINR (the retained +1 in the denominator) scales like 1/SNR,
-        # so the check runs where that term is inside the MC noise
+        # empirical survivor of the sampled SINR against its exact CDF
         _, stats = stats_at(30.0, 0.1)
         n = 1_000_000
         g_sr, g_rd, g_li = draw_gammas(stats, stream(33).random(3 * n).reshape(n, 3))

@@ -1,5 +1,5 @@
 """The adaptive Gauss-Kronrod integrator behind the two quadrature oracles,
-`sinr_cdf_exact_numeric` and `ser_quadrature`.
+`ser_quadrature` and the correction integral of `sinr_cdf_exact_numeric`.
 
 Its references: scipy's QUADPACK on the same integrands, the closed form the
 exact CDF reduces to at eps = 0, 30-digit `mpmath` integrals, integrals
@@ -10,6 +10,7 @@ integrands took a whole panel (conftest.quad_checked_oracle).
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
@@ -19,20 +20,41 @@ from fdrelay import RATIO_FLOOR, QuadratureError, analytic
 from fdrelay.analytic import (
     outage,
     ser_quadrature,
-    sinr_cdf_asymptotic,
     sinr_cdf_exact_numeric,
 )
 from fdrelay.model import Allocation, SystemConfig, link_stats
 
-from conftest import outcome, reference_quadrature, stats_at
+from conftest import (CDF_ABS_FLOOR, outcome, reference_quadrature, sinr_cdf_upper_bound,
+                      stats_at)
 
-# 30 significant digits by mpmath.quad at 40 digits (the same at 50), split at
-# every power of ten so that no scale of the integrand is skipped. The exact
-# CDF integrates the survivor over s = t - x > 0 of
-#   (1/l_rd) exp(-y/l_sr - (x + s)/l_rd) / (1 + eta y),  y = x + x^2/s;
-# the SER integrates alpha sqrt(beta / 2 pi) F(u^2) e^(-beta u^2 / 2) over
-# u > 0, with F the asymptotic CDF (K1 form)
+# 30 significant digits by mpmath.quad at 40 digits (the same at 55). The
+# exact CDF is that of the SINR ab/(a + b + 1) that the MC samples; its
+# reference integrates, over E = e^y split at every integer y, the kernel
+# given the second hop's excess E ~ Exp(l_rd) over x, written without
+# cancellation and without the partial fractions of the route:
+#   F = -expm1(-x/l_rd)
+#       + e^(-x/l_rd) int (1/l_rd) e^(-E/l_rd) (eta k - expm1(-k/l_sr)) / (1 + eta k) dE,
+#   k = x + x (x + 1) / E.
 CDF_TABLE = [
+    # p_db, eps, v, rho_lambda, rho_d, x, CDF
+    (-10.0, 0.3, 3.0, 0.5, 0.5, 1.0, 0.999981557375530653571466325009),
+    (0.0, 0.0, 3.0, 0.5, 0.5, 1.0, 0.556071429738602287723057828888),
+    (0.0, 0.1, 3.0, 0.5, 0.5, 1.0, 0.566255849188010353919023262212),
+    (20.0, 0.1, 3.0, 0.5, 0.5, 1.0, 0.0179332306126378739485165782429),
+    (20.0, 1.0, 3.0, 0.5, 0.5, 1.0, 0.119021987560402398979941229535),
+    (30.0, 0.1, 3.0, 0.02, 0.9, 4.0, 0.943468803675771677541359730658),
+    (10.0, 0.01, 3.0, 0.5, 0.5, 100.0, 0.999892382864695175628533983686),
+    (40.0, 0.0, 3.0, 0.5, 0.5, 1.0, 5.00241808629710303045751768079e-05),
+    (60.0, 0.3, 3.0, 0.5, 0.5, 1e-3, 3.74993266394303593728554384319e-05),
+    (100.0, 0.1, 3.0, 0.5, 0.5, 1.0, 0.0123456790785162217728218298326),
+    (300.0, 0.1, 3.0, 0.5, 0.5, 1.0, 0.0123456790123456796892077577361),
+    (300.0, 0.0, 3.0, 0.5, 0.5, 1e29, 0.0530665974497071036579280091036),
+]
+# 30 significant digits of the upper-bound SINR ab/(a + b)'s CDF, by
+# mpmath.quad at 40 digits (the same at 50) of its survivor integral over s
+# = t - x > 0, split at every power of ten:
+#   (1/l_rd) exp(-y/l_sr - (x + s)/l_rd) / (1 + eta y),  y = x + x^2/s
+UPPER_BOUND_TABLE = [
     # p_db, eps, v, rho_lambda, rho_d, x, CDF
     (0.0, 0.1, 3.0, 0.5, 0.5, 1.0, 0.507207149667825282429496225606),
     (40.0, 0.0, 3.0, 0.5, 0.5, 1.0, 5.00118986372254625478078293156e-05),
@@ -41,6 +63,8 @@ CDF_TABLE = [
     (10.0, 0.01, 3.0, 0.5, 0.5, 100.0, 0.999889851145323819859772026645),
     (60.0, 0.3, 3.0, 0.5, 0.5, 1e-3, 3.74990940813709499485383563163e-05),
 ]
+# the SER integrates alpha sqrt(beta / 2 pi) F(u^2) e^(-beta u^2 / 2) over
+# u > 0, with F the asymptotic CDF (K1 form)
 SER_TABLE = [
     # p_db, eps, v, rho_lambda, rho_d, modulation, SER
     (20.0, 0.1, 3.0, 0.5, 0.5, "bpsk", 4.31437926119615555819226048963e-03),
@@ -51,11 +75,11 @@ SER_TABLE = [
     (-10.0, 1.0, 1.5, 1e-6, 0.5, "qpsk", 0.999640456786444963324372810721),
 ]
 
-# literal float.hex of ser_quadrature and outage(1.0, ..., "exact"): a change
-# to the order of the integrator's operations moves a bit here even where
-# every tolerance still holds
+# literal float.hex of ser_quadrature and of the upper-bound oracle at x = 1,
+# which runs the same integrator: a change to the order of the integrator's
+# operations moves a bit here even where every tolerance still holds
 PINNED_BITS = [
-    # p_db, eps, v, rho_lambda, rho_d, modulation, SER, exact CDF at x = 1
+    # p_db, eps, v, rho_lambda, rho_d, modulation, SER, upper-bound CDF at x = 1
     (-10.0, 0.0, 3.0, 0.5, 0.5, "bpsk", "0x1.4c39370a73294p-2", "0x1.ffee23ceb7cefp-1"),
     (20.0, 0.3, 3.0, 0.5, 0.5, "bpsk", "0x1.4acb86f5e0dbbp-7", "0x1.5619fc7a7dca0p-5"),
     (60.0, 0.3, 3.0, 0.5, 0.5, "bpsk", "0x1.235c74c051c1fp-7", "0x1.281a035d4ce90p-5"),
@@ -64,7 +88,19 @@ PINNED_BITS = [
     (20.0, 0.3, 3.0, 0.5, RATIO_FLOOR, "qpsk", "0x1.3e2a4ff5fa719p-6",
      "0x1.446c897e124e0p-6"),
 ]
-
+# literal float.hex of outage(1.0, ..., "exact") on the links of PINNED_BITS
+# (the modulation does not enter). Each is within 7e-15 relative of the
+# CDF_TABLE reference integral at 40 digits, and 5e-7 at 60 dB, eps 0 within
+# 4.6e-17, below CDF_ABS_FLOOR
+PINNED_EXACT_BITS = [
+    # p_db, eps, v, rho_lambda, rho_d, exact CDF at x = 1
+    (-10.0, 0.0, 3.0, 0.5, 0.5, "0x1.fffd5f7149f0cp-1"),
+    (20.0, 0.3, 3.0, 0.5, 0.5, "0x1.5bacafc8d4d28p-5"),
+    (60.0, 0.3, 3.0, 0.5, 0.5, "0x1.281a50ca78af2p-5"),
+    (-10.0, 0.3, 3.0, 0.5, 0.5, "0x1.fffd952b0fe60p-1"),
+    (60.0, 0.0, 3.0, 0.5, 0.5, "0x1.0c6ff7a300000p-21"),
+    (20.0, 0.3, 3.0, 0.5, RATIO_FLOOR, "0x1.446c897e12540p-6"),
+]
 
 def _scenarios(seed, n):
     rng = random.Random(seed)
@@ -108,28 +144,47 @@ def test_oracles_agree_with_scipy(monkeypatch):
     got = oracles()
     monkeypatch.setattr(analytic, "_quad_checked", scipy_quad_checked)
     want = oracles()
-    # every reference value came from QUADPACK, none from the integrator
+    # every reference value came from QUADPACK, none from the integrator; the
+    # exact CDF integrates only where eta > 0
+    with_rsi = sum(stats.eta > 0.0 for _, stats, _ in _scenarios(7, 150))
+    assert 0 < with_rsi < 150
     assert scipy_calls.count("ser_from_cdf") == 150
-    assert scipy_calls.count("sinr_cdf_exact_numeric") == 150
+    assert scipy_calls.count("sinr_cdf_exact_numeric") == with_rsi
     for (ser, cdf), (ser_ref, cdf_ref) in zip(got, want):
         assert abs(ser - ser_ref) <= analytic._SER_ABS_TOL
         assert abs(cdf - cdf_ref) <= analytic._CDF_ABS_TOL
 
 
 def test_exact_cdf_is_the_closed_form_without_rsi():
-    # at eps = 0 the asymptotic CDF is the exact one
+    # at eps = 0 the exact CDF is 1 - e^-s u K1(u), u = 2 sqrt(x (x + 1) /
+    # (l_sr l_rd)), s = (1/l_sr + 1/l_rd) x, here by 30-digit mpmath
     for p_db in range(-10, 81, 10):
         for rho_lambda, rho_d in ((0.5, 0.5), (0.1, 0.9), (0.9, 0.1), (0.02, 0.5)):
             _, stats = stats_at(p_db, 0.0, 3.0, rho_lambda, rho_d)
             for x in (1e-3, 0.1, 1.0, 10.0, 100.0):
+                with mpmath.workdps(30):
+                    lsr, lrd = mpmath.mpf(stats.lambda_sr), mpmath.mpf(stats.lambda_rd)
+                    u = 2 * mpmath.sqrt(x * (x + mpmath.mpf(1)) / (lsr * lrd))
+                    want = float(-mpmath.expm1(-(1 / lsr + 1 / lrd) * x
+                                               + mpmath.log(u * mpmath.besselk(1, u))))
                 assert sinr_cdf_exact_numeric(x, stats) == pytest.approx(
-                    sinr_cdf_asymptotic(x, stats), abs=1e-12), (p_db, rho_lambda, rho_d, x)
+                    want, rel=1e-12, abs=CDF_ABS_FLOOR), (p_db, rho_lambda, rho_d, x)
 
 
 @pytest.mark.parametrize("p_db, eps, v, rho_lambda, rho_d, x, want", CDF_TABLE)
-def test_exact_cdf_against_mpmath(p_db, eps, v, rho_lambda, rho_d, x, want):
+def test_exact_cdf_against_kernel_integral(p_db, eps, v, rho_lambda, rho_d, x, want):
     _, stats = stats_at(p_db, eps, v, rho_lambda, rho_d)
-    assert sinr_cdf_exact_numeric(x, stats) == pytest.approx(want, abs=1e-12)
+    assert sinr_cdf_exact_numeric(x, stats) == pytest.approx(want, rel=1e-12,
+                                                             abs=CDF_ABS_FLOOR)
+
+
+@pytest.mark.parametrize("p_db, eps, v, rho_lambda, rho_d, x, want", UPPER_BOUND_TABLE)
+def test_exact_cdf_against_mpmath(p_db, eps, v, rho_lambda, rho_d, x, want):
+    # the upper-bound oracle meets its 30 digits, and the exact CDF lies
+    # above them, since ab/(a + b + 1) < ab/(a + b)
+    _, stats = stats_at(p_db, eps, v, rho_lambda, rho_d)
+    assert sinr_cdf_upper_bound(x, stats) == pytest.approx(want, abs=1e-12)
+    assert sinr_cdf_exact_numeric(x, stats) > want
 
 
 @pytest.mark.parametrize("p_db, eps, v, rho_lambda, rho_d, modulation, want", SER_TABLE)
@@ -143,6 +198,12 @@ def test_ser_quadrature_against_mpmath(p_db, eps, v, rho_lambda, rho_d, modulati
 def test_pinned_bits(p_db, eps, v, rho_lambda, rho_d, modulation, ser_bits, cdf_bits):
     cfg, stats = stats_at(p_db, eps, v, rho_lambda, rho_d, modulation=modulation)
     assert ser_quadrature(stats, cfg).hex() == ser_bits
+    assert sinr_cdf_upper_bound(1.0, stats).hex() == cdf_bits
+
+
+@pytest.mark.parametrize("p_db, eps, v, rho_lambda, rho_d, cdf_bits", PINNED_EXACT_BITS)
+def test_pinned_exact_bits(p_db, eps, v, rho_lambda, rho_d, cdf_bits):
+    _, stats = stats_at(p_db, eps, v, rho_lambda, rho_d)
     assert outage(1.0, stats, "exact").hex() == cdf_bits
 
 

@@ -64,14 +64,20 @@ FLOAT_RANGE_ARGVS = [
     ["ser", "--sum-distance", "1e-300"],
     ["outage", "--sum-distance", "1e300"],
     ["optimize-power", "--pathloss-exp", "1e300"],
-    ["outage", "--threshold", "1e-180", "--rsi-level", "1e175"],
     ["ser", "--p-db=-100", "--pathloss-exp", "300", "--sum-distance", "10",
      "--rho-d", "0.01", "--rsi-level", "0"],
     ["optimize-power", "--pathloss-exp=327.79", "--sum-distance=9.603",
      "--rsi-level=236.8", "--p-db=-73.03", "--rho-d=0.0595", "--rho-lambda=0.581"],
-    ["outage", "--threshold", "1e-201", "--p-db=-2990"],
     ["ser", "--p-db", "0", "--pathloss-exp", "238.1", "--rsi-level", "1e185",
      "--rho-d", "0.9375"],
+]
+
+# inputs past the float range where the outage is a value, with the exact
+# CDF's 40-digit kernel integral: test_cli's
+# test_out_of_float_range_outage_is_a_value runs each
+FLOAT_RANGE_OUTAGE_ARGVS = [
+    (["outage", "--threshold", "1e-180", "--rsi-level", "1e175"], 1.3093939677673356382e-6),
+    (["outage", "--threshold", "1e-201", "--p-db=-2990"], 1.0),
 ]
 
 
@@ -108,6 +114,7 @@ COMMANDS = [
     ["frobnicate"],
     ["ser", "--p-db", "nonsense"],
     *FLOAT_RANGE_ARGVS,
+    *(argv for argv, _ in FLOAT_RANGE_OUTAGE_ARGVS),
     *(traceback_argv(*example) for example in TRACEBACK_EXAMPLES),
 ]
 
