@@ -16,9 +16,9 @@ starting on a multiple of 4 so that its Philox offset is a whole block. A
 task draws and evaluates one cache-sized block at a time from one stream,
 and the lattice tasks write their group means into one array of the
 estimate. A task allocates its workspace once: the block's shifts, its
-lattice points (and the SER's thresholds), the kernel's scratch (half a
-block: points, then mirrors) and the stretch's weights, or the symbol
-level's uniforms and chain columns. Every block then runs in place in it,
+lattice points (and the SER's weights and thresholds), the kernel's
+scratch (half a block: points, then mirrors) and the stretch's weights, or
+the symbol level's uniforms and chain columns. Every block runs in place in it,
 through out= with the same operations on the same operands, so no block
 allocates an array of its size (the SER's wrap is counted in the mirrors'
 slot, not a bool buffer), and the allocator's dynamic thresholds do not
@@ -33,7 +33,8 @@ two fades integrated in closed form. The outage integrates it over the
 excess, with at most the variance of the indicator count. The SER writes
 alpha Q(sqrt(beta gamma)) as (alpha / 2) P(Z^2 > beta gamma | gamma) with
 Z ~ N(0, 1) independent of the fades: alpha / 2 times the outage at the
-random threshold X = Z^2 / beta, a second coordinate.
+random threshold X = Z^2 / beta, a second coordinate, drawn by importance
+sampling with its weights' group means as a control variate.
 
 Both average groups of 233 points of a randomly shifted rank-1 lattice
 (Cranley & Patterson 1976; L'Ecuyer & Lemieux 2000), each evaluated at
@@ -50,14 +51,15 @@ u = v^2 / (2 d) at weight v / d makes it a bounded integrand, which the
 lattice integrates well. T'(1 - v) = 2 - T'(v), and the mirror's weight is
 computed as 2 - w, so a pair's weights sum to exactly 2: a pair mean stays
 within the kernel's [0, 1], and a certain event gives exactly 1. Groups are
-independent, so value is the mean of the group means, std_error their
-spread over the root of their number, and n_samples counts evaluations,
-466 a group: n rounds up to whole groups.
+independent, so value is the mean of the group means (the SER's less their
+control variate), std_error their spread over the root of their number,
+and n_samples counts evaluations, 466 a group: n rounds up to whole groups.
 
-numpy and scipy.special are imported inside the sampling functions, so that
-importing fdrelay loads neither; each estimator imports what its tasks use
-before any worker thread starts. concurrent.futures is imported inside
-parallel_map, only when it starts a thread pool.
+numpy (and scipy.special for the symbol level) is imported inside the
+sampling functions, so that importing fdrelay loads neither; each estimator
+imports what its tasks use before any worker thread starts.
+concurrent.futures is imported inside parallel_map, only when it starts a
+thread pool.
 """
 
 from __future__ import annotations
@@ -88,11 +90,12 @@ CHUNK_SAMPLES = 400_000
 # Points of a lattice group (a Fibonacci number), the generator of the SER's
 # lattice in the order that sorts v_j, the width of the balanced tail
 # stretch, and the columns it reaches: (j + s) / 233 lies within 0.05 of 0
-# or 1 only for j < 12 or j >= 221
+# or 1 only for j < 12 or j >= 221; the mean of the SER's proposal for |Z|
 _GROUP = 233
 _GEN = 89
 _STRETCH = 0.05
 _EDGE = 12
+_SCALE = 1.6
 
 # Uniforms or lattice coordinates evaluated at a time inside a task:
 # _BLOCK_UNIFORMS // k rows of k (281 outage groups, 140 SER groups, 7 281
@@ -195,9 +198,11 @@ def _check_n(n: int, minimum: int, label: str) -> None:
         raise DomainError(f"{label}: need at least {minimum} samples, got {n}")
 
 
-def _mean_estimate(g, seed: int) -> McEstimate:
-    """Mean and standard error of the group means g, which it overwrites;
-    n_samples counts evaluations, 2 * _GROUP per group.
+def _mean_estimate(g, seed: int, scale: float = 1.0) -> McEstimate:
+    """Mean (within [0, scale]) and standard error of the group means g times
+    scale, which it overwrites; n_samples counts evaluations, 2 * _GROUP per
+    group. Rows (A, B), the SER's, give each group A - b (B - 1), b the slope
+    of A on B over the other parity's groups: B's mean is 1, so A's is kept.
 
     The mean is the exactly rounded fsum of g over its size, so no order of
     the groups changes it. The variance is the corrected two-pass form (Chan,
@@ -206,6 +211,14 @@ def _mean_estimate(g, seed: int) -> McEstimate:
     does not cancel to noise when the group means are nearly constant, and
     reads 0 when they are all equal, whether or not the mean rounds.
     """
+    g, *b = g if g.ndim == 2 else (g,)
+    if b:
+        b = b[0] - 1.0
+        fits = [(g[k::2] - g[k::2].mean(), b[k::2] - b[k::2].mean()) for k in (1, 0)]
+        for k, (da, db) in enumerate(fits):     # evens take the odds' slope, odds the evens'
+            slope = (da * db).sum() / (db * db).sum() if db.max() > db.min() else 0.0
+            g[k::2] -= slope * b[k::2]
+    g *= scale
     n = g.size
     mean = math.fsum(g) / n
     g -= mean
@@ -213,7 +226,7 @@ def _mean_estimate(g, seed: int) -> McEstimate:
     g *= g
     # clamped, since rounding can leave the difference just below 0
     var = max(float(g.sum()) - excess * excess / n, 0.0) / (n - 1)
-    return McEstimate(mean, math.sqrt(var / n), 2 * _GROUP * n, seed)
+    return McEstimate(min(max(mean, 0.0), scale), math.sqrt(var / n), 2 * _GROUP * n, seed)
 
 
 def _outage_given_excess(v, x, stats: LinkStats, scratch=None):
@@ -290,33 +303,37 @@ def _stretch(v, room, w):
     return w
 
 
-def _group_means(v, x, stats: LinkStats, room, w):
-    # the group means at threshold x (scalar, or shaped like v and then spent)
-    # from _lattice's v, overwritten, in _stretch's room and w
+def _group_means(vw, x, stats: LinkStats, room, w):
+    # the group means at threshold x (scalar, or shaped like vw[0] and then
+    # spent) from _lattice's v = vw[0], overwritten, in _stretch's room and w;
+    # with the SER's weights vw[1] (spent), the weighted ones and the weights'
     import numpy as np
 
+    v = vw[0]
     _stretch(v, room, w)
     scratch = room.reshape(v.shape[1:])
     for half, x_half in zip(v, x if isinstance(x, np.ndarray) else (x, x)):
         _outage_given_excess(half, x_half, stats, scratch)  # the points, then the mirrors
-    v[0, :, :2 * _EDGE] *= w
-    v[1, :, :2 * _EDGE] *= np.subtract(2.0, w, out=w)  # the mirrors' weights T'(1 - v)
-    v[0] += v[1]                                # each pair's sum, at most 2
-    return v[0].sum(axis=1) / (2 * _GROUP)
+    vw[-1, 0, :, :2 * _EDGE] *= w               # the stretch's weights, on the kernel or on vw[1]
+    vw[-1, 1, :, :2 * _EDGE] *= np.subtract(2.0, w, out=w)  # the mirrors' T'(1 - v)
+    if len(vw) == 2:
+        v *= vw[1]
+    vw[:, 0] += vw[:, 1]                        # each pair's sum, at most 2 without weights
+    return vw[:, 0].sum(axis=2) / (2 * _GROUP)
 
 
 def _lattice_estimate(stats: LinkStats, n: int, seed: int, workers: int, tag: int,
                       dims: int, threshold, scale: float) -> McEstimate:
     # the outage (dims 1) or semi-analytic SER (dims 2) over ceil(n / 466)
     # groups, group g reading its dims shifts from offset dims g of stream
-    # tag. threshold(shifts, x) returns a block's threshold: a scalar, or
-    # written in x, the lattice buffer's last slab (the lattice itself when
-    # dims is 1); the group means are scaled by `scale` before their statistics
+    # tag. threshold(shifts, out) returns a block's threshold: a scalar, or
+    # written in out[-1], the lattice buffer past the lattice (empty when dims
+    # is 1), with the weights in out[0]; _mean_estimate scales by `scale`
     import numpy as np
 
     cols = _columns()
     groups = -(-n // (2 * _GROUP))
-    g = np.empty(groups)
+    g = np.empty((dims, groups))
 
     def task(lo, hi):
         # the means of groups lo .. hi - 1 into g, from stream offset dims lo,
@@ -324,18 +341,18 @@ def _lattice_estimate(stats: LinkStats, n: int, seed: int, workers: int, tag: in
         gen = stream(seed, tag, dims * lo)
         size = min(hi - lo, _BLOCK_UNIFORMS // (dims * _GROUP))
         shifts = np.empty((size, dims))
-        buf = np.empty((dims, 2, size, _GROUP))
+        buf = np.empty((2 * dims - 1, 2, size, _GROUP))
         room, w = np.empty(size * _GROUP), np.empty((size, 2 * _EDGE))
         for b, e in _blocks(hi - lo, dims * _GROUP):
             m = e - b
             s = gen.random(out=shifts[:m])
-            v = _lattice(s[:, -1], cols, buf[0, :, :m])
-            x = threshold(s, buf[-1, :, :m])
-            g[lo + b:lo + e] = _group_means(v, x, stats, room[:m * _GROUP], w[:m])
+            _lattice(s[:, -1], cols, buf[0, :, :m])
+            x = threshold(s, buf[1:, :, :m])
+            g[:, lo + b:lo + e] = _group_means(buf[:dims, :, :m], x, stats,
+                                               room[:m * _GROUP], w[:m])
 
     _map_shares(task, groups, workers, n)
-    g *= scale
-    return _mean_estimate(g, seed)
+    return _mean_estimate(g, seed, scale)
 
 
 def estimate_outage(stats: LinkStats, threshold: float, n: int, seed: int,
@@ -383,40 +400,53 @@ def estimate_ser_semianalytic(stats: LinkStats, cfg: SystemConfig, n: int,
     With Z ~ N(0, 1) independent of the fades, Q(sqrt(beta g)) =
     P(Z^2 > beta g) / 2, so the SER is (alpha / 2) E[F(X)]: F is the SINR's
     CDF and X = Z^2 / beta a random threshold. A lattice point or mirror
-    (u0, v) gives X = ndtri(u0 / 2)^2 / beta and the excess
-    E = -lambda_rd log1p(-T(v)) over X, and the value (alpha / 2)
-    (d - expm1(-s)) / (1 + d), estimate_outage's value at threshold X. It
-    falls as u0 or v rises, so a point and its mirror never covary
-    positively. u0 = 0 (X infinite) or v = 0 (E = 0) takes the limit
-    alpha / 2; the mirror gives X = 0, where the value is 0, or E = inf.
+    (u0, v) draws |Z| = t = -c ln u0, c = _SCALE, at the weight
+    w = c sqrt(2 / pi) exp(t / c - t^2 / 2) <= 1.56 of the half-normal over
+    the exponential, and gives w times estimate_outage's value at threshold
+    X = t^2 / beta and excess coordinate T(v). u0 = 0 takes weight 0; its
+    mirror gives X = 0 and the value 0. The weights' group means, of
+    expectation exactly 1, are a cross-fitted control variate
+    (_mean_estimate): the estimate is unbiased, within [0, alpha / 2], and
+    exactly alpha / 2 where F is 1 at every point.
 
-    The estimate is unbiased. Relative variance per evaluation at the
-    symmetric allocation and v = 3, fading average -> antithetic pairs as
-    reported at 1e6 -> groups (pooled over 20 seeds of 1e6): 1.5e4 -> 1.13
-    -> 0.067 at 40 dB and 3.7e5 -> 1.12 -> 0.069 at 60 dB (eps = 0); 39 ->
-    1.7 -> 0.021 at 20 dB, 58 -> 1.06 -> 0.065 at 60 dB, 0.77 -> 0.38 ->
-    0.017 at 0 dB and 0.035 -> 0.10 -> 0.0041 at -10 dB (eps = 0.1). The
-    pairs' 1.13 at 40 dB missed the tail near u1 = 0: it was 2.85.
+    Relative variance per evaluation (20 seeds of 1e6, symmetric, v = 3),
+    groups at the normal quantile X = ndtri(u0 / 2)^2 / beta -> these: 0.067
+    -> 0.0039 at 40 dB, 0.069 -> 0.0039 at 60 dB (eps 0); 0.021 -> 0.0035
+    at 20 dB, 0.065 -> 0.0038 at 60 dB, 0.017 -> 0.0012 at 0 dB, 0.0041 ->
+    0.00015 at -10 dB (eps 0.1). c = 1.6 is the largest c that keeps every
+    cell of a sweep (-10, 0, 10, 20, 30, 40, 60 dB x eps 0, 0.1, 1, BPSK and
+    QPSK alternating, 10 seeds of 1e6) 5x below the quantile map: at c 1.3,
+    1.45, 1.6, 1.7, 2.0, 2.2, 2.5, 2.8 the least ratio was 4.7, 5.3, 5.2,
+    3.2, 1.3, 0.94, 0.67, 0.52 and the 21 cells summed 0.088, 0.075, 0.063,
+    0.055, 0.034, 0.029, 0.047, 0.091: a larger c serves high power, a
+    smaller one low power.
     """
     import numpy as np
     import numpy.random  # noqa: F401  (stream's Philox)
-    from scipy.special import ndtri
 
     _check_n(n, _MIN_SAMPLES, "estimate_ser_semianalytic")
-    beta = cfg.beta_mod
     rows = _GEN * _columns() % _GROUP / _GROUP
+    weight = _SCALE * math.sqrt(2.0 / math.pi)
 
-    def threshold(s, x):
-        # X at the points u0 = frac(89 j / 233 + s0), then at their mirrors;
-        # the wrap is counted in the mirrors' slot before they are written
+    def threshold(s, out):
+        # the weights w and X at the points u0 = frac(89 j / 233 + s0), then
+        # at their mirrors; the wrap is counted in the mirrors' slot before
+        # they are written
+        w, x = out
         np.add(rows, s[:, :1], out=x[0])
         np.greater_equal(x[0], 1.0, out=x[1])
         x[0] -= x[1]
         np.subtract(1.0, x[0], out=x[1])
-        x *= 0.5
-        ndtri(x, out=x)
+        with np.errstate(divide="ignore"):
+            np.log(x, out=x)
+        x *= -_SCALE                                # t, infinite at u0 = 0
+        np.multiply(x, -0.5, out=w)
+        w += 1.0 / _SCALE
+        w *= x                                      # t (1 / c - t / 2)
+        np.exp(w, out=w)
+        w *= weight
         np.square(x, out=x)
-        x /= beta                                   # X = Z^2 / beta
+        x /= cfg.beta_mod                           # X = t^2 / beta
         return x
 
     return _lattice_estimate(stats, n, seed, workers, _TAG_SER, 2, threshold,

@@ -371,20 +371,46 @@ def outage_group_pairs(stats, threshold: float, v) -> np.ndarray:
                   + w_m * _conditional_outage(stats, threshold, u_m))
 
 
-def ser_group_pairs(stats, cfg: SystemConfig, u0, v) -> np.ndarray:
+def importance_map(u):
+    """estimate_ser_semianalytic's draw of |Z| from the lattice coordinate u,
+    as (t, w): t = -c ln u is exponential of mean c = mc._SCALE, and
+    w = c sqrt(2 / pi) exp(t / c - t^2 / 2) its weight, the half-normal
+    density over the exponential's. Meant for 0 < u <= 1."""
+    c = mc._SCALE
+    t = -c * np.log(u)
+    return t, c * math.sqrt(2.0 / math.pi) * np.exp(t / c - t * t / 2.0)
+
+
+def ser_group_pairs(stats, cfg: SystemConfig, u0, v):
     """estimate_ser_semianalytic's pair means at lattice points (u0, v),
-    written out from the derivation: alpha / 2 times the mean of the kernel
-    at threshold X = ndtri(u0 / 2)^2 / beta and excess coordinate T(v),
-    weight T'(v), and at the mirror (1 - u0, 1 - v). Meant for points
-    strictly inside the unit square."""
+    written out from the derivation, as (A, B): the mean of the kernel at
+    threshold X = t^2 / beta and excess coordinate T(v) times the weight
+    w T'(v), with (t, w) = importance_map(u0), and at the mirror
+    (1 - u0, 1 - v); and the mean of the weights alone. Neither is scaled
+    by alpha / 2. Meant for points strictly inside the unit square."""
     (u, w), (u_m, w_m) = tail_stretch(v), tail_stretch(1.0 - v)
+    (t, iw), (t_m, iw_m) = importance_map(u0), importance_map(1.0 - u0)
+    w, w_m = w * iw, w_m * iw_m
+    beta = cfg.beta_mod
+    return (0.5 * (w * _conditional_outage(stats, t * t / beta, u)
+                   + w_m * _conditional_outage(stats, t_m * t_m / beta, u_m)),
+            0.5 * (w + w_m))
 
-    def threshold(p):
-        return special.ndtri(0.5 * p) ** 2 / cfg.beta_mod
 
-    return 0.25 * cfg.alpha_mod * (
-        w * _conditional_outage(stats, threshold(u0), u)
-        + w_m * _conditional_outage(stats, threshold(1.0 - u0), u_m))
+def cross_fitted(a, b) -> np.ndarray:
+    """The group values a - s (b - 1) of estimate_ser_semianalytic's control
+    variate, from its group means a and weight means b: s is the slope of a
+    on b fitted on the groups of the other parity (index mod 2), and 0 where
+    their b is constant. a is overwritten and returned."""
+    b = b - 1.0
+    slopes = []
+    for other in (1, 0):
+        da = a[other::2] - a[other::2].mean()
+        db = b[other::2] - b[other::2].mean()
+        slopes.append((da * db).sum() / (db * db).sum() if db.max() > db.min() else 0.0)
+    for k in (0, 1):
+        a[k::2] -= slopes[k] * b[k::2]
+    return a
 
 
 def _group_count(n: int) -> int:
@@ -402,18 +428,44 @@ def outage_conditional_group_means(stats, threshold: float, n: int, seed: int) -
     return outage_group_pairs(stats, threshold, v).mean(axis=1)
 
 
-def ser_conditional_group_means(stats, cfg: SystemConfig, n: int, seed: int) -> np.ndarray:
-    """The group means of estimate_ser_semianalytic, written out from the
-    derivation on its stream (Philox key seed + 2 * 2**64, shift uniforms
-    (s0, s1) per group): the mean of ser_group_pairs over the Fibonacci
-    lattice frac((j, 144 j) / 233 + (s0, s1 / 233)), j < 233, which is the
-    estimator's lattice in another order."""
-    key = (int(seed) & 0xFFFFFFFFFFFFFFFF) + (2 << 64)
-    s = Generator(Philox(key=key)).random(2 * _group_count(n)).reshape(-1, 2)
+def _fibonacci_lattice(s):
+    # the points (u0, v) of the SER's lattice in the order of its definition,
+    # frac((j, 144 j) / 233 + (s0, s1 / 233)), j < 233, at the shifts rows s
     j = np.arange(mc._GROUP)
-    u0 = np.mod(j / mc._GROUP + s[:, :1], 1.0)
-    v = np.mod(144 * j / mc._GROUP + s[:, 1:] / mc._GROUP, 1.0)
-    return ser_group_pairs(stats, cfg, u0, v).mean(axis=1)
+    return (np.mod(j / mc._GROUP + s[:, :1], 1.0),
+            np.mod(144 * j / mc._GROUP + s[:, 1:] / mc._GROUP, 1.0))
+
+
+def _ser_shifts(n: int, seed: int) -> np.ndarray:
+    # the SER's shifts (s0, s1) per group: Philox key seed + 2 * 2**64
+    key = (int(seed) & 0xFFFFFFFFFFFFFFFF) + (2 << 64)
+    return Generator(Philox(key=key)).random(2 * _group_count(n)).reshape(-1, 2)
+
+
+def ser_conditional_group_means(stats, cfg: SystemConfig, n: int, seed: int) -> np.ndarray:
+    """The group values of estimate_ser_semianalytic, written out from the
+    derivation on its stream: the means of ser_group_pairs over the
+    Fibonacci lattice, which is the estimator's lattice in another order,
+    through cross_fitted and times alpha / 2."""
+    a, b = ser_group_pairs(stats, cfg, *_fibonacci_lattice(_ser_shifts(n, seed)))
+    return cross_fitted(a.mean(axis=1), b.mean(axis=1)) * (0.5 * cfg.alpha_mod)
+
+
+def ser_quantile_group_means(stats, cfg: SystemConfig, n: int, seed: int) -> np.ndarray:
+    """The normal-quantile lattice that importance sampling replaced, on the
+    same stream and lattice: each point (u0, v) and its mirror evaluate the
+    kernel at threshold X = ndtri(u0 / 2)^2 / beta and excess coordinate
+    T(v), weight T'(v), alpha / 2 times the group means. Kept as the
+    reference the importance map must beat."""
+    u0, v = _fibonacci_lattice(_ser_shifts(n, seed))
+    (u, w), (u_m, w_m) = tail_stretch(v), tail_stretch(1.0 - v)
+
+    def threshold(p):
+        return special.ndtri(0.5 * p) ** 2 / cfg.beta_mod
+
+    pairs = 0.5 * (w * _conditional_outage(stats, threshold(u0), u)
+                   + w_m * _conditional_outage(stats, threshold(1.0 - u0), u_m))
+    return pairs.mean(axis=1) * (0.5 * cfg.alpha_mod)
 
 
 def _group_room(m: int):
@@ -427,25 +479,29 @@ def outage_whole_group_means(stats, threshold: float, n: int, seed: int) -> np.n
     write: same stream, lattice, stretch and kernel, group g reading its
     shift from stream offset g. Meant for thresholds > 0."""
     s = mc.stream(seed, mc._TAG_OUTAGE).random(_group_count(n))
-    v = mc._lattice(s, mc._columns(), np.empty((2, s.size, mc._GROUP)))
-    return mc._group_means(v, float(threshold), stats, *_group_room(s.size))
+    v = np.empty((1, 2, s.size, mc._GROUP))
+    mc._lattice(s, mc._columns(), v[0])
+    return mc._group_means(v, float(threshold), stats, *_group_room(s.size))[0]
 
 
 def ser_whole_group_means(stats, cfg: SystemConfig, n: int, seed: int) -> np.ndarray:
-    """estimate_ser_semianalytic's ceil(n / 466) group means, scaled by
-    alpha / 2, drawn and evaluated in one piece, bit for bit what its tasks
-    write: group g reads its shifts (s0, s1) from stream offset 2 g; the
-    thresholds come from the points u0 = frac(89 j / 233 + s0) and their
-    mirrors 1 - u0."""
+    """estimate_ser_semianalytic's ceil(n / 466) group values, through
+    cross_fitted and times alpha / 2, drawn and evaluated in one piece, bit
+    for bit what its tasks and statistics compute: group g reads its shifts
+    (s0, s1) from stream offset 2 g; the weights and thresholds come from the
+    points u0 = frac(89 j / 233 + s0) and their mirrors 1 - u0."""
     cols = mc._columns()
     rows = mc._GEN * cols % mc._GROUP / mc._GROUP
     groups = _group_count(n)
     s = mc.stream(seed, mc._TAG_SER).random(2 * groups).reshape(groups, 2)
     u0 = rows + s[:, :1]
     np.subtract(u0, 1.0, out=u0, where=u0 >= 1.0)
-    x = special.ndtri(np.stack([u0, 1.0 - u0]) * 0.5) ** 2 / cfg.beta_mod
-    v = mc._lattice(s[:, 1].copy(), cols, np.empty((2, groups, mc._GROUP)))
-    return mc._group_means(v, x, stats, *_group_room(groups)) * (0.5 * cfg.alpha_mod)
+    with np.errstate(divide="ignore"):
+        t = np.log(np.stack([u0, 1.0 - u0])) * -mc._SCALE
+    iw = np.exp(t * (1.0 / mc._SCALE + t * -0.5)) * (mc._SCALE * math.sqrt(2.0 / math.pi))
+    vw = np.stack([mc._lattice(s[:, 1].copy(), cols, np.empty((2, groups, mc._GROUP))), iw])
+    a, b = mc._group_means(vw, t * t / cfg.beta_mod, stats, *_group_room(groups))
+    return cross_fitted(a, b) * (0.5 * cfg.alpha_mod)
 
 
 def outage_chunk_oracle(stats, threshold: float, n: int, seed: int) -> McEstimate:

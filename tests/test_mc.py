@@ -24,10 +24,11 @@ from fdrelay import (
     ser_quadrature,
     sinr_cdf_exact_numeric,
 )
-from fdrelay import mc, sfun
+from fdrelay import analytic, mc, sfun
 from fdrelay.mc import CHUNK_SAMPLES, stream
 
 from conftest import (
+    importance_map,
     outage_chunk_oracle,
     outage_conditional_group_means,
     outage_group_pairs,
@@ -39,6 +40,7 @@ from conftest import (
     ser_fading_oracle,
     ser_group_pairs,
     ser_pair_oracle,
+    ser_quantile_group_means,
     ser_whole_group_means,
     sinr_cdf_upper_bound,
     sinr_exact,
@@ -101,6 +103,12 @@ def zero_rsi_outage(x: float, stats) -> float:
     lsr, lrd = stats.lambda_sr, stats.lambda_rd
     k = 2.0 * math.sqrt(x * (x + 1.0) / (lsr * lrd))
     return 1.0 - k * sfun.bessel_k1(k) * math.exp(-x * (1.0 / lsr + 1.0 / lrd))
+
+
+def exact_ser(stats, cfg: SystemConfig) -> float:
+    """The SER of the SINR ab / (a + b + 1) that the Monte Carlo samples:
+    alpha E[Q(sqrt(beta SINR))] by quadrature over its exact CDF."""
+    return analytic.ser_from_cdf(analytic._cdf(stats, True), cfg)
 
 
 def excess_limit(x: float, stats) -> float:
@@ -347,11 +355,14 @@ class TestAntitheticPairs:
     @settings(max_examples=60, deadline=None)
     def test_never_worse_than_independent_draws(self, p_db, eps, v, modulation, x,
                                                 mc_seed):
-        # both kernels are monotone in every uniform they read, so their
-        # values at u and at 1 - u never covary positively (Ross,
-        # Simulation, section 9.2) and a pair mean varies at most half as
-        # much as one evaluation. The sample covariance of 2**15 pairs may exceed 0 by
-        # sampling noise only: 6 standard errors of its mean of products
+        # the kernel falls as its excess uniform rises and as the threshold
+        # falls; at the normal-quantile thresholds ndtri(u0 / 2)^2 / beta it
+        # is monotone in both uniforms, so its values at u and at 1 - u never
+        # covary positively (Ross, Simulation, section 9.2). The estimator's
+        # importance weights rise and then fall in t, so its own pairs are
+        # not claimed monotone. The sample covariance of 2**15 pairs may
+        # exceed 0 by sampling noise only: 6 standard errors of its mean of
+        # products
         cfg, stats = stats_at(p_db, eps, v, modulation=modulation)
         m = mc._BLOCK_UNIFORMS // 2
         u = stream(mc_seed, mc._TAG_OUTAGE).random(m)
@@ -439,6 +450,21 @@ class TestAntitheticPairs:
                                                                       pair.std_error)
             assert group.n_samples * group.std_error ** 2 \
                 <= 0.1 * pair.n_samples * pair.std_error ** 2
+
+    @pytest.mark.parametrize("p_db, eps, v, modulation", [
+        (0.0, 0.1, 3.0, "bpsk"), (20.0, 0.1, 3.0, "bpsk"), (25.0, 0.3, 2.5, "qpsk"),
+    ])
+    def test_importance_map_beats_the_quantile(self, p_db, eps, v, modulation):
+        # at equal evaluations, the importance-weighted groups with their
+        # control variate report at most a fifth of the variance of the
+        # normal-quantile groups they replaced, and agree with them
+        cfg, stats = stats_at(p_db, eps, v, modulation=modulation)
+        n = 1_000_000
+        est = estimate_ser_semianalytic(stats, cfg, n, seed=63)
+        old = mc._mean_estimate(ser_quantile_group_means(stats, cfg, n, seed=64), 64)
+        assert est.n_samples == old.n_samples
+        assert abs(est.value - old.value) <= 3.0 * math.hypot(est.std_error, old.std_error)
+        assert est.std_error ** 2 <= 0.2 * old.std_error ** 2
 
 
 class TestEstimateOutage:
@@ -663,6 +689,32 @@ class TestEstimateSerSemianalytic:
         std_error = math.sqrt(math.fsum(e.std_error ** 2 for e in ests)) / len(ests)
         assert abs(value - want) <= 3.0 * std_error
 
+    @pytest.mark.parametrize("p_db, eps, modulation, mc_seed", [
+        (-10.0, 0.1, "bpsk", 221), (0.0, 1.0, "qpsk", 222), (10.0, 0.0, "bpsk", 223),
+        (20.0, 0.1, "qpsk", 224), (30.0, 1.0, "bpsk", 225), (40.0, 0.0, "qpsk", 226),
+        (60.0, 0.1, "bpsk", 227),
+    ])
+    def test_against_the_exact_ser(self, p_db, eps, modulation, mc_seed):
+        # the SER of the simulated SINR by quadrature over its exact CDF, a
+        # reference with no noise (within 1e-10 relative of SER_TABLE's
+        # mpmath values), against 1e6 evaluations
+        cfg, stats = stats_at(p_db, eps, modulation=modulation)
+        est = estimate_ser_semianalytic(stats, cfg, 1_000_000, seed=mc_seed, workers=2)
+        assert abs(est.value - exact_ser(stats, cfg)) <= 3.0 * est.std_error
+
+    @pytest.mark.parametrize("p_db, eps, modulation", [(0.0, 0.1, "bpsk"), (20.0, 0.1, "qpsk")])
+    def test_small_estimates_are_unbiased(self, p_db, eps, modulation):
+        # at 1e4 evaluations the control variate's slope rests on 11 groups
+        # of each parity; fitted in-sample it would bias the estimate by
+        # about its spread over the number of groups. The mean of 1 500
+        # estimates lies within 3 sigma of its spread of the exact SER
+        cfg, stats = stats_at(p_db, eps, modulation=modulation)
+        values = [estimate_ser_semianalytic(stats, cfg, 10_000, seed=s).value
+                  for s in range(7000, 8500)]
+        want = exact_ser(stats, cfg)
+        assert want >= 1e-3
+        assert abs(np.mean(values) - want) <= 3.0 * np.std(values, ddof=1) / math.sqrt(len(values))
+
     @pytest.mark.parametrize("p_db, eps, v, modulation, mc_seed", [
         (40.0, 0.0, 3.0, "bpsk", 201),
         (20.0, 0.1, 3.0, "bpsk", 202),
@@ -696,12 +748,14 @@ class TestEstimateSerSemianalytic:
     @pytest.mark.parametrize("column", [0, 1])
     @pytest.mark.parametrize("eps, modulation", [(0.0, "bpsk"), (0.1, "qpsk")])
     def test_zero_uniform_gives_half_alpha(self, monkeypatch, column, eps, modulation):
-        # shifts (0, 1/2) or (1/2, 0) put lattice point 0 at u0 = 0, where X
-        # is infinite, or at v = 0, where the excess E = 0: either way the
-        # conditional outage is 1 and the evaluation alpha / 2, at weight
-        # T'(v) (1/466 / 0.05) or 0. The mirror 1 - 0 = 1 gives X = 0, where
-        # outage is impossible, or E = inf, the finite limit at k = X with X
-        # from u0 = 1/2, at weight 2 - T'(v) or 2. Every group has that shift
+        # shifts (0, 1/2) or (1/2, 0) put lattice point 0 at u0 = 0, where
+        # t and X are infinite, or at v = 0, where the excess E = 0: either
+        # way the conditional outage is 1, at importance weight 0 or stretch
+        # weight T'(0) = 0, so the point adds 0. The mirror u0 = 1 gives
+        # t = 0 and X = 0, where outage is impossible; the mirror v = 1 gives
+        # E = inf, the finite limit at k = X, X = (c ln 2)^2 / beta from
+        # u0 = 1/2, at weight 2 w(1/2). Every group has that shift, so the
+        # weight means are constant and the control variate's slope is 0
         row = [0.5, 0.5]
         row[column] = 0.0
         monkeypatch.setattr(mc, "stream", lambda *args: RepeatedRow(row))
@@ -712,12 +766,10 @@ class TestEstimateSerSemianalytic:
         j = np.arange(mc._GROUP)
         u0 = np.mod(mc._GEN * j / mc._GROUP + row[0], 1.0)
         v = (j + row[1]) / mc._GROUP
-        x_half = special.ndtri(0.25) ** 2 / cfg.beta_mod
-        mirror = 0.0 if column == 0 else excess_limit(x_half, stats)
-        w = tail_stretch(v[0])[1]
-        rest = ser_group_pairs(stats, cfg, u0[1:], v[1:])
-        want = (math.fsum(rest) + cfg.alpha_mod / 4.0 * (w * 1.0 + (2.0 - w) * mirror)) \
-            / mc._GROUP
+        t_half, w_half = importance_map(0.5)
+        pair = 0.0 if column == 0 else w_half * excess_limit(t_half ** 2 / cfg.beta_mod, stats)
+        rest, _ = ser_group_pairs(stats, cfg, u0[1:], v[1:])
+        want = cfg.alpha_mod / 2.0 * (math.fsum(rest) + pair) / mc._GROUP
         assert est.value == pytest.approx(want, rel=1e-14)
         assert est.std_error <= 1e-15 * est.value
 

@@ -1,5 +1,6 @@
-"""Start-up cost: commands without Monte Carlo must not import numpy or scipy,
-and the SER series builds its coefficient tables only when first used.
+"""Start-up cost: commands without Monte Carlo must not import numpy, no
+command imports scipy, and the SER series builds its coefficient tables only
+when first used.
 
 Runs in a fresh interpreter, since the rest of the suite has long since
 loaded both and filled the tables.
@@ -57,6 +58,14 @@ for k in range(300):
 for k in range(10):
     analytic.ser_quadrature(stats, cfg)
 out["bulk"] = state()
+# the Monte Carlo commands, keyed by their first word
+mc = {}
+for argv in (["ser", "--p-db", "0:30:10", "--mode", "both", "--mc-samples", "20000"],
+             ["outage", "--p-db", "0:30:10", "--mode", "both", "--mc-samples", "20000"],
+             ["figure", "2", "--mode", "both", "--mc-samples", "20000"]):
+    assert fdrelay.cli.main(argv + ["--output", os.devnull]) == 0, argv
+    mc[argv[0]] = state()
+out["mc"] = mc
 run(["validate", "--mc-samples", "20000"])
 out["tables"] = rows
 out["loaded"] = loaded
@@ -83,10 +92,11 @@ def test_closed_form_commands_load_neither_numpy_nor_scipy(fresh_run):
                  "outage --p-db", "figure 2", "bulk"):
         assert states[step] == {"numpy": False, "scipy": False, "scipy.integrate": False,
                                 "fdrelay.mc": True}, step
-    # validate's Monte Carlo checks need numpy and scipy.special, but its
-    # quadrature still does not load scipy.integrate
-    assert states["validate --mc-samples"]["numpy"]
-    assert not states["validate --mc-samples"]["scipy.integrate"]
+    # the Monte Carlo columns and validate's checks need numpy, and no
+    # command loads scipy: the SER's threshold is drawn without ndtri
+    for step, state in [*states["mc"].items(), ("validate", states["validate --mc-samples"])]:
+        assert state == {"numpy": True, "scipy": False, "scipy.integrate": False,
+                         "fdrelay.mc": True}, step
 
 
 def test_series_tables_are_built_on_demand(fresh_run):
