@@ -4,10 +4,10 @@ Covers the end-to-end SINR CDF (the paper's asymptotic closed form, and the
 exact CDF of the simulated SINR as the same closed form plus one correction
 integral), the SER series built on the staged exponential approximation of
 1/(1+x), the high-power reduction, the interference-limited floor, and the
-convex surrogate objective behind the power/location optimizers. The exact
-CDF's correction and ser_quadrature share one adaptive Gauss-Kronrod
-integrator written on the standard library (the "quadrature plumbing"
-section), so no route here loads numpy or scipy.
+gradient of the convex surrogate objective behind the power/location
+optimizers. The exact CDF's correction and ser_quadrature share one adaptive
+Gauss-Kronrod integrator written on the standard library (the "quadrature
+plumbing" section), so no route here loads numpy or scipy.
 
 Conventions: stats holds mean link SNRs (see model.LinkStats), cfg holds
 (alpha_mod, beta_mod) of the Q-function SER model. SER outputs are clamped
@@ -25,12 +25,10 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .errors import DomainError, QuadratureError
-from .model import Allocation, LinkStats, SystemConfig, _Record, _setattr
+from .model import Allocation, LinkStats, SystemConfig
 from .sfun import MAX_N_TERMS, bessel_k1, gamma_fn, hyp2f1_complement
 
 __all__ = [
-    "ApproxCoeffs",
-    "approx_coeffs",
     "sinr_cdf_asymptotic",
     "sinr_cdf_exact_numeric",
     "outage",
@@ -42,7 +40,6 @@ __all__ = [
     "ser_floor",
     "ser_location_optimized",
     "ser_power_optimized",
-    "f_objective",
     "f_gradient",
     "kappa",
     "DEFAULT_N_TERMS",
@@ -73,21 +70,11 @@ def kappa(cfg: SystemConfig) -> float:
 # staged exponential approximation of 1/(1+x)
 # ---------------------------------------------------------------------------
 
-class ApproxCoeffs(_Record):
-    """Pairs (A_i, B_i) of the approximation 1/(1+x) ~ sum A_i x^(2i) e^(-B_i x).
-
-    `exact` carries the rational values (fractions.Fraction); the SER series
-    evaluates their float projections, _COEFF_PAIRS. A_0 = B_0 = 1 always.
-    """
-
-    __slots__ = ("exact",)
-
-    def __init__(self, exact: tuple[tuple, ...]):
-        _setattr(self, "exact", exact)
-
-
-# the floats of approx_coeffs(MAX_N_TERMS).exact, the (A_i, B_i) that the SER
-# series evaluates, so that it imports no fractions; a test pins them bit for bit
+# The pairs (A_i, B_i) of 1/(1+x) ~ sum A_i x^(2i) e^(-B_i x) that the SER
+# series evaluates, as a literal float table so that it imports no fractions.
+# The test oracle approx_coeffs (tests/conftest.py) builds their exact
+# rationals by the recurrence that matches consecutive Taylor coefficients of
+# 1/(1+x), and a test pins these floats to them bit for bit
 _COEFF_PAIRS = (
     (1.0, 1.0),
     (0.5, 1.6666666666666667),
@@ -104,38 +91,7 @@ _COEFF_PAIRS = (
 
 def _check_n_terms(n_terms: int) -> None:
     if not 1 <= n_terms <= MAX_N_TERMS:
-        raise DomainError(
-            f"approx_coeffs: n_terms must be in 1..{MAX_N_TERMS}, got {n_terms}")
-
-
-@lru_cache(maxsize=32)
-def approx_coeffs(n_terms: int) -> ApproxCoeffs:
-    """Generate the first n_terms coefficient pairs by the sequential
-    recurrence that matches consecutive Taylor coefficients of 1/(1+x).
-
-    A_i = 1 - sum_{j<i} A_j B_j^(2i-2j) / (2i-2j)!
-    B_i = (1 - sum_{j<i} A_j B_j^(2i-2j+1) / (2i-2j+1)!) / A_i
-    """
-    from fractions import Fraction  # ~3.5 ms of import, decimal included
-
-    _check_n_terms(n_terms)
-    a: list[Fraction] = [Fraction(1)]
-    b: list[Fraction] = [Fraction(1)]
-    for i in range(1, n_terms):
-        ai = Fraction(1) - sum(
-            a[j] * b[j] ** (2 * i - 2 * j) / math.factorial(2 * i - 2 * j)
-            for j in range(i)
-        )
-        bi = (
-            Fraction(1)
-            - sum(
-                a[j] * b[j] ** (2 * i - 2 * j + 1) / math.factorial(2 * i - 2 * j + 1)
-                for j in range(i)
-            )
-        ) / ai
-        a.append(ai)
-        b.append(bi)
-    return ApproxCoeffs(exact=tuple(zip(a, b)))
+        raise DomainError(f"n_terms must be in 1..{MAX_N_TERMS}, got {n_terms}")
 
 
 # ---------------------------------------------------------------------------
@@ -388,22 +344,6 @@ def ser_high_power(stats: LinkStats, cfg: SystemConfig) -> float:
     return 0.5 * cfg.alpha_mod - kappa(cfg) * f**-0.5
 
 
-def f_objective(alloc: Allocation, cfg: SystemConfig) -> float:
-    """Convex surrogate minimized by the power/location optimizers.
-
-    f = beta/2 + ((1 + eps P_R) / P_S) D_SR^v + D_RD^v / P_R, which equals
-    beta/2 + 1/l_sr + 1/l_rd + eta.
-    """
-    p_s, p_r = alloc.powers(cfg)
-    d_sr, d_rd = alloc.distances(cfg)
-    v = cfg.pathloss_exp
-    return (
-        cfg.beta_mod / 2.0
-        + (1.0 + cfg.rsi_level * p_r) / p_s * d_sr**v
-        + d_rd**v / p_r
-    )
-
-
 def f_gradient(alloc: Allocation, cfg: SystemConfig) -> tuple[float, float]:
     """(df/d rho_lambda, df/d rho_d) of the surrogate objective."""
     p = cfg.total_power
@@ -414,11 +354,14 @@ def f_gradient(alloc: Allocation, cfg: SystemConfig) -> tuple[float, float]:
     d = cfg.sum_distance
     d_sr = rd * d
     d_rd = (1.0 - rd) * d
-    df_drl = -(1.0 + eps * p) * d_sr**v / (p * rl * rl) + d_rd**v / (p * (1.0 - rl) ** 2)
-    df_drd = d**v * v * (
-        rd ** (v - 1.0) * (1.0 + eps * (1.0 - rl) * p) / (rl * p)
-        - (1.0 - rd) ** (v - 1.0) / ((1.0 - rl) * p)
-    )
+    try:
+        df_drl = -(1.0 + eps * p) * d_sr**v / (p * rl * rl) + d_rd**v / (p * (1.0 - rl) ** 2)
+        df_drd = d**v * v * (
+            rd ** (v - 1.0) * (1.0 + eps * (1.0 - rl) * p) / (rl * p)
+            - (1.0 - rd) ** (v - 1.0) / ((1.0 - rl) * p)
+        )
+    except OverflowError:
+        raise DomainError("f_gradient: D^v overflows a float") from None
     return df_drl, df_drd
 
 
@@ -430,7 +373,12 @@ def ser_floor(alloc: Allocation, cfg: SystemConfig) -> float:
     """
     p_s, p_r = alloc.powers(cfg)
     d_sr, _ = alloc.distances(cfg)
-    arg = cfg.beta_mod / 2.0 + cfg.rsi_level * (p_r / p_s) * d_sr**cfg.pathloss_exp
+    try:
+        arg = cfg.beta_mod / 2.0 + cfg.rsi_level * (p_r / p_s) * d_sr**cfg.pathloss_exp
+    except OverflowError:
+        if cfg.rsi_level:
+            raise DomainError("ser_floor: D_SR^v overflows a float") from None
+        arg = cfg.beta_mod / 2.0                # the eps = 0 term, 0 at any finite D_SR^v
     return 0.5 * cfg.alpha_mod - kappa(cfg) * arg**-0.5
 
 
@@ -461,7 +409,10 @@ def ser_power_optimized(cfg: SystemConfig, rho_d: float) -> float:
     p = cfg.total_power
     eps = cfg.rsi_level
     v = cfg.pathloss_exp
-    dv = cfg.sum_distance**v
+    try:
+        dv = cfg.sum_distance**v
+    except OverflowError:
+        raise DomainError("ser_power_optimized: D^v overflows a float") from None
     inner = (
         rho_d**v
         + (1.0 - rho_d) ** v

@@ -23,7 +23,6 @@ __all__ = [
     "closed_form_result",
     "minimize_1d",
     "joint_foc_roots",
-    "joint_v3_closed",
     "select_joint_optimum",
 ]
 
@@ -304,30 +303,6 @@ def joint_foc_roots(cfg: SystemConfig) -> list[Allocation]:
         Allocation(rho_lambda=1.0 - rbar, rho_d=_pair_location(rbar, eps_p, v))
         for rbar in roots
     ]
-
-
-def joint_v3_closed(cfg: SystemConfig) -> list[float]:
-    """Closed-form power-split candidates of the joint problem at v = 3.
-
-    rho_1 = sqrt(1 + eps P) / (sqrt(1 + eps P) + 1) always; the conjugate
-    pair (1 + eps P +- sqrt(eps^2 P^2 - 2 eps P - 3)) / (2 eps P) joins once
-    eps P >= 3 and the value lies inside (0, 1).
-    """
-    if cfg.pathloss_exp != 3.0:
-        raise DomainError(
-            f"joint_v3_closed requires pathloss_exp == 3, got {cfg.pathloss_exp}"
-        )
-    eps_p = cfg.rsi_level * cfg.total_power
-    s = math.sqrt(1.0 + eps_p)
-    out = [s / (s + 1.0)]
-    disc = eps_p * eps_p - 2.0 * eps_p - 3.0
-    if eps_p > 0.0 and disc >= 0.0:
-        root = math.sqrt(disc)
-        for cand in ((1.0 + eps_p + root) / (2.0 * eps_p),
-                     (1.0 + eps_p - root) / (2.0 * eps_p)):
-            if 0.0 < cand < 1.0:
-                out.append(cand)
-    return out
 
 
 def _particular_solution(cfg: SystemConfig) -> Allocation:

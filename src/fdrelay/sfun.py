@@ -1,9 +1,9 @@
 """Scalar special-function kernel for the closed-form link analysis.
 
-Everything is plain double-precision Python: short compensated power series,
-a Chebyshev economization for the scaled Bessel tail, and a continued
-fraction for the exponential integral. No scipy/mpmath imports here; the
-test suite checks every function against independent high-precision oracles.
+Everything is plain double-precision Python: short compensated power series
+and a Chebyshev economization for the scaled Bessel tail. No scipy/mpmath
+imports here; the test suite checks every function against independent
+high-precision oracles.
 
 The K1 power series reads the factors that do not depend on x from one table
 built at import: per index k its divisor k (k+1), a float that holds the int
@@ -29,7 +29,6 @@ from .errors import DomainError, NonConvergenceError
 
 __all__ = [
     "bessel_k1",
-    "exp_integral_e1",
     "gamma_fn",
     "digamma",
     "hyp2f1_complement",
@@ -169,52 +168,6 @@ def bessel_k1(x: float) -> float:
         return _k1_small(x) if 0.5 * x else math.inf
     t = 4.0 / x - 1.0
     return _clenshaw(t, _K1_CHEB) * math.exp(-x) / math.sqrt(x)
-
-
-def exp_integral_e1(x: float) -> float:
-    """Exponential integral E1(x) = int_x^inf e^-t / t dt for x > 0.
-
-    Alternating series up to x = 1, modified-Lentz continued fraction beyond.
-    x E1(x) -> 0 as x -> 0+.
-    """
-    if math.isnan(x) or x <= 0.0:
-        raise DomainError(f"exp_integral_e1: x must be > 0, got {x}")
-    if x <= 1.0:
-        s = -_EULER_GAMMA - math.log(x)
-        term = 1.0
-        comp = 0.0
-        k = 0
-        while True:
-            k += 1
-            term *= -x / k
-            d = -term / k
-            y = d - comp
-            t = s + y
-            comp = (t - s) - y
-            s = t
-            if abs(d) <= 1e-18 * max(abs(s), 1e-300):
-                return s
-    return _e1_scaled_cf(x) * math.exp(-x)
-
-
-def _e1_scaled_cf(x: float) -> float:
-    """e^x E1(x) for x > 1, finite where e^x alone overflows: the continued
-    fraction 1 / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...)))."""
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 300):
-        a = -float(i * i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h
-    raise NonConvergenceError(f"exp_integral_e1: continued fraction stalled at x={x}")
 
 
 def gamma_fn(x: float) -> float:

@@ -2,10 +2,16 @@
 
 Oracles here deliberately avoid the library's own code paths: scipy.special
 for vectorized closed-form surfaces, mpmath for high-precision point values.
+They include the paper's derivations that tests check and no command runs:
+the exact coefficient recurrence of the SER series, the exponential integral
+E1 of the dropped interference bound, the convex surrogate objective f and
+the v = 3 closed-form candidates of the joint problem.
 """
 
 import heapq
 import math
+from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 
 import numpy as np
@@ -18,6 +24,7 @@ from fdrelay import RATIO_FLOOR, Allocation, McEstimate, SystemConfig, db_to_lin
 from fdrelay import analytic, mc, opt, sfun
 from fdrelay.errors import DomainError, NonConvergenceError, QuadratureError
 from fdrelay.mc import CHUNK_SAMPLES
+from fdrelay.model import _Record, _setattr
 
 CANONICAL_P_DB = 20.0
 
@@ -65,6 +72,135 @@ def stats_at(p_db: float, eps: float, v: float = 3.0,
              rho_lambda: float = 0.5, rho_d: float = 0.5, modulation: str = "bpsk"):
     cfg = cfg_at(p_db, eps, v, modulation)
     return cfg, link_stats(cfg, Allocation(rho_lambda, rho_d))
+
+
+class ApproxCoeffs(_Record):
+    """Pairs (A_i, B_i) of the approximation 1/(1+x) ~ sum A_i x^(2i) e^(-B_i x).
+
+    `exact` carries the rational values (fractions.Fraction); the SER series
+    evaluates their float projections, analytic._COEFF_PAIRS. A_0 = B_0 = 1
+    always.
+    """
+
+    __slots__ = ("exact",)
+
+    def __init__(self, exact: tuple[tuple, ...]):
+        _setattr(self, "exact", exact)
+
+
+@lru_cache(maxsize=32)
+def approx_coeffs(n_terms: int) -> ApproxCoeffs:
+    """Generate the first n_terms coefficient pairs by the sequential
+    recurrence that matches consecutive Taylor coefficients of 1/(1+x).
+
+    A_i = 1 - sum_{j<i} A_j B_j^(2i-2j) / (2i-2j)!
+    B_i = (1 - sum_{j<i} A_j B_j^(2i-2j+1) / (2i-2j+1)!) / A_i
+    """
+    analytic._check_n_terms(n_terms)
+    a: list[Fraction] = [Fraction(1)]
+    b: list[Fraction] = [Fraction(1)]
+    for i in range(1, n_terms):
+        ai = Fraction(1) - sum(
+            a[j] * b[j] ** (2 * i - 2 * j) / math.factorial(2 * i - 2 * j)
+            for j in range(i)
+        )
+        bi = (
+            Fraction(1)
+            - sum(
+                a[j] * b[j] ** (2 * i - 2 * j + 1) / math.factorial(2 * i - 2 * j + 1)
+                for j in range(i)
+            )
+        ) / ai
+        a.append(ai)
+        b.append(bi)
+    return ApproxCoeffs(exact=tuple(zip(a, b)))
+
+
+def exp_integral_e1(x: float) -> float:
+    """Exponential integral E1(x) = int_x^inf e^-t / t dt for x > 0.
+
+    Alternating series up to x = 1, modified-Lentz continued fraction beyond.
+    x E1(x) -> 0 as x -> 0+.
+    """
+    if math.isnan(x) or x <= 0.0:
+        raise DomainError(f"exp_integral_e1: x must be > 0, got {x}")
+    if x <= 1.0:
+        s = -sfun._EULER_GAMMA - math.log(x)
+        term = 1.0
+        comp = 0.0
+        k = 0
+        while True:
+            k += 1
+            term *= -x / k
+            d = -term / k
+            y = d - comp
+            t = s + y
+            comp = (t - s) - y
+            s = t
+            if abs(d) <= 1e-18 * max(abs(s), 1e-300):
+                return s
+    return _e1_scaled_cf(x) * math.exp(-x)
+
+
+def _e1_scaled_cf(x: float) -> float:
+    """e^x E1(x) for x > 1, finite where e^x alone overflows: the continued
+    fraction 1 / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...)))."""
+    tiny = 1e-300
+    b = x + 1.0
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 300):
+        a = -float(i * i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return h
+    raise NonConvergenceError(f"exp_integral_e1: continued fraction stalled at x={x}")
+
+
+def f_objective(alloc: Allocation, cfg: SystemConfig) -> float:
+    """Convex surrogate minimized by the power/location optimizers, whose
+    gradient is analytic.f_gradient.
+
+    f = beta/2 + ((1 + eps P_R) / P_S) D_SR^v + D_RD^v / P_R, which equals
+    beta/2 + 1/l_sr + 1/l_rd + eta.
+    """
+    p_s, p_r = alloc.powers(cfg)
+    d_sr, d_rd = alloc.distances(cfg)
+    v = cfg.pathloss_exp
+    return (
+        cfg.beta_mod / 2.0
+        + (1.0 + cfg.rsi_level * p_r) / p_s * d_sr**v
+        + d_rd**v / p_r
+    )
+
+
+def joint_v3_closed(cfg: SystemConfig) -> list[float]:
+    """Closed-form power-split candidates of the joint problem at v = 3.
+
+    rho_1 = sqrt(1 + eps P) / (sqrt(1 + eps P) + 1) always; the conjugate
+    pair (1 + eps P +- sqrt(eps^2 P^2 - 2 eps P - 3)) / (2 eps P) joins once
+    eps P >= 3 and the value lies inside (0, 1).
+    """
+    if cfg.pathloss_exp != 3.0:
+        raise DomainError(
+            f"joint_v3_closed requires pathloss_exp == 3, got {cfg.pathloss_exp}"
+        )
+    eps_p = cfg.rsi_level * cfg.total_power
+    s = math.sqrt(1.0 + eps_p)
+    out = [s / (s + 1.0)]
+    disc = eps_p * eps_p - 2.0 * eps_p - 3.0
+    if eps_p > 0.0 and disc >= 0.0:
+        root = math.sqrt(disc)
+        for cand in ((1.0 + eps_p + root) / (2.0 * eps_p),
+                     (1.0 + eps_p - root) / (2.0 * eps_p)):
+            if 0.0 < cand < 1.0:
+                out.append(cand)
+    return out
 
 
 # the closed form's 1 - e^-s u K1(u) / (1 + eta x) in both CDF routes is a
@@ -135,9 +271,9 @@ def cdf_truncation_bound(x: float, stats) -> float:
     g = stats.eta * x * x / (stats.lambda_rd * (1.0 + stats.eta * x))
     c = math.exp(-(1.0 / stats.lambda_sr + 1.0 / stats.lambda_rd) * x)
     if g <= 1.0:
-        return c * g * math.exp(g) * sfun.exp_integral_e1(g)
+        return c * g * math.exp(g) * exp_integral_e1(g)
     # e^g E1(g) without e^g, which overflows past g ~ 709
-    return c * g * sfun._e1_scaled_cf(g)
+    return c * g * _e1_scaled_cf(g)
 
 
 def ser_series_grid_oracle(cfg: SystemConfig, rho_lambda: np.ndarray,
@@ -682,7 +818,7 @@ def ser_series_terms_oracle(stats, cfg: SystemConfig, n_terms: int = 3) -> list[
     terms must match bit for bit, exceptions included. The hypergeometric
     goes through sfun.hyp2f1_complement, so under per_call_series it is the
     per-call log series too."""
-    coeffs = [(float(a), float(b)) for a, b in analytic.approx_coeffs(n_terms).exact]
+    coeffs = [(float(a), float(b)) for a, b in approx_coeffs(n_terms).exact]
     alpha = cfg.alpha_mod
     beta = cfg.beta_mod
     lsr = stats.lambda_sr

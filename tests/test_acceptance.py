@@ -14,11 +14,9 @@ import pytest
 from fdrelay import (
     Allocation,
     SystemConfig,
-    approx_coeffs,
     estimate_outage,
     estimate_ser_semianalytic,
     f_gradient,
-    joint_v3_closed,
     link_stats,
     minimize_1d,
     optimal_location_closed,
@@ -30,9 +28,10 @@ from fdrelay import (
     ser_series,
 )
 from fdrelay.cli import main
-from fdrelay.sfun import bessel_k1, exp_integral_e1, gamma_fn, hyp2f1_complement
+from fdrelay.sfun import bessel_k1, gamma_fn, hyp2f1_complement
 
-from conftest import cfg_at, ser_series_grid_oracle, stats_at
+from conftest import (approx_coeffs, cfg_at, exp_integral_e1, joint_v3_closed,
+                      ser_series_grid_oracle, stats_at)
 from test_sfun import E1_TABLE, GAMMA_TABLE, HYP2F1_TABLE, K1_TABLE
 
 
@@ -200,7 +199,7 @@ def test_criterion_09_convexity():
     ok = True
     h = 1e-4
     grid = np.linspace(0.02, 0.98, 100)
-    from fdrelay import f_objective
+    from conftest import f_objective
     for _ in range(20):
         cfg = cfg_at(rng.uniform(0.0, 50.0), rng.uniform(0.0, 0.5),
                      v=rng.uniform(1.5, 4.5))

@@ -16,9 +16,7 @@ from fdrelay import (
     LinkStats,
     NonConvergenceError,
     SystemConfig,
-    approx_coeffs,
     f_gradient,
-    f_objective,
     kappa,
     link_stats,
     optimal_location_closed,
@@ -38,9 +36,9 @@ from fdrelay import analytic
 from fdrelay.analytic import DEFAULT_N_TERMS, MAX_N_TERMS, ser_from_cdf
 from fdrelay.sfun import bessel_k1
 
-from conftest import (CDF_ABS_FLOOR, FLOAT_RANGE_DRAWS, cdf_truncation_bound, cfg_at,
-                      float_range_cfg, outcome, ser_series_terms_oracle, sinr_cdf_upper_bound,
-                      stats_at)
+from conftest import (CDF_ABS_FLOOR, FLOAT_RANGE_DRAWS, approx_coeffs, cdf_truncation_bound,
+                      cfg_at, f_objective, float_range_cfg, outcome, ser_series_terms_oracle,
+                      sinr_cdf_upper_bound, stats_at)
 from test_reach import TRACEBACK_EXAMPLES
 
 
@@ -623,3 +621,21 @@ class TestOptimizedSerForms:
             ser_location_optimized(cfg, 0.0)
         with pytest.raises(DomainError):
             ser_power_optimized(cfg, 1.0)
+
+    def test_overflowing_path_loss_is_a_domain_error(self):
+        # D^v = 2.0465^1000 ~ 1e311; the true SER argument of figure 7 is
+        # only ~1e10 there, so alpha/2 would be no limit to return
+        cfg = SystemConfig(1.0, 0.1, 1000.0, 2.0465)
+        for fn, args in ((f_gradient, (Allocation(0.5, 0.5), cfg)),
+                         (ser_power_optimized, (cfg, 0.5)),
+                         (ser_location_optimized, (cfg, 0.5))):
+            with pytest.raises(DomainError, match=r": D\^v "):
+                fn(*args)
+
+    def test_floor_refuses_an_overflowing_path_loss_unless_eps_is_zero(self):
+        # D_SR^v ~ 1e309; at eps = 0 the floor does not depend on it
+        alloc = Allocation(0.5, 0.999999)
+        far = SystemConfig(100.0, 0.1, 3.0, 2.154e103)
+        with pytest.raises(DomainError, match=r"D_SR\^v overflows"):
+            ser_floor(alloc, far)
+        assert ser_floor(alloc, far.replace(rsi_level=0.0)) == ser_floor(alloc, cfg_at(20.0, 0.0))

@@ -394,12 +394,22 @@ class TestValidateAndExitCodes:
         assert 0.0 <= asymptotic <= 1.0 and 0.0 <= exact <= 1.0
         assert exact == pytest.approx(want, abs=CDF_ABS_FLOOR)
 
+    def test_out_of_float_range_floor_without_rsi_is_zero(self, tmp_path):
+        # D_SR^v overflows, but at eps = 0 the floor is 0 whatever D_SR^v is
+        code, rows, _ = run_cli(["ser", "--p-db", "2700", "--sum-distance", "2.154e103",
+                                 "--rho-d", "0.999999", "--rsi-level", "0"], tmp_path)
+        assert code == EXIT_OK
+        assert rows[1] == ["2700", "0.5", "0.5", "", "", "0"]
+
     @given(st.sampled_from(["ser", "outage", "optimize-location", "optimize-power",
-                            "optimize-joint", "figure 3", "figure 4", "figure 6", "figure 8"]),
+                            "optimize-joint", "figure 2 --mode analytic",
+                            *(f"figure {n}" for n in range(3, 10))]),
            *FLOAT_RANGE_DRAWS)
     # inputs that the 50 drawn examples do not reach (test_reach.TRACEBACK_EXAMPLES)
     @example(*TRACEBACK_EXAMPLES[0])
     @example(*TRACEBACK_EXAMPLES[1])
+    @example(*TRACEBACK_EXAMPLES[2])
+    @example(*TRACEBACK_EXAMPLES[3])
     @settings(max_examples=50, deadline=None)
     @seed(24)
     def test_accepted_inputs_exit_without_a_traceback(self, command, p_db, log_d, log_v,

@@ -15,9 +15,7 @@ from fdrelay import (
     SystemConfig,
     closed_form_result,
     f_gradient,
-    f_objective,
     joint_foc_roots,
-    joint_v3_closed,
     link_stats,
     minimize_1d,
     optimal_location_closed,
@@ -30,9 +28,11 @@ from fdrelay import analytic, opt
 from conftest import (
     FLOAT_RANGE_DRAWS,
     cfg_at,
+    f_objective,
     float_range_cfg,
     golden_section_oracle,
     joint_roots_grid_oracle,
+    joint_v3_closed,
     minimize_1d_oracle,
     ser_series_grid_oracle,
 )

@@ -70,6 +70,12 @@ FLOAT_RANGE_ARGVS = [
      "--rsi-level=236.8", "--p-db=-73.03", "--rho-d=0.0595", "--rho-lambda=0.581"],
     ["ser", "--p-db", "0", "--pathloss-exp", "238.1", "--rsi-level", "1e185",
      "--rho-d", "0.9375"],
+    # D^v overflows in the optimizers' residual (f_gradient) and in the
+    # power-optimized SER of figure 7
+    ["optimize-power", "--pathloss-exp", "1000", "--sum-distance", "2.0465", "--p-db", "0"],
+    ["optimize-location", "--pathloss-exp", "1000", "--sum-distance", "2.0465", "--p-db", "0"],
+    ["optimize-joint", "--pathloss-exp", "1000", "--sum-distance", "2.0465", "--p-db", "0"],
+    ["figure", "7", "--pathloss-exp", "1000", "--sum-distance", "2.0465"],
 ]
 
 # inputs past the float range where the outage is a value, with the exact
@@ -90,11 +96,15 @@ def traceback_argv(command, p_db, log_d, log_v, eps, rho_lambda, rho_d):
 
 
 # the explicit examples of that test, and of the ser_series and minimize_1d
-# properties on the same domain: the series' (1/sqrt(l_sr) + 1/sqrt(l_rd))^2
-# overflows at a subnormal l_rd, where its drawn examples do not reach
+# properties on the same domain, inputs that its drawn examples do not reach:
+# the series' (1/sqrt(l_sr) + 1/sqrt(l_rd))^2 overflows at a subnormal l_rd
+# (the first two), and D^v overflows at D = 2.0465, v = 1000 in f_gradient
+# and in ser_power_optimized (the last two)
 TRACEBACK_EXAMPLES = [
     ("ser", -100.0, 1.0, 2.4756711883244296, 0.0, 0.5, 0.01),
     ("optimize-power", -73.03, 0.9824069288637948, 2.5142687583522174, 236.8, 0.581, 0.0595),
+    ("optimize-power", 0.0, 0.31101174898128836, 2.9995654882259823, 0.1, 0.5, 0.5),
+    ("figure 7", 0.0, 0.31101174898128836, 2.9995654882259823, 0.1, 0.5, 0.5),
 ]
 
 _MC = ["--mode", "both", "--mc-samples", "20000"]
@@ -120,12 +130,6 @@ COMMANDS = [
 
 # module:qualname -> why the def stays although no command reaches it
 ALLOWLIST = {
-    "analytic:f_objective": "acceptance criterion 09 checks the surrogate's convexity",
-    "analytic:approx_coeffs": "acceptance criterion 01 checks the exact recurrence",
-    "analytic:ApproxCoeffs.__init__": "approx_coeffs' value type",
-    "opt:joint_v3_closed": "acceptance criterion 08(b) checks the v = 3 closed form",
-    "sfun:exp_integral_e1": "acceptance criterion 02 checks it against mpmath",
-    "sfun:_e1_scaled_cf": "exp_integral_e1's continued fraction (criterion 02)",
     "model:SystemConfig.bpsk": "acceptance criterion 08 builds its scenarios with it",
     "model:SystemConfig.is_bpsk": "the symbol-level estimator's BPSK check",
     "mc:draw_gammas": "the symbol-level estimator draws its fades with it",
@@ -397,7 +401,7 @@ def test_package_lists_each_module_list_once():
             "UnsupportedModulationError", *model.__all__, *analytic.__all__, *mc.__all__,
             *opt.__all__, "__version__"]
     assert fdrelay.__all__ == want
-    assert len(want) == len(set(want)) == 44
+    assert len(want) == len(set(want)) == 40
     assert all(hasattr(fdrelay, name) for name in want)
 
 

@@ -15,8 +15,9 @@ from fdrelay import (
     McEstimate,
     OptResult,
     SystemConfig,
-    approx_coeffs,
 )
+
+from conftest import approx_coeffs
 
 CFG = SystemConfig(100.0, 0.1, 3.0)
 QPSK_CFG = SystemConfig(100.0, 0.1, 3.0, 2.0, 2.0, 1.0)
