@@ -21,12 +21,11 @@ import heapq
 import math
 import sys
 from collections.abc import Callable
-from functools import lru_cache
 from operator import itemgetter
 
 from .errors import DomainError, QuadratureError
-from .model import Allocation, LinkStats, SystemConfig
-from .sfun import MAX_N_TERMS, bessel_k1, gamma_fn, hyp2f1_complement
+from .model import Allocation, LinkStats, SystemConfig, _power
+from .sfun import MAX_N_TERMS, bessel_k1, hyp2f1_complement
 
 __all__ = [
     "sinr_cdf_asymptotic",
@@ -63,7 +62,7 @@ _2PI = 2.0 * math.pi
 
 def kappa(cfg: SystemConfig) -> float:
     """Prefactor alpha sqrt(beta) Gamma(1/2) / (2 sqrt(2 pi)); equals 1/2 for BPSK."""
-    return cfg.alpha_mod * math.sqrt(cfg.beta_mod) / (2.0 * math.sqrt(_2PI)) * gamma_fn(0.5)
+    return cfg.alpha_mod * math.sqrt(cfg.beta_mod) / (2.0 * math.sqrt(_2PI)) * math.gamma(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +85,12 @@ _COEFF_PAIRS = (
     (0.013159038762172849, 5.280379110370489),
     (0.007336350558475495, 5.8635975980469395),
     (0.004100636697776902, 6.444440273934541),
+)
+# (A_i, B_i, C_i) of ser_series_terms, one row per term; the first n_terms
+# rows serve a series of n_terms terms
+_SERIES_COEFFS = tuple(
+    (a_i, b_i, math.gamma(2 * i + 2.5) * math.gamma(2 * i + 0.5) / math.factorial(2 * i + 1))
+    for i, (a_i, b_i) in enumerate(_COEFF_PAIRS)
 )
 
 
@@ -216,16 +221,6 @@ def outage(threshold: float, stats: LinkStats, mode: str = "asymptotic") -> floa
 # SER
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _series_coeffs(n_terms: int) -> tuple[tuple[float, float, float], ...]:
-    """(A_i, B_i, C_i) of ser_series_terms as floats, one triple per term."""
-    _check_n_terms(n_terms)
-    return tuple(
-        (a_i, b_i, gamma_fn(2 * i + 2.5) * gamma_fn(2 * i + 0.5) / math.factorial(2 * i + 1))
-        for i, (a_i, b_i) in enumerate(_COEFF_PAIRS[:n_terms])
-    )
-
-
 def ser_series_terms(stats: LinkStats, cfg: SystemConfig,
                      n_terms: int = DEFAULT_N_TERMS) -> list[float]:
     """The individual series contributions I_i whose sum approximates alpha/2 - SER.
@@ -261,9 +256,10 @@ def ser_series_terms(stats: LinkStats, cfg: SystemConfig,
     # precision at high power, where Y_i/X_i approaches 1
     delta = 4.0 / math.sqrt(prod)
     pref = 2.0 * alpha * math.sqrt(2.0 * beta) / prod
+    _check_n_terms(n_terms)
     out = []
     try:
-        for i, (a_i, b_i, c_i) in enumerate(_series_coeffs(n_terms)):
+        for i, (a_i, b_i, c_i) in enumerate(_SERIES_COEFFS[:n_terms]):
             x_i = beta / 2.0 + eta * b_i + s_plus
             w = delta / x_i
             if w > 1.0 or not w:
@@ -354,14 +350,13 @@ def f_gradient(alloc: Allocation, cfg: SystemConfig) -> tuple[float, float]:
     d = cfg.sum_distance
     d_sr = rd * d
     d_rd = (1.0 - rd) * d
-    try:
-        df_drl = -(1.0 + eps * p) * d_sr**v / (p * rl * rl) + d_rd**v / (p * (1.0 - rl) ** 2)
-        df_drd = d**v * v * (
-            rd ** (v - 1.0) * (1.0 + eps * (1.0 - rl) * p) / (rl * p)
-            - (1.0 - rd) ** (v - 1.0) / ((1.0 - rl) * p)
-        )
-    except OverflowError:
-        raise DomainError("f_gradient: D^v overflows a float") from None
+    # D_SR, D_RD <= D, so neither of their powers overflows where D^v does not
+    dv = _power(d, v, "f_gradient: D^v")
+    df_drl = -(1.0 + eps * p) * d_sr**v / (p * rl * rl) + d_rd**v / (p * (1.0 - rl) ** 2)
+    df_drd = dv * v * (
+        rd ** (v - 1.0) * (1.0 + eps * (1.0 - rl) * p) / (rl * p)
+        - (1.0 - rd) ** (v - 1.0) / ((1.0 - rl) * p)
+    )
     return df_drl, df_drd
 
 
@@ -369,56 +364,51 @@ def ser_floor(alloc: Allocation, cfg: SystemConfig) -> float:
     """Interference-limited SER floor as total power grows without bound.
 
     alpha/2 - kappa (beta/2 + eps (P_R / P_S) D_SR^v)^(-1/2); zero when
-    eps = 0.
+    eps = 0, whatever D_SR^v is.
     """
     p_s, p_r = alloc.powers(cfg)
     d_sr, _ = alloc.distances(cfg)
-    try:
-        arg = cfg.beta_mod / 2.0 + cfg.rsi_level * (p_r / p_s) * d_sr**cfg.pathloss_exp
-    except OverflowError:
-        if cfg.rsi_level:
-            raise DomainError("ser_floor: D_SR^v overflows a float") from None
-        arg = cfg.beta_mod / 2.0                # the eps = 0 term, 0 at any finite D_SR^v
+    arg = cfg.beta_mod / 2.0
+    if cfg.rsi_level:
+        arg += cfg.rsi_level * (p_r / p_s) * _power(d_sr, cfg.pathloss_exp, "ser_floor: D_SR^v")
     return 0.5 * cfg.alpha_mod - kappa(cfg) * arg**-0.5
 
 
 def ser_location_optimized(cfg: SystemConfig, rho_lambda: float) -> float:
     """High-power SER with the relay placed at its closed-form optimum for a
-    fixed power split."""
+    fixed power split. DomainError where the optimal placement's numerator or
+    denominator overflows: inf / den, num / inf and 0 * inf bound nothing."""
     if not 0.0 < rho_lambda < 1.0:
         raise DomainError(f"rho_lambda must be in (0,1), got {rho_lambda}")
     p = cfg.total_power
     eps = cfg.rsi_level
     v = cfg.pathloss_exp
     rbar = 1.0 - rho_lambda
-    try:
-        dv = cfg.sum_distance**v
-        den = (1.0 + ((rbar / rho_lambda) * (1.0 + eps * rbar * p)) ** (1.0 / (v - 1.0))) ** (v - 1.0)
-    except OverflowError:
-        raise DomainError("ser_location_optimized: D^v or the optimal placement's "
-                          "(1 + ratio^(1/(v-1)))^(v-1) overflows a float") from None
-    num = (1.0 / (rho_lambda * p) + rbar / rho_lambda * eps) * dv
+    dv = _power(cfg.sum_distance, v, "ser_location_optimized: D^v")
+    place = "ser_location_optimized: the optimal placement's (1 + ratio^(1/(v-1)))^(v-1)"
+    ratio = (rbar / rho_lambda) * (1.0 + eps * rbar * p)
+    den = _power(1.0 + _power(ratio, 1.0 / (v - 1.0), place), v - 1.0, place)
+    p_s = rho_lambda * p
+    num = (1.0 / p_s + rbar / rho_lambda * eps) * dv if p_s else math.inf
+    if not (num < math.inf and den < math.inf):
+        raise DomainError(f"{place} or (1/P_S + eps rbar/rho_lambda) D^v overflows a float")
     return 0.5 * cfg.alpha_mod - kappa(cfg) * (cfg.beta_mod / 2.0 + num / den) ** -0.5
 
 
 def ser_power_optimized(cfg: SystemConfig, rho_d: float) -> float:
     """High-power SER with the power split at its closed-form optimum for a
-    fixed relay location."""
+    fixed relay location. DomainError where D^v / P or sqrt(P eps + 1) overflows."""
     if not 0.0 < rho_d < 1.0:
         raise DomainError(f"rho_d must be in (0,1), got {rho_d}")
     p = cfg.total_power
     eps = cfg.rsi_level
     v = cfg.pathloss_exp
-    try:
-        dv = cfg.sum_distance**v
-    except OverflowError:
-        raise DomainError("ser_power_optimized: D^v overflows a float") from None
-    inner = (
-        rho_d**v
-        + (1.0 - rho_d) ** v
-        + 2.0 * rho_d ** (v / 2.0) * (1.0 - rho_d) ** (v / 2.0) * math.sqrt(p * eps + 1.0)
-    )
-    return 0.5 * cfg.alpha_mod - kappa(cfg) * (cfg.beta_mod / 2.0 + dv / p * inner) ** -0.5
+    scale = _power(cfg.sum_distance, v, "ser_power_optimized: D^v") / p
+    cross = 2.0 * rho_d ** (v / 2.0) * (1.0 - rho_d) ** (v / 2.0) * math.sqrt(p * eps + 1.0)
+    inner = rho_d**v + (1.0 - rho_d) ** v + cross
+    if not (scale < math.inf and inner < math.inf):
+        raise DomainError("ser_power_optimized: D^v / P or sqrt(P eps + 1) overflows a float")
+    return 0.5 * cfg.alpha_mod - kappa(cfg) * (cfg.beta_mod / 2.0 + scale * inner) ** -0.5
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,15 @@ _RATIO_CEIL = 1.0 - RATIO_FLOOR
 
 
 def db_to_linear(db: float) -> float:
+    return _power(10.0, db / 10.0, f"db_to_linear: {db} dB")
+
+
+def _power(base: float, exponent: float, name: str) -> float:
+    """base ** exponent, or DomainError "`name` overflows a float" where it does."""
     try:
-        return 10.0 ** (db / 10.0)
+        return base ** exponent
     except OverflowError:
-        raise DomainError(f"db_to_linear: {db} dB overflows a float") from None
+        raise DomainError(f"{name} overflows a float") from None
 
 
 def _require_finite(name: str, value: float) -> None:

@@ -29,17 +29,17 @@ from .errors import DomainError, NonConvergenceError
 
 __all__ = [
     "bessel_k1",
-    "gamma_fn",
     "digamma",
     "hyp2f1_complement",
 ]
 
 # Terms of the SER series, and so of the 2F1 family that hyp2f1_complement
-# serves (analytic.MAX_N_TERMS is this constant). The exact coefficient
-# denominators triple in bits per term: 10 pairs take ~12 ms, 12 take ~0.6 s,
-# 14 take ~47 s. It also bounds the log series' error, which grows with a
-# (at w = 0.5, 3.3e-10 at term 9 and 4.7e-7 at term 14): tests/test_sfun.py
-# checks every term below the cap against mpmath.
+# serves (analytic.MAX_N_TERMS is this constant). The test oracle approx_coeffs
+# (tests/conftest.py) builds the pairs' exact rationals, whose denominators
+# triple in bits per term: 10 pairs take ~12 ms, 12 ~0.6 s, 14 ~47 s; the
+# library reads a float table. The cap also bounds the log series' error,
+# which grows with a (at w = 0.5, 3.3e-10 at term 9 and 4.7e-7 at term 14):
+# tests/test_sfun.py checks every term below the cap against mpmath.
 MAX_N_TERMS = 10
 
 _EULER_GAMMA = 0.5772156649015328606065120900824024310421593359399
@@ -168,23 +168,6 @@ def bessel_k1(x: float) -> float:
         return _k1_small(x) if 0.5 * x else math.inf
     t = 4.0 / x - 1.0
     return _clenshaw(t, _K1_CHEB) * math.exp(-x) / math.sqrt(x)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function on the real line, with an explicit pole error.
-
-    Raises DomainError at NaN, -inf and the poles (x a non-positive
-    integer). Where Gamma(x) overflows (x > ~171.62, or |x| < ~5.6e-309)
-    it returns inf with the sign of x.
-    """
-    if math.isnan(x) or x == -math.inf:
-        raise DomainError(f"gamma_fn: x is {x}")
-    if x <= 0.0 and x == math.floor(x):
-        raise DomainError(f"gamma_fn: pole at non-positive integer x={x}")
-    try:
-        return math.gamma(x)
-    except OverflowError:
-        return math.copysign(math.inf, x)
 
 
 def digamma(x: float) -> float:

@@ -3,9 +3,10 @@
 Oracles here deliberately avoid the library's own code paths: scipy.special
 for vectorized closed-form surfaces, mpmath for high-precision point values.
 They include the paper's derivations that tests check and no command runs:
-the exact coefficient recurrence of the SER series, the exponential integral
-E1 of the dropped interference bound, the convex surrogate objective f and
-the v = 3 closed-form candidates of the joint problem.
+the exact coefficient recurrence of the SER series, the Gamma function of
+its C_i, the exponential integral E1 of the dropped interference bound, the
+convex surrogate objective f and the v = 3 closed-form candidates of the
+joint problem.
 """
 
 import heapq
@@ -114,6 +115,23 @@ def approx_coeffs(n_terms: int) -> ApproxCoeffs:
         a.append(ai)
         b.append(bi)
     return ApproxCoeffs(exact=tuple(zip(a, b)))
+
+
+def gamma_fn(x: float) -> float:
+    """Gamma function on the real line, with an explicit pole error.
+
+    Raises DomainError at NaN, -inf and the poles (x a non-positive
+    integer). Where Gamma(x) overflows (x > ~171.62, or |x| < ~5.6e-309)
+    it returns inf with the sign of x.
+    """
+    if math.isnan(x) or x == -math.inf:
+        raise DomainError(f"gamma_fn: x is {x}")
+    if x <= 0.0 and x == math.floor(x):
+        raise DomainError(f"gamma_fn: pole at non-positive integer x={x}")
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def exp_integral_e1(x: float) -> float:
@@ -814,7 +832,7 @@ def hyp_log_series_oracle(a: float, b: float, m: int, w: float) -> float:
 def ser_series_terms_oracle(stats, cfg: SystemConfig, n_terms: int = 3) -> list[float]:
     """ser_series_terms with the float (A_i, B_i, C_i) converted and computed
     per call and every term's hypergeometric evaluated, whatever its weight:
-    the reference that the cached coefficients and the skipped zero-weight
+    the reference that the tabulated coefficients and the skipped zero-weight
     terms must match bit for bit, exceptions included. The hypergeometric
     goes through sfun.hyp2f1_complement, so under per_call_series it is the
     per-call log series too."""
@@ -836,7 +854,7 @@ def ser_series_terms_oracle(stats, cfg: SystemConfig, n_terms: int = 3) -> list[
     out = []
     try:
         for i, (a_i, b_i) in enumerate(coeffs):
-            c_i = (sfun.gamma_fn(2 * i + 2.5) * sfun.gamma_fn(2 * i + 0.5)
+            c_i = (gamma_fn(2 * i + 2.5) * gamma_fn(2 * i + 0.5)
                    / math.factorial(2 * i + 1))
             x_i = beta / 2.0 + eta * b_i + s_plus
             w = delta / x_i

@@ -28,9 +28,9 @@ from fdrelay import (
     ser_series,
 )
 from fdrelay.cli import main
-from fdrelay.sfun import bessel_k1, gamma_fn, hyp2f1_complement
+from fdrelay.sfun import bessel_k1, hyp2f1_complement
 
-from conftest import (approx_coeffs, cfg_at, exp_integral_e1, joint_v3_closed,
+from conftest import (approx_coeffs, cfg_at, exp_integral_e1, gamma_fn, joint_v3_closed,
                       ser_series_grid_oracle, stats_at)
 from test_sfun import E1_TABLE, GAMMA_TABLE, HYP2F1_TABLE, K1_TABLE
 

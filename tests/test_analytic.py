@@ -37,8 +37,8 @@ from fdrelay.analytic import DEFAULT_N_TERMS, MAX_N_TERMS, ser_from_cdf
 from fdrelay.sfun import bessel_k1
 
 from conftest import (CDF_ABS_FLOOR, FLOAT_RANGE_DRAWS, approx_coeffs, cdf_truncation_bound,
-                      cfg_at, f_objective, float_range_cfg, outcome, ser_series_terms_oracle,
-                      sinr_cdf_upper_bound, stats_at)
+                      cfg_at, f_objective, float_range_cfg, gamma_fn, outcome,
+                      ser_series_terms_oracle, sinr_cdf_upper_bound, stats_at)
 from test_reach import TRACEBACK_EXAMPLES
 
 
@@ -108,10 +108,16 @@ class TestApproxCoeffs:
     def test_series_table_is_the_exact_pairs(self):
         # the SER series reads (A_i, B_i) from a literal float table, so that
         # it loads no fractions; each float is that of the exact pair, bit
-        # for bit, and the series' n_terms has approx_coeffs' range
+        # for bit, and the series' n_terms has approx_coeffs' range. Its
+        # (A_i, B_i, C_i) rows carry C_i = Gamma(2i + 5/2) Gamma(2i + 1/2) /
+        # (2i + 1)! as the Gamma oracle gives it, bit for bit
         table = [(a.hex(), b.hex()) for a, b in analytic._COEFF_PAIRS]
         assert table == [(float(a).hex(), float(b).hex())
                          for a, b in approx_coeffs(MAX_N_TERMS).exact]
+        assert [row[:2] for row in analytic._SERIES_COEFFS] == list(analytic._COEFF_PAIRS)
+        assert [row[2].hex() for row in analytic._SERIES_COEFFS] == [
+            (gamma_fn(2 * i + 2.5) * gamma_fn(2 * i + 0.5) / math.factorial(2 * i + 1)).hex()
+            for i in range(MAX_N_TERMS)]
         stats = link_stats(cfg_at(20.0, 0.1), Allocation(0.5, 0.5))
         for n_terms in (0, MAX_N_TERMS + 1):
             with pytest.raises(DomainError, match="n_terms must be in"):

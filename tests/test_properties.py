@@ -6,15 +6,17 @@ The outage CDFs of the three SINRs are ordered: the simulated SINR ab/(a + b
 closed form bounds from below. Both routes are probabilities and
 non-decreasing in the threshold x, over every link the CLI accepts. Without
 self-interference the two hops play symmetric parts, and every route gives
-the same bits when their mean SNRs swap.
+the same bits when their mean SNRs swap. The high-power SER forms are
+probabilities in [0, alpha/2], or refuse with a DomainError.
 """
 
 import math
 
-from hypothesis import assume, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from fdrelay import (Allocation, DomainError, LinkStats, analytic, link_stats, outage,
+                     ser_floor, ser_high_power, ser_location_optimized, ser_power_optimized,
                      ser_quadrature, ser_series, sinr_cdf_asymptotic, sinr_cdf_exact_numeric)
 
 from conftest import (CDF_ABS_FLOOR, FLOAT_RANGE_DRAWS, cfg_at, float_range_cfg, outcome,
@@ -84,3 +86,27 @@ def test_hops_swap_without_self_interference(log_sr, log_rd, log_x, modulation):
               "ser_quadrature": lambda stats: ser_quadrature(stats, cfg)}
     for name, route in routes.items():
         assert outcome(route, links[0]) == outcome(route, links[1]), name
+
+
+@given(*FLOAT_RANGE_DRAWS, st.sampled_from(["bpsk", "qpsk"]))
+# D^v / P underflows to 0 against an infinite sqrt(P eps + 1), and the
+# optimal placement's numerator and denominator both overflow: each form
+# returned NaN here before it refused such inputs
+@example(350.0, -290.0, math.log10(0.5), 1e290, 0.5, 0.5, "bpsk")
+@example(360.0, 100.0, math.log10(0.5), 1e290, 0.5, 0.5, "bpsk")
+@seed(20171017)
+@settings(max_examples=400, deadline=None)
+def test_high_power_sers_are_probabilities(p_db, log_d, log_v, eps, rho_lambda, rho_d,
+                                           modulation):
+    cfg = float_range_cfg(p_db, log_d, log_v, eps, modulation)
+    alloc = Allocation(rho_lambda, rho_d)
+    routes = {"ser_high_power": lambda: ser_high_power(link_stats(cfg, alloc), cfg),
+              "ser_floor": lambda: ser_floor(alloc, cfg),
+              "ser_location_optimized": lambda: ser_location_optimized(cfg, rho_lambda),
+              "ser_power_optimized": lambda: ser_power_optimized(cfg, rho_d)}
+    for name, route in routes.items():
+        try:
+            ser = route()
+        except DomainError:
+            continue
+        assert type(ser) is float and 0.0 <= ser <= 0.5 * cfg.alpha_mod, (name, ser)

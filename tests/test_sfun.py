@@ -20,11 +20,11 @@ from fdrelay.sfun import (
     _hyp_series,
     bessel_k1,
     digamma,
-    gamma_fn,
     hyp2f1_complement,
 )
 
-from conftest import exp_integral_e1, hyp_log_series_oracle, k1_small_oracle, outcome, q_func
+from conftest import (exp_integral_e1, gamma_fn, hyp_log_series_oracle, k1_small_oracle,
+                      outcome, q_func)
 
 mp.mp.dps = 40
 
